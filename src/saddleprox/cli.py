@@ -13,11 +13,12 @@ Subcommands:
                    line per check.
 * ``gen-image`` -- write a seeded synthetic test image as PGM.
 
-All numeric parameters can also be supplied through ``--config FILE``
-holding one ``key = value`` pair per line (``#`` starts a comment);
-explicit command-line flags override file values.  Every output file
-starts with comment lines echoing the effective configuration, so runs
-are reproducible from their artifacts alone.
+Every flag can also be supplied through ``--config FILE`` holding one
+``key = value`` pair per line (``#`` starts a comment).  File values are
+parsed as flags given right after the subcommand name, so they are
+validated like flags, and explicit command-line flags override them.
+Every output file starts with comment lines echoing the effective
+configuration, so runs are reproducible from their artifacts alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import SolveOptions, solve
+from .core import ConfigurationError, SolveOptions, solve
 from .schedules import (
     POTTS_PRESETS,
     AcceleratedRule,
@@ -65,40 +66,28 @@ def parse_config_file(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError("%s:%d: expected key = value" % (path, lineno))
+                raise ConfigurationError("%s:%d: expected key = value" % (path, lineno))
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
-def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay config-file values onto flags the user left at default.
+def config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """Command-line tokens standing for the lines of a config file.
 
-    ``parser.parse_args`` has already run, so ``args`` holds explicit
-    flags.  For every file key we only fill slots whose current value is
-    None (the sentinel default used throughout), keeping the documented
-    flag-beats-file precedence.
+    Each ``key = value`` becomes ``--key=value``, or ``--key`` followed by
+    the whitespace-separated words of the value for flags taking several
+    arguments (``--synthetic``), so argparse checks file values exactly
+    like flags.  A key must spell a flag of ``command`` in full.
     """
-    if getattr(args, "config", None) is None:
-        return
-    table = parse_config_file(args.config)
-    for key, text in table.items():
-        if not hasattr(args, key):
-            parser.error("unknown configuration key %r in %s" % (key, args.config))
-        if getattr(args, key) is None:
-            setattr(args, key, text)
-
-
-def resolve(args: argparse.Namespace, name: str, default, cast=float):
-    """Fetch a flag value, casting config-file strings, with a default."""
-    value = getattr(args, name)
-    if value is None:
-        return default
-    if isinstance(value, str):
-        if cast is bool:
-            return value.strip().lower() in ("1", "true", "yes", "on")
-        return cast(value)
-    return value
+    tokens: list[str] = []
+    for key, value in parse_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None:
+            command.error("unknown configuration key %r in %s" % (key, path))
+        tokens += [flag] + value.split() if action.nargs else [flag + "=" + value]
+    return tokens
 
 
 def config_header(command: str, items: list[tuple[str, object]]) -> list[str]:
@@ -131,58 +120,44 @@ def fmt_triple(triple: StepTriple) -> list[tuple[str, object]]:
 # potts subcommand.
 # ---------------------------------------------------------------------------
 
+def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstants]:
+    """The Potts step calculator applied to the flags ``potts`` and ``steps`` share."""
+    return potts_steps(args.alpha, args.gamma, args.p,
+                       dynamic_range=args.dynamic_range, gamma_bar=args.gamma_bar,
+                       delta=args.delta, mu=args.mu, gtg=args.gtilde_g,
+                       gtf=args.gtilde_f)
+
+
 def cmd_potts(args: argparse.Namespace) -> int:
-    p = math.inf if str(resolve(args, "p", "1", str)) in ("inf", "oo") else 1.0
-    alpha = resolve(args, "alpha", 1.0)
-    gamma = resolve(args, "gamma", 1e-3)
-    iters = resolve(args, "iters", 10000, int)
-    log_stride = resolve(args, "log_stride", 1, int)
-    prefix = resolve(args, "out_prefix", "potts", str)
-    ref_iters = resolve(args, "reference_iters", 0, int)
+    p, alpha, gamma, iters = args.p, args.alpha, args.gamma, args.iters
+    prefix, ref_iters = args.out_prefix, args.reference_iters
 
     cfg_items: list[tuple[str, object]] = [
         ("p", "inf" if p == math.inf else "1"),
         ("alpha", alpha), ("gamma", gamma), ("iters", iters),
-        ("log_stride", log_stride), ("reference_iters", ref_iters),
+        ("log_stride", args.log_stride), ("reference_iters", ref_iters),
     ]
 
     if args.synthetic is not None:
-        n1, n2, seed = (int(v) for v in args.synthetic)
-        n_shapes = resolve(args, "n_shapes", 6, int)
-        noise_sigma = resolve(args, "noise_sigma", 0.05)
-        image = potts.gen_synthetic(n1, n2, seed, n_shapes=n_shapes,
-                                    noise_sigma=noise_sigma)
+        n1, n2, seed = args.synthetic
+        image = potts.gen_synthetic(n1, n2, seed, n_shapes=args.n_shapes,
+                                    noise_sigma=args.noise_sigma)
         cfg_items += [("synthetic", "%d %d %d" % (n1, n2, seed)),
-                      ("n_shapes", n_shapes), ("noise_sigma", noise_sigma)]
+                      ("n_shapes", args.n_shapes), ("noise_sigma", args.noise_sigma)]
     elif args.input is not None:
         image, _ = read_pgm(args.input)
         cfg_items.append(("input", args.input))
     else:
-        print("potts: either --input or --synthetic is required", file=sys.stderr)
-        return 2
+        raise ConfigurationError("either --input or --synthetic is required")
 
-    preset = resolve(args, "preset", "", str)
-    if preset:
-        if preset not in POTTS_PRESETS:
-            print("potts: unknown preset %r (have %s)"
-                  % (preset, ", ".join(sorted(POTTS_PRESETS))), file=sys.stderr)
-            return 2
-        triple = POTTS_PRESETS[preset]
-        cfg_items.append(("preset", preset))
+    if args.preset:
+        if args.preset not in POTTS_PRESETS:
+            raise ConfigurationError("unknown preset %r (have %s)"
+                                     % (args.preset, ", ".join(sorted(POTTS_PRESETS))))
+        triple = POTTS_PRESETS[args.preset]
+        cfg_items.append(("preset", args.preset))
     else:
-        try:
-            triple, _ = potts_steps(
-                alpha, gamma, p,
-                dynamic_range=resolve(args, "dynamic_range", 1.0),
-                gamma_bar=resolve(args, "gamma_bar", 10.0),
-                delta=resolve(args, "delta", 0.1),
-                mu=resolve(args, "mu", None),
-                gtg=resolve(args, "gtilde_g", None),
-                gtf=resolve(args, "gtilde_f", None),
-            )
-        except InfeasibleConstantsError as exc:
-            print("potts: infeasible step constants: %s" % exc, file=sys.stderr)
-            return 1
+        triple, _ = potts_schedule(args)
     cfg_items += fmt_triple(triple)
 
     problem = potts.PottsProblem(potts.PottsConfig(alpha=alpha, gamma=gamma, p=p),
@@ -198,7 +173,7 @@ def cmd_potts(args: argparse.Namespace) -> int:
         reference = (ref_state.x, ref_state.y)
 
     state, records = solve(problem, triple, x0, y0,
-                           SolveOptions(max_iters=iters, log_stride=log_stride,
+                           SolveOptions(max_iters=iters, log_stride=args.log_stride,
                                         reference=reference,
                                         record_objective=True))
 
@@ -230,26 +205,18 @@ def cmd_potts(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_nash(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in str(resolve(args, "sizes", "63,127", str)).split(",")]
-    iters = resolve(args, "iters", 12, int)
+    sizes, iters = args.sizes, args.iters
     if iters <= 0:
-        print("nash: --iters must be positive", file=sys.stderr)
-        return 2
-    tau = resolve(args, "tau", 0.99)
-    sigma = resolve(args, "sigma", 1.0)
-    omega = resolve(args, "omega", 1.0)
-    out = resolve(args, "out", "nash_dist.csv", str)
-    triple = StepTriple(tau, sigma, omega)
+        raise ConfigurationError("--iters must be positive")
+    if min(sizes) < 2:
+        raise ConfigurationError("--sizes must all be >= 2, got %d" % min(sizes))
+    triple = StepTriple(args.tau, args.sigma, args.omega)
 
     cfg_items = [("sizes", ",".join(str(n) for n in sizes)), ("iters", iters),
-                 ("tau", tau), ("sigma", sigma), ("omega", omega)]
+                 ("tau", args.tau), ("sigma", args.sigma), ("omega", args.omega)]
     dist_columns: list[np.ndarray] = []
     for n in sizes:
-        try:
-            config, x_star, y_star = nash.manufacture(n)
-        except ValueError as exc:
-            print("nash: %s" % exc, file=sys.stderr)
-            return 1
+        config, x_star, y_star = nash.manufacture(n)
         problem = nash.NashProblem(config)
         x0 = np.zeros(problem.primal_dim)
         y0 = np.zeros(problem.dual_dim)
@@ -263,8 +230,8 @@ def cmd_nash(args: argparse.Namespace) -> int:
     columns = ["iter"] + ["dist_n%d" % n for n in sizes]
     rows = [[i + 1] + [float(col[i]) for col in dist_columns]
             for i in range(iters)]
-    write_csv(out, header, columns, rows)
-    print("wrote %s (%d rows, %d sizes)" % (out, iters, len(sizes)))
+    write_csv(args.out, header, columns, rows)
+    print("wrote %s (%d rows, %d sizes)" % (args.out, iters, len(sizes)))
     return 0
 
 
@@ -273,68 +240,45 @@ def cmd_nash(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def constants_from_flags(args: argparse.Namespace) -> ProblemConstants:
-    delta = resolve(args, "delta", 0.1)
     return ProblemConstants(
-        r_k=resolve(args, "rk", 1.0),
-        lambda_x=resolve(args, "lambda_x", 0.0),
-        lambda_y=resolve(args, "lambda_y", 0.0),
-        l_yx=resolve(args, "lyx", 0.0),
-        rho_x=resolve(args, "rho_x", 0.0),
-        rho_y=resolve(args, "rho_y", 0.0),
-        theta_x=resolve(args, "theta_x", 1.0),
-        theta_y=resolve(args, "theta_y", 1.0),
-        xi_x=resolve(args, "xi_x", 0.0),
-        xi_y=resolve(args, "xi_y", 0.0),
-        gamma_g=resolve(args, "gamma_g", 0.0),
-        gamma_f=resolve(args, "gamma_f", 0.0),
-        gtg=resolve(args, "gtilde_g", 0.0),
-        gtf=resolve(args, "gtilde_f", 0.0),
-        delta=delta,
-        mu=resolve(args, "mu", delta),
+        r_k=args.rk, lambda_x=args.lambda_x, lambda_y=args.lambda_y,
+        l_yx=args.lyx, rho_x=args.rho_x, rho_y=args.rho_y,
+        theta_x=args.theta_x, theta_y=args.theta_y, xi_x=args.xi_x, xi_y=args.xi_y,
+        gamma_g=args.gamma_g, gamma_f=args.gamma_f,
+        gtg=0.0 if args.gtilde_g is None else args.gtilde_g,
+        gtf=0.0 if args.gtilde_f is None else args.gtilde_f,
+        delta=args.delta,
+        mu=args.delta if args.mu is None else args.mu,
     )
 
 
 def cmd_steps(args: argparse.Namespace) -> int:
     regime = args.regime
-    safety = resolve(args, "safety", 0.99)
     lines: list[tuple[str, object]] = [("regime", regime)]
-    try:
-        if regime == "potts":
-            p = math.inf if str(resolve(args, "p", "1", str)) in ("inf", "oo") else 1.0
-            schedule, c = potts_steps(
-                resolve(args, "alpha", 1.0), resolve(args, "gamma", 1e-3), p,
-                dynamic_range=resolve(args, "dynamic_range", 1.0),
-                gamma_bar=resolve(args, "gamma_bar", 10.0),
-                delta=resolve(args, "delta", 0.1),
-                mu=resolve(args, "mu", None),
-                gtg=resolve(args, "gtilde_g", None),
-                gtf=resolve(args, "gtilde_f", None),
-            )
+    if regime == "potts":
+        schedule, c = potts_schedule(args)
+    else:
+        c = constants_from_flags(args)
+        if regime == "constant":
+            tau_sup, sigma_bound = bound_constant(c)
+            tau = args.safety * tau_sup if args.tau is None else args.tau
+            schedule = ConstantRule(tau, sigma_bound(tau))
+            lines += [("tau_sup", tau_sup), ("safety", args.safety)]
+        elif regime == "accelerated":
+            # The product cap alone does not imply the per-iteration
+            # dual condition when lambda_y > 0, so sigma uses the
+            # constant-regime cap evaluated at tau0.
+            tau0_max, _sig_tau = bound_accelerated(c)
+            tau0 = tau0_max if args.tau0 is None else args.tau0
+            sigma = bound_constant(c)[1](tau0)
+            schedule = AcceleratedRule(tau0, sigma, c.gtg)
+            lines += [("tau0_max", tau0_max)]
         else:
-            c = constants_from_flags(args)
-            if regime == "constant":
-                tau_sup, sigma_bound = bound_constant(c)
-                tau = resolve(args, "tau", safety * tau_sup)
-                schedule = ConstantRule(tau, sigma_bound(tau))
-                lines += [("tau_sup", tau_sup), ("safety", safety)]
-            elif regime == "accelerated":
-                # The product cap alone does not imply the per-iteration
-                # dual condition when lambda_y > 0, so sigma uses the
-                # constant-regime cap evaluated at tau0.
-                tau0_max, _sig_tau = bound_accelerated(c)
-                tau0 = resolve(args, "tau0", tau0_max)
-                sigma = bound_constant(c)[1](tau0)
-                schedule = AcceleratedRule(tau0, sigma, c.gtg)
-                lines += [("tau0_max", tau0_max)]
-            else:
-                tau_max = bound_linear(c)
-                tau = resolve(args, "tau", tau_max)
-                schedule = LinearRateRule(tau=tau, gtg=c.gtg, gtf=c.gtf)
-                lines += [("tau_max", tau_max)]
-        lines += fmt_triple(schedule.triple(0))
-    except InfeasibleConstantsError as exc:
-        print("steps: %s" % exc, file=sys.stderr)
-        return 1
+            tau_max = bound_linear(c)
+            tau = tau_max if args.tau is None else args.tau
+            schedule = LinearRateRule(tau=tau, gtg=c.gtg, gtf=c.gtf)
+            lines += [("tau_max", tau_max)]
+    lines += fmt_triple(schedule.triple(0))
 
     for field in ("r_k", "lambda_x", "lambda_y", "l_yx", "rho_x", "rho_y",
                   "theta_x", "theta_y", "xi_x", "xi_y", "gamma_g", "gamma_f",
@@ -343,9 +287,8 @@ def cmd_steps(args: argparse.Namespace) -> int:
     for key, value in lines:
         print("%s = %s" % (key, repr(value) if isinstance(value, float) else value))
 
-    n_check = resolve(args, "check_48", 0, int)
-    if n_check > 0:
-        triples = [next_triple(schedule, i) for i in range(n_check)]
+    if args.check_48 > 0:
+        triples = [next_triple(schedule, i) for i in range(args.check_48)]
         report = check_48(c, triples)
         for cond in report.conditions:
             print("check48:%s = %s (margin %r)"
@@ -359,14 +302,11 @@ def cmd_steps(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = resolve(args, "seed", 0, int)
-    only = resolve(args, "only", "", str)
-    checks = verify.standard_suite(seed=seed)
-    if only:
-        checks = [c for c in checks if c.name == only]
+    checks = verify.standard_suite(seed=args.seed)
+    if args.only:
+        checks = [c for c in checks if c.name == args.only]
         if not checks:
-            print("verify: no check named %r" % only, file=sys.stderr)
-            return 2
+            raise ConfigurationError("no check named %r" % args.only)
     all_pass = True
     for chk in checks:
         result = chk.run()
@@ -381,21 +321,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_image(args: argparse.Namespace) -> int:
-    n1 = resolve(args, "n1", 64, int)
-    n2 = resolve(args, "n2", 64, int)
-    seed = resolve(args, "seed", 0, int)
-    n_shapes = resolve(args, "n_shapes", 6, int)
-    noise_sigma = resolve(args, "noise_sigma", 0.05)
-    maxval = resolve(args, "maxval", 65535, int)
-    out = resolve(args, "out", "synthetic.pgm", str)
-    image = potts.gen_synthetic(n1, n2, seed, n_shapes=n_shapes,
-                                noise_sigma=noise_sigma)
+    image = potts.gen_synthetic(args.n1, args.n2, args.seed, n_shapes=args.n_shapes,
+                                noise_sigma=args.noise_sigma)
     header = config_header("gen-image", [
-        ("n1", n1), ("n2", n2), ("seed", seed), ("n_shapes", n_shapes),
-        ("noise_sigma", noise_sigma), ("maxval", maxval),
+        ("n1", args.n1), ("n2", args.n2), ("seed", args.seed),
+        ("n_shapes", args.n_shapes), ("noise_sigma", args.noise_sigma),
+        ("maxval", args.maxval),
     ])
-    write_pgm(out, image, maxval=maxval, comments=header)
-    print("wrote %s (%dx%d)" % (out, n1, n2))
+    write_pgm(args.out, image, maxval=args.maxval, comments=header)
+    print("wrote %s (%dx%d)" % (args.out, args.n1, args.n2))
     return 0
 
 
@@ -403,19 +337,33 @@ def cmd_gen_image(args: argparse.Namespace) -> int:
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
-def add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file; flags override it")
+def penalty(text: str) -> float:
+    """``--p``: ``1`` (anisotropic penalty) or ``inf``/``oo`` (isotropic)."""
+    if text not in ("1", "inf", "oo"):
+        raise argparse.ArgumentTypeError("must be 1, inf or oo, got %r" % text)
+    return 1.0 if text == "1" else math.inf
 
 
-def add_step_constant_flags(sub: argparse.ArgumentParser) -> None:
-    for flag in ("rk", "lambda-x", "lambda-y", "lyx", "rho-x", "rho-y",
-                 "theta-x", "theta-y", "xi-x", "xi-y", "gamma-g", "gamma-f",
-                 "gtilde-g", "gtilde-f", "delta", "mu", "tau", "tau0",
-                 "safety"):
-        sub.add_argument("--" + flag, type=float, default=None)
+def int_list(text: str) -> list[int]:
+    """``--sizes``: a comma-separated list of integers."""
+    return [int(s) for s in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Flags of the Potts step calculator shared by ``potts`` and ``steps``.
+POTTS_CALCULATOR_FLAGS = {
+    "alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0, "gamma-bar": 10.0,
+    "delta": 0.1, "mu": None, "gtilde-g": None, "gtilde-f": None,
+}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The ``saddleprox`` parser and its subcommand parsers by name.
+
+    A default of None marks a value that is optional or derived from
+    the others: mu from delta, the leftover moduli gtilde-g/gtilde-f by
+    the calculator, tau and tau0 from the admissible bounds.
+    """
     parser = argparse.ArgumentParser(
         prog="saddleprox",
         description="Primal-dual splitting experiments: denoising, PDE games,"
@@ -424,68 +372,85 @@ def build_parser() -> argparse.ArgumentParser:
                         version="saddleprox %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("potts", help="discontinuity-penalized denoising run")
-    add_common(sp)
+    def add_floats(sub, defaults):
+        for flag, default in defaults.items():
+            sub.add_argument("--" + flag, type=float, default=default)
+
+    def add_command(name, func, help):
+        sub = subs.add_parser(name, help=help)
+        sub.add_argument("--config", help="key = value file; flags override it")
+        sub.set_defaults(func=func)
+        return sub
+
+    sp = add_command("potts", cmd_potts, "discontinuity-penalized denoising run")
     sp.add_argument("--input", help="input PGM image")
-    sp.add_argument("--synthetic", nargs=3, metavar=("N1", "N2", "SEED"),
+    sp.add_argument("--synthetic", nargs=3, type=int, metavar=("N1", "N2", "SEED"),
                     help="generate a seeded synthetic image instead of --input")
-    sp.add_argument("--p", default=None, help="penalty flavour: 1 or inf")
-    for flag in ("alpha", "gamma", "noise-sigma", "dynamic-range", "gamma-bar",
-                 "delta", "mu", "gtilde-g", "gtilde-f"):
-        sp.add_argument("--" + flag, type=float, default=None)
-    sp.add_argument("--n-shapes", type=int, default=None)
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--log-stride", type=int, default=None)
-    sp.add_argument("--reference-iters", type=int, default=None)
-    sp.add_argument("--preset", default=None,
+    sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
+    add_floats(sp, POTTS_CALCULATOR_FLAGS)
+    sp.add_argument("--noise-sigma", type=float, default=0.05)
+    sp.add_argument("--n-shapes", type=int, default=6)
+    sp.add_argument("--iters", type=int, default=10000)
+    sp.add_argument("--log-stride", type=int, default=1)
+    sp.add_argument("--reference-iters", type=int, default=0)
+    sp.add_argument("--preset",
                     help="named step triple: %s" % ", ".join(sorted(POTTS_PRESETS)))
-    sp.add_argument("--out-prefix", default=None)
-    sp.set_defaults(func=cmd_potts)
+    sp.add_argument("--out-prefix", default="potts")
 
-    sn = subs.add_parser("nash", help="two-player PDE game run")
-    add_common(sn)
-    sn.add_argument("--sizes", default=None, help="comma list of grid sizes")
-    sn.add_argument("--iters", type=int, default=None)
-    for flag in ("tau", "sigma", "omega"):
-        sn.add_argument("--" + flag, type=float, default=None)
-    sn.add_argument("--out", default=None)
-    sn.set_defaults(func=cmd_nash)
+    sn = add_command("nash", cmd_nash, "two-player PDE game run")
+    sn.add_argument("--sizes", type=int_list, default=[63, 127],
+                    help="comma list of grid sizes")
+    sn.add_argument("--iters", type=int, default=12)
+    add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0})
+    sn.add_argument("--out", default="nash_dist.csv")
 
-    st = subs.add_parser("steps", help="step-size calculators")
-    add_common(st)
+    st = add_command("steps", cmd_steps, "step-size calculators")
     st.add_argument("regime", choices=("constant", "accelerated", "linear",
                                        "potts"))
-    add_step_constant_flags(st)
-    st.add_argument("--alpha", type=float, default=None)
-    st.add_argument("--gamma", type=float, default=None)
-    st.add_argument("--p", default=None)
-    st.add_argument("--dynamic-range", type=float, default=None)
-    st.add_argument("--gamma-bar", type=float, default=None)
-    st.add_argument("--check-48", type=int, default=None, metavar="N",
+    add_floats(st, POTTS_CALCULATOR_FLAGS)
+    add_floats(st, {"rk": 1.0, "lambda-x": 0.0, "lambda-y": 0.0, "lyx": 0.0,
+                    "rho-x": 0.0, "rho-y": 0.0, "theta-x": 1.0, "theta-y": 1.0,
+                    "xi-x": 0.0, "xi-y": 0.0, "gamma-g": 0.0, "gamma-f": 0.0,
+                    "tau": None, "tau0": None, "safety": 0.99})
+    st.add_argument("--p", type=penalty, default=1.0)
+    st.add_argument("--check-48", type=int, default=0, metavar="N",
                     help="run the schedule condition check on the first N triples")
-    st.set_defaults(func=cmd_steps)
 
-    sv = subs.add_parser("verify", help="numerical oracle suite")
-    add_common(sv)
-    sv.add_argument("--seed", type=int, default=None)
-    sv.add_argument("--only", default=None, help="run a single named check")
-    sv.set_defaults(func=cmd_verify)
+    sv = add_command("verify", cmd_verify, "numerical oracle suite")
+    sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--only", default="", help="run a single named check")
 
-    sg = subs.add_parser("gen-image", help="write a synthetic PGM test image")
-    add_common(sg)
-    sg.add_argument("--out", default=None)
-    for flag in ("n1", "n2", "seed", "n-shapes", "maxval"):
-        sg.add_argument("--" + flag, type=int, default=None)
-    sg.add_argument("--noise-sigma", type=float, default=None)
-    sg.set_defaults(func=cmd_gen_image)
-    return parser
+    sg = add_command("gen-image", cmd_gen_image, "write a synthetic PGM test image")
+    sg.add_argument("--out", default="synthetic.pgm")
+    for flag, default in (("n1", 64), ("n2", 64), ("seed", 0), ("n-shapes", 6),
+                          ("maxval", 65535)):
+        sg.add_argument("--" + flag, type=int, default=default)
+    sg.add_argument("--noise-sigma", type=float, default=0.05)
+    return parser, subs.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one subcommand; exit 2 on invalid input, 1 on infeasible constants.
+
+    A ``--config`` file is spliced in as flags right after the subcommand
+    name, so the user's own flags, coming later, override it.
+    """
+    parser, commands = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    apply_config(args, parser)
-    return args.func(args)
+    try:
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            argv[at:at] = config_tokens(commands[args.command], args.config)
+            args = parser.parse_args(argv)
+        return args.func(args)
+    except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
+        print("saddleprox %s: %s" % (args.command, exc), file=sys.stderr)
+        return 2
+    except InfeasibleConstantsError as exc:
+        print("saddleprox %s: infeasible step constants: %s" % (args.command, exc),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ are stored full-grid; off-mask control entries are structurally zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -63,24 +62,6 @@ def _laplacian_eigenvalues(n: int) -> np.ndarray:
     return lam[:, None] + lam[None, :]
 
 
-class PoissonSolver:
-    """Dirichlet Poisson solver on a fixed grid via sine-transform
-    diagonalization of the 5-point Laplacian.  Counts its solves."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self._lam = _laplacian_eigenvalues(grid.n)
-        self.count = 0
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape != (self.grid.n, self.grid.n):
-            raise ConfigurationError(
-                "rhs shape %s does not match grid n=%d" % (rhs.shape, self.grid.n)
-            )
-        self.count += 1
-        return idstn(dstn(rhs, type=1, norm="ortho") / self._lam, type=1, norm="ortho")
-
-
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs with the 5-point Dirichlet Laplacian A on ``grid``.
 
@@ -94,6 +75,18 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
         )
     lam = _laplacian_eigenvalues(grid.n)
     return idstn(dstn(rhs, type=1, norm="ortho") / lam, type=1, norm="ortho")
+
+
+class PoissonSolver:
+    """:func:`poisson_solve` on a fixed grid that counts its solves."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.count = 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        self.count += 1
+        return poisson_solve(self.grid, rhs)
 
 
 def apply_laplacian(grid: Grid, w: np.ndarray) -> np.ndarray:

@@ -46,6 +46,8 @@ def read_pgm(path: Union[str, Path]) -> tuple[np.ndarray, int]:
             raise ConfigurationError("truncated graymap header: %s" % path)
         tokens.append(data[start:pos])
     width, height, maxval = (int(t) for t in tokens)
+    if width < 1 or height < 1:
+        raise ConfigurationError("empty graymap (%dx%d): %s" % (width, height, path))
     if not (0 < maxval <= 65535):
         raise ConfigurationError("maxval out of range (1..65535): %d" % maxval)
 

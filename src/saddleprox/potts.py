@@ -230,7 +230,8 @@ def gen_synthetic(
     then added and the result clamped to [0, 1].
     """
     if n1 < 1 or n2 < 1:
-        raise ConfigurationError("image dimensions must be positive")
+        raise ConfigurationError("image dimensions n1, n2 must be positive, got %d, %d"
+                                 % (n1, n2))
     if n_shapes < 0 or noise_sigma < 0:
         raise ConfigurationError("n_shapes and noise_sigma must be >= 0")
     rng = np.random.default_rng(seed)

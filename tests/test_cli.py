@@ -386,6 +386,57 @@ def test_config_parser_normalizes_key_spelling(tmp_path):
         parse_config_file(str(bad))
 
 
+def test_config_synthetic_matches_flag(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "syn.cfg"
+    cfg.write_text("synthetic = 8 8 0\niters = 5\n")
+    outs = []
+    for name, argv in (("flag", ["--synthetic", "8", "8", "0", "--iters", "5"]),
+                       ("file", ["--config", str(cfg)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        rc, out, _ = run_cli(["potts"] + argv + ["--out-prefix", "run"], capsys)
+        assert rc == 0
+        outs.append((out, (tmp_path / name / "run_log.csv").read_bytes(),
+                     (tmp_path / name / "run_denoised.pgm").read_bytes()))
+    assert outs[0] == outs[1]
+
+
+POTTS_4X4 = ["potts", "--synthetic", "4", "4", "0", "--out-prefix", "{tmp}/run"]
+WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
+
+
+@pytest.mark.parametrize("argv, config, needle", [
+    (POTTS_4X4 + ["--p", "2"], None, "--p"),
+    (WITH_CONFIG, "alpha = x\n", "--alpha"),
+    (WITH_CONFIG, "iters = 2.5\n", "--iters"),
+    (WITH_CONFIG, "iters 3\n", "run.cfg:1: expected key = value"),
+    (POTTS_4X4 + ["--config", "{tmp}/missing.cfg"], None, "missing.cfg"),
+    (["nash", "--sizes", "abc"], None, "--sizes"),
+    (["nash", "--sizes", "1"], None, "--sizes"),
+    (["potts", "--synthetic", "8", "8", "x"], None, "--synthetic"),
+    (POTTS_4X4 + ["--iters", "0"], None, "iters"),
+    (POTTS_4X4 + ["--log-stride", "0"], None, "log_stride"),
+    (["gen-image", "--n1", "0", "--out", "{tmp}/x.pgm"], None, "n1"),
+    (["gen-image", "--maxval", "70000", "--out", "{tmp}/x.pgm"], None, "maxval"),
+    (["steps", "linear", "--config", "{tmp}/run.cfg"], "regime = potts\n", "'regime'"),
+    (WITH_CONFIG, "func = cmd_nash\n", "'func'"),
+], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
+        "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
+        "n1-0", "maxval-70000", "cfg-regime", "cfg-func"])
+def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
+                                               needle):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    try:
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert needle in err.splitlines()[-1]
+    assert not list(tmp_path.glob("run_*"))
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,0 +1,27 @@
+"""Static check: every top-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import saddleprox
+
+
+def test_no_unused_top_level_imports():
+    package = Path(saddleprox.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(saddleprox.__all__)
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -101,3 +101,11 @@ def test_writer_rejects_bad_input(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=0)
     with pytest.raises(ConfigurationError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=100000)
+
+
+@pytest.mark.parametrize("raw", [b"P5\n0 0\n255\n", b"P2\n3 0\n255\n"])
+def test_reader_rejects_empty_image(tmp_path, raw):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigurationError, match="empty graymap"):
+        read_pgm(path)
