@@ -206,8 +206,6 @@ def cmd_potts(args: argparse.Namespace) -> int:
 
 def cmd_nash(args: argparse.Namespace) -> int:
     sizes, iters = args.sizes, args.iters
-    if iters <= 0:
-        raise ConfigurationError("--iters must be positive")
     if min(sizes) < 2:
         raise ConfigurationError("--sizes must all be >= 2, got %d" % min(sizes))
     triple = StepTriple(args.tau, args.sigma, args.omega)
@@ -223,8 +221,7 @@ def cmd_nash(args: argparse.Namespace) -> int:
         _, records = solve(problem, triple, x0, y0,
                            SolveOptions(max_iters=iters, log_stride=1,
                                         reference=(x_star, y_star)))
-        h = config.grid.h
-        dist_columns.append(np.array([h * rec.dist_to_ref for rec in records]))
+        dist_columns.append(np.array([rec.dist_to_ref for rec in records]))
 
     header = config_header("nash", cfg_items)
     columns = ["iter"] + ["dist_n%d" % n for n in sizes]
@@ -344,6 +341,17 @@ def penalty(text: str) -> float:
     return 1.0 if text == "1" else math.inf
 
 
+def int_at_least(low: int):
+    """An argparse type accepting integers >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message uses it
+    return parse
+
+
 def int_list(text: str) -> list[int]:
     """``--sizes``: a comma-separated list of integers."""
     return [int(s) for s in text.split(",")]
@@ -384,15 +392,16 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     sp = add_command("potts", cmd_potts, "discontinuity-penalized denoising run")
     sp.add_argument("--input", help="input PGM image")
-    sp.add_argument("--synthetic", nargs=3, type=int, metavar=("N1", "N2", "SEED"),
+    sp.add_argument("--synthetic", nargs=3, type=int_at_least(0),
+                    metavar=("N1", "N2", "SEED"),
                     help="generate a seeded synthetic image instead of --input")
     sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
     add_floats(sp, POTTS_CALCULATOR_FLAGS)
     sp.add_argument("--noise-sigma", type=float, default=0.05)
-    sp.add_argument("--n-shapes", type=int, default=6)
-    sp.add_argument("--iters", type=int, default=10000)
-    sp.add_argument("--log-stride", type=int, default=1)
-    sp.add_argument("--reference-iters", type=int, default=0)
+    sp.add_argument("--n-shapes", type=int_at_least(0), default=6)
+    sp.add_argument("--iters", type=int_at_least(1), default=10000)
+    sp.add_argument("--log-stride", type=int_at_least(1), default=1)
+    sp.add_argument("--reference-iters", type=int_at_least(0), default=0)
     sp.add_argument("--preset",
                     help="named step triple: %s" % ", ".join(sorted(POTTS_PRESETS)))
     sp.add_argument("--out-prefix", default="potts")
@@ -400,7 +409,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     sn = add_command("nash", cmd_nash, "two-player PDE game run")
     sn.add_argument("--sizes", type=int_list, default=[63, 127],
                     help="comma list of grid sizes")
-    sn.add_argument("--iters", type=int, default=12)
+    sn.add_argument("--iters", type=int_at_least(1), default=12)
     add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0})
     sn.add_argument("--out", default="nash_dist.csv")
 
@@ -413,18 +422,19 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                     "xi-x": 0.0, "xi-y": 0.0, "gamma-g": 0.0, "gamma-f": 0.0,
                     "tau": None, "tau0": None, "safety": 0.99})
     st.add_argument("--p", type=penalty, default=1.0)
-    st.add_argument("--check-48", type=int, default=0, metavar="N",
+    st.add_argument("--check-48", type=int_at_least(0), default=0, metavar="N",
                     help="run the schedule condition check on the first N triples")
 
     sv = add_command("verify", cmd_verify, "numerical oracle suite")
-    sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--seed", type=int_at_least(0), default=0)
     sv.add_argument("--only", default="", help="run a single named check")
 
     sg = add_command("gen-image", cmd_gen_image, "write a synthetic PGM test image")
     sg.add_argument("--out", default="synthetic.pgm")
-    for flag, default in (("n1", 64), ("n2", 64), ("seed", 0), ("n-shapes", 6),
-                          ("maxval", 65535)):
-        sg.add_argument("--" + flag, type=int, default=default)
+    for flag, kind, default in (("n1", int, 64), ("n2", int, 64),
+                                ("seed", int_at_least(0), 0),
+                                ("n-shapes", int_at_least(0), 6), ("maxval", int, 65535)):
+        sg.add_argument("--" + flag, type=kind, default=default)
     sg.add_argument("--noise-sigma", type=float, default=0.05)
     return parser, subs.choices
 

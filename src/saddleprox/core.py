@@ -15,6 +15,7 @@ gradients; the engine is agnostic to their structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,18 +87,19 @@ class PrimalDualState:
 
     @classmethod
     def initial(cls, x0: np.ndarray, y0: np.ndarray) -> "PrimalDualState":
-        x0 = np.asarray(x0, dtype=float).ravel()
-        y0 = np.asarray(y0, dtype=float).ravel()
+        x0, y0 = _flat(x0), _flat(y0)
         return cls(x=x0.copy(), y=y0.copy(), x_bar=x0.copy(), iteration=0)
 
 
 @dataclass
 class IterationRecord:
-    """Per-iteration log entry.
+    """Log entry of an iteration that :func:`solve` keeps.
 
-    ``dist_to_ref`` is present only when a reference pair was supplied in
-    the solve options, ``objective`` only when objective recording was
-    requested and the problem defines one.
+    ``step_norm`` and ``dist_to_ref`` are norms in the problem's
+    ``inner_primal``/``inner_dual``.  ``dist_to_ref`` is present only
+    when a reference pair was supplied in the solve options,
+    ``objective`` only when objective recording was requested and the
+    problem defines one.
     """
 
     iteration: int
@@ -126,16 +128,20 @@ class SolveOptions:
             raise ConfigurationError("step_tol must be >= 0")
 
 
-def _check_dims(problem: SaddleProblem, state: PrimalDualState) -> None:
-    if state.x.shape != (problem.primal_dim,):
+def _flat(v) -> np.ndarray:
+    return np.asarray(v, dtype=float).ravel()
+
+
+def _check_dims(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape != (problem.primal_dim,):
         raise ConfigurationError(
-            "primal iterate has shape %s, problem expects (%d,)"
-            % (state.x.shape, problem.primal_dim)
+            "primal vector has shape %s, problem expects (%d,)"
+            % (x.shape, problem.primal_dim)
         )
-    if state.y.shape != (problem.dual_dim,):
+    if y.shape != (problem.dual_dim,):
         raise ConfigurationError(
-            "dual iterate has shape %s, problem expects (%d,)"
-            % (state.y.shape, problem.dual_dim)
+            "dual vector has shape %s, problem expects (%d,)"
+            % (y.shape, problem.dual_dim)
         )
 
 
@@ -146,7 +152,7 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState) -> PrimalDualSt
     attributes.  Raises :class:`DivergenceError` if the new iterates
     contain non-finite entries, carrying the 1-based iteration index.
     """
-    _check_dims(problem, state)
+    _check_dims(problem, state.x, state.y)
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
 
     x_new = problem.prox_primal(tau, state.x - tau * problem.grad_x(state.x, state.y))
@@ -157,6 +163,11 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState) -> PrimalDualSt
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         raise DivergenceError("non-finite iterate at iteration %d" % it, iteration=it)
     return PrimalDualState(x=x_new, y=y_new, x_bar=x_bar, iteration=it)
+
+
+def _distance(problem: SaddleProblem, dx: np.ndarray, dy: np.ndarray) -> float:
+    """Norm of the pair (dx, dy) in the problem's inner products."""
+    return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
 
 
 def solve(
@@ -172,58 +183,37 @@ def solve(
     ``schedule.triple(i)`` (a fixed ``StepTriple`` works, it returns
     itself).  Stops after ``max_iters`` iterations, or earlier once the
     joint step norm ||(x,y)_new - (x,y)_old|| drops to ``step_tol``
-    (when positive).  Returns the final state and the log, which holds a
-    record every ``log_stride`` iterations plus the final one.
+    (when positive).  Step norms and reference distances are measured
+    in the problem's ``inner_primal``/``inner_dual``.  Returns the final
+    state and the log.  Only kept iterations are recorded: every
+    ``log_stride``-th one, the last of ``max_iters`` and the one where
+    ``step_tol`` stops the run.
     """
     state = PrimalDualState.initial(x0, y0)
-    _check_dims(problem, state)
-
+    _check_dims(problem, state.x, state.y)
     ref = options.reference
     if ref is not None:
-        ref_x = np.asarray(ref[0], dtype=float).ravel()
-        ref_y = np.asarray(ref[1], dtype=float).ravel()
-        if ref_x.shape != (problem.primal_dim,) or ref_y.shape != (problem.dual_dim,):
-            raise ConfigurationError("reference pair has wrong dimensions")
+        # Flat views, not copies: the reference is only read.
+        ref = _flat(ref[0]), _flat(ref[1])
+        _check_dims(problem, *ref)
 
     records: list[IterationRecord] = []
-
-    def make_record(trip, prev: PrimalDualState, cur: PrimalDualState) -> IterationRecord:
-        step_norm = float(
-            np.sqrt(
-                np.sum((cur.x - prev.x) ** 2) + np.sum((cur.y - prev.y) ** 2)
-            )
-        )
-        dist = None
-        if ref is not None:
-            dist = float(
-                np.sqrt(np.sum((cur.x - ref_x) ** 2) + np.sum((cur.y - ref_y) ** 2))
-            )
-        obj = None
-        if options.record_objective:
-            obj = problem.primal_objective(cur.x)
-        return IterationRecord(
-            iteration=cur.iteration,
-            tau=trip.tau,
-            sigma=trip.sigma,
-            omega=trip.omega,
-            step_norm=step_norm,
-            dist_to_ref=dist,
-            objective=obj,
-        )
-
     for i in range(options.max_iters):
         trip = schedule.triple(i)
         prev = state
         state = step(problem, trip, state)
-        last = make_record(trip, prev, state)
-        if state.iteration % options.log_stride == 0:
-            records.append(last)
-            logged_last = True
-        else:
-            logged_last = False
-        if options.step_tol > 0 and last.step_norm <= options.step_tol:
+        kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
+        if not (kept or options.step_tol > 0):
+            continue
+        step_norm = _distance(problem, state.x - prev.x, state.y - prev.y)
+        stop = options.step_tol > 0 and step_norm <= options.step_tol
+        if kept or stop:
+            dist = None
+            if ref is not None:
+                dist = _distance(problem, state.x - ref[0], state.y - ref[1])
+            obj = problem.primal_objective(state.x) if options.record_objective else None
+            records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
+                                           trip.omega, step_norm, dist, obj))
+        if stop:
             break
-
-    if not logged_last:
-        records.append(last)
     return state, records

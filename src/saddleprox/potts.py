@@ -74,6 +74,14 @@ def _pair(z: np.ndarray, y: np.ndarray):
     return z, y
 
 
+def _paired(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Paired products t, keeping the last axis: t = z*y per component
+    for p = 1, t = z_ij1*y_ij1 + z_ij2*y_ij2 per pixel for p = inf."""
+    if p == 1:
+        return z * y
+    return z[..., :1] * y[..., :1] + z[..., 1:] * y[..., 1:]
+
+
 def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     """Coupling value: sum of rho(t) = 2t - t^2 over the paired entries.
 
@@ -82,10 +90,7 @@ def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     """
     _check_p(p)
     z, y = _pair(z, y)
-    if p == 1:
-        t = z * y
-    else:
-        t = z[..., 0] * y[..., 0] + z[..., 1] * y[..., 1]
+    t = _paired(p, z, y)
     return float(np.sum(2.0 * t - t * t))
 
 
@@ -93,20 +98,14 @@ def kappa_z(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Derivative of :func:`kappa_val` in z: 2*(1 - t)*y with t as there."""
     _check_p(p)
     z, y = _pair(z, y)
-    if p == 1:
-        return 2.0 * (1.0 - z * y) * y
-    t = z[..., 0] * y[..., 0] + z[..., 1] * y[..., 1]
-    return 2.0 * (1.0 - t)[..., None] * y
+    return 2.0 * (1.0 - _paired(p, z, y)) * y
 
 
 def kappa_y(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Derivative of :func:`kappa_val` in y: 2*(1 - t)*z with t as there."""
     _check_p(p)
     z, y = _pair(z, y)
-    if p == 1:
-        return 2.0 * (1.0 - z * y) * z
-    t = z[..., 0] * y[..., 0] + z[..., 1] * y[..., 1]
-    return 2.0 * (1.0 - t)[..., None] * z
+    return 2.0 * (1.0 - _paired(p, z, y)) * z
 
 
 def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
@@ -120,10 +119,7 @@ def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     z = np.asarray(z, dtype=float)
-    if p == 1:
-        s2 = z * z
-    else:
-        s2 = z[..., 0] ** 2 + z[..., 1] ** 2
+    s2 = _paired(p, z, z)
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
 
 
@@ -138,10 +134,7 @@ def dual_from_primal(p: float, x: np.ndarray, gamma: float,
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     z = dh(x, h)
-    if p == 1:
-        return 2.0 * z / (2.0 * z * z + gamma)
-    s2 = z[..., 0] ** 2 + z[..., 1] ** 2
-    return 2.0 * z / (2.0 * s2 + gamma)[..., None]
+    return 2.0 * z / (2.0 * _paired(p, z, z) + gamma)
 
 
 @dataclass

@@ -263,12 +263,6 @@ def test_nash_distance_table(tmp_path, capsys):
     assert max(last) <= 1e-12
 
 
-def test_nash_rejects_nonpositive_iteration_count(capsys):
-    rc, _, err = run_cli(["nash", "--iters", "0"], capsys)
-    assert rc == 2
-    assert "--iters" in err
-
-
 def test_nash_runs_are_byte_identical(tmp_path, capsys):
     blobs = []
     for name in ("a.csv", "b.csv"):
@@ -414,15 +408,25 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["nash", "--sizes", "abc"], None, "--sizes"),
     (["nash", "--sizes", "1"], None, "--sizes"),
     (["potts", "--synthetic", "8", "8", "x"], None, "--synthetic"),
-    (POTTS_4X4 + ["--iters", "0"], None, "iters"),
-    (POTTS_4X4 + ["--log-stride", "0"], None, "log_stride"),
+    (POTTS_4X4 + ["--iters", "0"], None, "--iters"),
+    (POTTS_4X4 + ["--log-stride", "0"], None, "--log-stride"),
+    (POTTS_4X4 + ["--iters", "0", "--reference-iters", "3000"], None, "--iters"),
+    (POTTS_4X4 + ["--reference-iters", "-5"], None, "--reference-iters"),
+    (["potts", "--synthetic", "16", "16", "-2"], None, "--synthetic"),
+    (POTTS_4X4 + ["--n-shapes", "-1"], None, "--n-shapes"),
+    (["nash", "--iters", "0"], None, "--iters"),
+    (["steps", "potts", "--check-48", "-1"], None, "--check-48"),
+    (["verify", "--seed", "-1"], None, "--seed"),
+    (["gen-image", "--seed", "-1", "--out", "{tmp}/x.pgm"], None, "--seed"),
     (["gen-image", "--n1", "0", "--out", "{tmp}/x.pgm"], None, "n1"),
     (["gen-image", "--maxval", "70000", "--out", "{tmp}/x.pgm"], None, "maxval"),
     (["steps", "linear", "--config", "{tmp}/run.cfg"], "regime = potts\n", "'regime'"),
     (WITH_CONFIG, "func = cmd_nash\n", "'func'"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
-        "n1-0", "maxval-70000", "cfg-regime", "cfg-func"])
+        "iters-0-before-reference", "reference-iters-neg", "synthetic-seed-neg",
+        "n-shapes-neg", "nash-iters-0", "check-48-neg", "verify-seed-neg",
+        "gen-image-seed-neg", "n1-0", "maxval-70000", "cfg-regime", "cfg-func"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

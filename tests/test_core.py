@@ -1,7 +1,11 @@
 """Engine tests on problems small enough to step through by hand."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleprox.core import (
     ConfigurationError,
@@ -37,6 +41,16 @@ class ScalarBilinear(SaddleProblem):
 
     def value(self, x, y):
         return float(x[0] * y[0])
+
+
+class CountingObjective(ScalarBilinear):
+    """ScalarBilinear with a primal objective that counts its calls."""
+
+    calls = 0
+
+    def primal_objective(self, x):
+        self.calls += 1
+        return float(x[0] ** 2)
 
 
 class NanGradient(ScalarBilinear):
@@ -107,6 +121,62 @@ def test_solve_log_stride_plus_final():
         SolveOptions(max_iters=6, log_stride=3),
     )
     assert [r.iteration for r in records6] == [3, 6]
+
+
+def every_iteration_then_thin(problem, triple, x0, y0, options):
+    """Reference for ``solve``: record every iteration in the Euclidean
+    norm, then keep the stride hits plus the last record."""
+    state = PrimalDualState.initial(x0, y0)
+    ref_x, ref_y = options.reference
+    every = []
+    for _ in range(options.max_iters):
+        new = step(problem, triple, state)
+        dx, dy = new.x - state.x, new.y - state.y
+        step_norm = math.sqrt(float(np.dot(dx, dx)) + float(np.dot(dy, dy)))
+        ex, ey = new.x - ref_x, new.y - ref_y
+        dist = math.sqrt(float(np.dot(ex, ex)) + float(np.dot(ey, ey)))
+        every.append(IterationRecord(new.iteration, triple.tau, triple.sigma,
+                                     triple.omega, step_norm, dist))
+        state = new
+        if options.step_tol > 0 and step_norm <= options.step_tol:
+            break
+    kept = [r for r in every[:-1] if r.iteration % options.log_stride == 0]
+    return state, kept + every[-1:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    max_iters=st.integers(1, 40),
+    log_stride=st.integers(1, 12),
+    step_tol=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    tau=st.floats(0.1, 1.0),
+    sigma=st.floats(0.1, 1.0),
+)
+def test_solve_keeps_stride_hits_and_last_of_every_iteration(
+        max_iters, log_stride, step_tol, x0, y0, tau, sigma):
+    triple = StepTriple(tau, sigma, 1.0)
+    options = SolveOptions(max_iters=max_iters, log_stride=log_stride,
+                           step_tol=step_tol,
+                           reference=(np.array([0.25]), np.array([-0.5])))
+    start = (np.array([x0]), np.array([y0]))
+    final, records = solve(ScalarBilinear(), triple, *start, options)
+    want_final, want = every_iteration_then_thin(ScalarBilinear(), triple, *start,
+                                                 options)
+    assert records == want
+    assert final.iteration == want_final.iteration
+    assert np.array_equal(final.x, want_final.x)
+    assert np.array_equal(final.y, want_final.y)
+
+
+def test_objective_is_evaluated_only_for_kept_iterations():
+    prob = CountingObjective()
+    _, records = solve(prob, StepTriple(0.5, 0.5, 1.0), np.array([1.0]),
+                       np.array([0.0]),
+                       SolveOptions(max_iters=10, log_stride=3, record_objective=True))
+    assert [r.iteration for r in records] == [3, 6, 9, 10]
+    assert prob.calls == len(records)
 
 
 def test_records_carry_triple_and_reference_distance():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleprox.core import ConfigurationError, PrimalDualState, SolveOptions, solve, step
 from saddleprox.nash import (
@@ -277,8 +279,48 @@ def test_solve_integration_with_reference_logging():
     )
     assert final.iteration == 8
     assert len(records) == 8
-    assert records[-1].dist_to_ref <= 1e-12 / config.grid.h
+    assert records[-1].dist_to_ref <= 1e-12
     assert records[0].dist_to_ref > records[3].dist_to_ref
+
+
+def test_solve_norms_are_h_weighted_and_mesh_independent():
+    stops = []
+    for n in (15, 31):
+        config, x_star, y_star = manufacture(n)
+        prob = NashProblem(config)
+        h = config.grid.h
+        x0, y0 = np.zeros(prob.primal_dim), np.zeros(prob.dual_dim)
+        final, records = solve(prob, GAME_TRIPLE, x0, y0,
+                               SolveOptions(max_iters=12, step_tol=1e-6,
+                                            reference=(x_star, y_star)))
+        state = PrimalDualState.initial(x0, y0)
+        for rec in records:
+            new = step(prob, GAME_TRIPLE, state)
+            euclid_step = math.sqrt(float(np.sum((new.x - state.x) ** 2)
+                                          + np.sum((new.y - state.y) ** 2)))
+            euclid_dist = math.sqrt(float(np.sum((new.x - x_star) ** 2)
+                                          + np.sum((new.y - y_star) ** 2)))
+            assert rec.step_norm == pytest.approx(h * euclid_step, rel=1e-12)
+            assert rec.dist_to_ref == pytest.approx(h * euclid_dist, rel=1e-12)
+            state = new
+        stops.append(final.iteration)
+    # The same step_tol stops both meshes at the same iteration.
+    assert stops[0] == stops[1] < 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 1000),
+       scale=st.sampled_from([0.1, 1.0, 10.0]))
+def test_prox_is_firmly_nonexpansive(n, seed, scale):
+    config, _, _ = manufacture(n)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(seed)
+    for prox, inner, dim in ((prob.prox_primal, prob.inner_primal, prob.primal_dim),
+                             (prob.prox_dual, prob.inner_dual, prob.dual_dim)):
+        a, b = scale * rng.normal(size=dim), scale * rng.normal(size=dim)
+        pa, pb = prox(1.0, a), prox(1.0, b)
+        lhs = inner(pa - pb, a - b)
+        assert lhs >= inner(pa - pb, pa - pb) - 1e-12 * inner(a - b, a - b)
 
 
 def test_default_profile_respects_interiority():

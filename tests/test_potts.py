@@ -233,6 +233,22 @@ def test_prox_formulas():
                        rtol=1e-15, atol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 1000),
+       alpha=st.floats(1e-2, 10.0), gamma=st.floats(1e-4, 10.0),
+       step=st.floats(1e-3, 100.0), p=st.sampled_from([1.0, math.inf]))
+def test_prox_maps_are_firmly_nonexpansive(n1, n2, seed, alpha, gamma, step, p):
+    rng = np.random.default_rng(seed)
+    prob = PottsProblem(PottsConfig(alpha=alpha, gamma=gamma, p=p),
+                        rng.uniform(size=(n1, n2)))
+    for prox, inner, dim in ((prob.prox_primal, prob.inner_primal, prob.primal_dim),
+                             (prob.prox_dual, prob.inner_dual, prob.dual_dim)):
+        a, b = rng.normal(size=dim), rng.normal(size=dim)
+        pa, pb = prox(step, a), prox(step, b)
+        lhs = inner(pa - pb, a - b)
+        assert lhs >= inner(pa - pb, pa - pb) - 1e-12 * inner(a - b, a - b)
+
+
 def test_prox_primal_weights_data_term_by_alpha():
     f = np.full((2, 2), 0.5)
     prob = PottsProblem(PottsConfig(alpha=0.25, gamma=1e-3, p=1), f)

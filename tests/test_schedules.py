@@ -416,6 +416,35 @@ def test_check_48_accepts_linear_rule_at_its_bound(r_k, lambda_y, gtg, gtf, mu):
     assert report.passed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    r_k=st.floats(min_value=0.1, max_value=5.0),
+    lambda_x=st.floats(min_value=0.0, max_value=2.0),
+    lambda_y=st.floats(min_value=0.0, max_value=2.0),
+    l_yx=st.floats(min_value=0.0, max_value=2.0),
+    rho_x=st.floats(min_value=0.0, max_value=1.0),
+    rho_y=st.floats(min_value=0.0, max_value=1.0),
+    xi_x=st.floats(min_value=0.0, max_value=1.0),
+    xi_y=st.floats(min_value=0.0, max_value=1.0),
+    gtg=st.floats(min_value=1e-2, max_value=2.0),
+    gtf=st.floats(min_value=1e-2, max_value=2.0),
+    delta=st.floats(min_value=0.01, max_value=0.5),
+    mu_gap=st.floats(min_value=0.0, max_value=0.45),
+)
+def test_check_48_accepts_linear_rule_at_bound_for_feasible_constants(
+        r_k, lambda_x, lambda_y, l_yx, rho_x, rho_y, xi_x, xi_y, gtg, gtf, delta,
+        mu_gap):
+    # The convexity moduli and witnesses sit exactly on their conditions.
+    c = ProblemConstants(r_k=r_k, lambda_x=lambda_x, lambda_y=lambda_y, l_yx=l_yx,
+                         rho_x=rho_x, rho_y=rho_y, xi_x=xi_x, xi_y=xi_y,
+                         gamma_g=gtg + xi_x, gamma_f=gtf + xi_y, gtg=gtg, gtf=gtf,
+                         delta=delta, mu=delta + mu_gap)
+    rule = LinearRateRule(tau=bound_linear(c), gtg=gtg, gtf=gtf)
+    c = dataclasses.replace(c, theta_x=rho_y / rule.omega, theta_y=rho_x)
+    report = check_48(c, [rule.triple(i) for i in range(15)])
+    assert report.passed, report.conditions
+
+
 # ---------------------------------------------------------------------------
 # Locality checker.
 # ---------------------------------------------------------------------------
