@@ -48,7 +48,7 @@ from .schedules import (
     potts_steps,
 )
 from . import nash, potts, verify
-from .pgm import read_pgm, write_pgm
+from .pgm import read_pgm, write_file, write_pgm
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -103,13 +103,10 @@ def config_header(command: str, items: list[tuple[str, object]]) -> list[str]:
 def write_csv(path: str, header_lines: list[str], columns: list[str],
               rows: list[list]) -> None:
     """Write a CSV file preceded by ``#``-prefixed configuration lines."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in header_lines:
-            fh.write("# %s\n" % line)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+    lines = ["# %s" % line for line in header_lines] + [",".join(columns)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def fmt_triple(triple: StepTriple) -> list[tuple[str, object]]:
@@ -352,6 +349,20 @@ def int_at_least(low: int):
     return parse
 
 
+def finite_float(low: float = -math.inf, strict: bool = False):
+    """An argparse type accepting finite floats >= ``low`` (> ``low`` if ``strict``)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                "must be %s %g, got %r" % (">" if strict else ">=", low, value))
+        return value
+    parse.__name__ = "float"  # argparse's "invalid float value" message uses it
+    return parse
+
+
 def int_list(text: str) -> list[int]:
     """``--sizes``: a comma-separated list of integers."""
     return [int(s) for s in text.split(",")]
@@ -380,9 +391,9 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                         version="saddleprox %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add_floats(sub, defaults):
+    def add_floats(sub, defaults, kind=finite_float()):
         for flag, default in defaults.items():
-            sub.add_argument("--" + flag, type=float, default=default)
+            sub.add_argument("--" + flag, type=kind, default=default)
 
     def add_command(name, func, help):
         sub = subs.add_parser(name, help=help)
@@ -397,7 +408,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                     help="generate a seeded synthetic image instead of --input")
     sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
     add_floats(sp, POTTS_CALCULATOR_FLAGS)
-    sp.add_argument("--noise-sigma", type=float, default=0.05)
+    sp.add_argument("--noise-sigma", type=finite_float(0.0), default=0.05)
     sp.add_argument("--n-shapes", type=int_at_least(0), default=6)
     sp.add_argument("--iters", type=int_at_least(1), default=10000)
     sp.add_argument("--log-stride", type=int_at_least(1), default=1)
@@ -410,7 +421,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     sn.add_argument("--sizes", type=int_list, default=[63, 127],
                     help="comma list of grid sizes")
     sn.add_argument("--iters", type=int_at_least(1), default=12)
-    add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0})
+    add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0},
+               finite_float(0.0, strict=True))
     sn.add_argument("--out", default="nash_dist.csv")
 
     st = add_command("steps", cmd_steps, "step-size calculators")
@@ -435,7 +447,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                                 ("seed", int_at_least(0), 0),
                                 ("n-shapes", int_at_least(0), 6), ("maxval", int, 65535)):
         sg.add_argument("--" + flag, type=kind, default=default)
-    sg.add_argument("--noise-sigma", type=float, default=0.05)
+    sg.add_argument("--noise-sigma", type=finite_float(0.0), default=0.05)
     return parser, subs.choices
 
 

@@ -225,7 +225,7 @@ def gen_synthetic(
     if n1 < 1 or n2 < 1:
         raise ConfigurationError("image dimensions n1, n2 must be positive, got %d, %d"
                                  % (n1, n2))
-    if n_shapes < 0 or noise_sigma < 0:
+    if n_shapes < 0 or not noise_sigma >= 0:
         raise ConfigurationError("n_shapes and noise_sigma must be >= 0")
     rng = np.random.default_rng(seed)
     img = np.full((n1, n2), rng.uniform(0.1, 0.4))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from saddleprox import __version__
+from saddleprox import cli
 from saddleprox.cli import main, parse_config_file
 from saddleprox.pgm import read_pgm
 from saddleprox.schedules import potts_steps
@@ -263,6 +265,13 @@ def test_nash_distance_table(tmp_path, capsys):
     assert max(last) <= 1e-12
 
 
+def test_nash_writes_to_a_device(capsys):
+    rc, out, _ = run_cli(["nash", "--sizes", "7", "--iters", "2",
+                          "--out", os.devnull], capsys)
+    assert rc == 0
+    assert "wrote %s" % os.devnull in out
+
+
 def test_nash_runs_are_byte_identical(tmp_path, capsys):
     blobs = []
     for name in ("a.csv", "b.csv"):
@@ -396,6 +405,7 @@ def test_config_synthetic_matches_flag(tmp_path, capsys, monkeypatch):
 
 
 POTTS_4X4 = ["potts", "--synthetic", "4", "4", "0", "--out-prefix", "{tmp}/run"]
+NASH_7 = ["nash", "--sizes", "7", "--iters", "1", "--out", "{tmp}/run_nash.csv"]
 WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
 
 
@@ -420,13 +430,28 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["gen-image", "--seed", "-1", "--out", "{tmp}/x.pgm"], None, "--seed"),
     (["gen-image", "--n1", "0", "--out", "{tmp}/x.pgm"], None, "n1"),
     (["gen-image", "--maxval", "70000", "--out", "{tmp}/x.pgm"], None, "maxval"),
+    (NASH_7 + ["--tau", "-1", "--sigma", "0"], None, "--tau"),
+    (NASH_7 + ["--tau", "nan"], None, "--tau"),
+    (NASH_7 + ["--omega", "-2"], None, "--omega"),
+    (POTTS_4X4 + ["--noise-sigma", "nan"], None, "--noise-sigma"),
+    (["gen-image", "--noise-sigma", "-1", "--out", "{tmp}/run_x.pgm"], None,
+     "--noise-sigma"),
+    (["steps", "potts", "--delta", "nan"], None, "--delta"),
+    (WITH_CONFIG, "alpha = inf\n", "--alpha"),
+    (["nash", "--sizes", "7", "--iters", "1", "--out", "{tmp}/no/run.csv"], None,
+     "no/run.csv"),
+    (["potts", "--synthetic", "4", "4", "0", "--iters", "1",
+      "--out-prefix", "{tmp}/no/run"], None, "no/run_log.csv"),
     (["steps", "linear", "--config", "{tmp}/run.cfg"], "regime = potts\n", "'regime'"),
     (WITH_CONFIG, "func = cmd_nash\n", "'func'"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
         "iters-0-before-reference", "reference-iters-neg", "synthetic-seed-neg",
         "n-shapes-neg", "nash-iters-0", "check-48-neg", "verify-seed-neg",
-        "gen-image-seed-neg", "n1-0", "maxval-70000", "cfg-regime", "cfg-func"])
+        "gen-image-seed-neg", "n1-0", "maxval-70000", "nash-tau-neg",
+        "nash-tau-nan", "nash-omega-neg", "noise-sigma-nan", "gen-image-noise-neg",
+        "delta-nan", "cfg-alpha-inf", "nash-out-missing-dir", "potts-out-missing-dir",
+        "cfg-regime", "cfg-func"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:
@@ -439,6 +464,29 @@ def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
     assert rc == 2
     assert needle in err.splitlines()[-1]
     assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: cli.write_csv(path, ["cfg"], ["a", "b"], [[1, 0.5], [2, 0.25]]),
+    lambda path: cli.write_pgm(path, np.eye(3), maxval=255, binary=False),
+    lambda path: cli.write_pgm(path, np.eye(3), maxval=65535),
+], ids=["csv", "pgm-p2", "pgm-p5"])
+def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    write(path)
+    fresh = path.read_bytes()
+    path.write_bytes(b"stale tail " * 1000)
+    flags = []
+    real_open = os.open
+
+    def recording_open(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write(path)
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+    assert path.read_bytes() == fresh
 
 
 def test_version_flag(capsys):

@@ -1,10 +1,15 @@
-"""Graymap reader/writer round-trip and format tests."""
+"""Graymap reader/writer round-trip and format tests, and the file writer."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saddleprox.core import ConfigurationError
-from saddleprox.pgm import read_pgm, write_pgm
+from saddleprox.pgm import read_pgm, write_file, write_pgm
 from saddleprox.potts import gen_synthetic
 
 
@@ -109,3 +114,75 @@ def test_reader_rejects_empty_image(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ConfigurationError, match="empty graymap"):
         read_pgm(path)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), seed=st.integers(0, 1000),
+       maxval=st.sampled_from([255, 65535]), binary=st.booleans())
+def test_roundtrip_over_a_larger_existing_file(tmp_path, n1, n2, seed, maxval,
+                                               binary):
+    img = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(n1, n2))
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"\xff" * 4096)
+    write_pgm(path, img, maxval=maxval, binary=binary, comments=["seed = %d" % seed])
+    back, mv = read_pgm(path)
+    assert mv == maxval
+    assert np.array_equal(back, np.rint(np.clip(img, 0.0, 1.0) * maxval) / maxval)
+    fresh = tmp_path / "fresh.pgm"
+    fresh.unlink(missing_ok=True)
+    write_pgm(fresh, img, maxval=maxval, binary=binary, comments=["seed = %d" % seed])
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# write_file: in-place rewrite with the semantics of open(path, "wb").
+# ---------------------------------------------------------------------------
+
+
+def test_write_file_shorter_content_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old content that is much longer\n" * 100)
+    inode = path.stat().st_ino
+    write_file(path, b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode
+    write_file(path, b"")
+    assert path.read_bytes() == b""
+
+
+def test_write_file_new_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_file(tmp_path / "new.bin", b"x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new.bin").stat().st_mode) == 0o640
+
+
+def test_write_file_follows_symlinks_and_keeps_the_link(tmp_path):
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"0123456789")
+    link = tmp_path / "link.bin"
+    link.symlink_to(target)
+    write_file(link, b"abc")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"abc"
+
+
+def test_write_file_keeps_hard_links_and_mode(tmp_path):
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"0123456789")
+    path.chmod(0o600)
+    twin = tmp_path / "b.bin"
+    os.link(path, twin)
+    write_file(path, b"xyz")
+    assert twin.read_bytes() == b"xyz"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_file_unwritable_path_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        write_file(tmp_path / "missing" / "x.bin", b"x")
+    with pytest.raises(OSError):
+        write_file(tmp_path, b"x")

@@ -342,3 +342,5 @@ def test_gen_synthetic_validation():
         gen_synthetic(4, 4, seed=0, n_shapes=-1)
     with pytest.raises(ConfigurationError):
         gen_synthetic(4, 4, seed=0, noise_sigma=-0.1)
+    with pytest.raises(ConfigurationError):
+        gen_synthetic(4, 4, seed=0, noise_sigma=math.nan)
