@@ -24,7 +24,6 @@ from .schedules import (
     bound_linear,
     check_48,
     check_52,
-    next_triple,
     potts_steps,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "bound_linear",
     "check_48",
     "check_52",
-    "next_triple",
     "potts_steps",
     "solve",
     "step",

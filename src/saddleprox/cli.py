@@ -24,6 +24,7 @@ configuration, so runs are reproducible from their artifacts alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional, Sequence
@@ -44,7 +45,6 @@ from .schedules import (
     bound_constant,
     bound_linear,
     check_48,
-    next_triple,
     potts_steps,
 )
 from . import nash, potts, verify
@@ -91,13 +91,13 @@ def config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def config_header(command: str, items: list[tuple[str, object]]) -> list[str]:
-    """Comment lines echoing the effective configuration of a run."""
+    """Comment lines echoing a run's configuration, non-ASCII backslash-escaped."""
     lines = ["saddleprox %s" % __version__, "command = %s" % command]
     for key, value in items:
         if isinstance(value, float):
             value = repr(value)
         lines.append("%s = %s" % (key, value))
-    return lines
+    return [line.encode("ascii", "backslashreplace").decode("ascii") for line in lines]
 
 
 def write_csv(path: str, header_lines: list[str], columns: list[str],
@@ -274,15 +274,12 @@ def cmd_steps(args: argparse.Namespace) -> int:
             lines += [("tau_max", tau_max)]
     lines += fmt_triple(schedule.triple(0))
 
-    for field in ("r_k", "lambda_x", "lambda_y", "l_yx", "rho_x", "rho_y",
-                  "theta_x", "theta_y", "xi_x", "xi_y", "gamma_g", "gamma_f",
-                  "gtg", "gtf", "delta", "mu"):
-        lines.append((field, getattr(c, field)))
+    lines += [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)]
     for key, value in lines:
         print("%s = %s" % (key, repr(value) if isinstance(value, float) else value))
 
     if args.check_48 > 0:
-        triples = [next_triple(schedule, i) for i in range(args.check_48)]
+        triples = [schedule.triple(i) for i in range(args.check_48)]
         report = check_48(c, triples)
         for cond in report.conditions:
             print("check48:%s = %s (margin %r)"
@@ -368,11 +365,11 @@ def int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-# Flags of the Potts step calculator shared by ``potts`` and ``steps``.
-POTTS_CALCULATOR_FLAGS = {
-    "alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0, "gamma-bar": 10.0,
-    "delta": 0.1, "mu": None, "gtilde-g": None, "gtilde-f": None,
-}
+# Flags of the Potts step calculator shared by ``potts`` and ``steps``; the
+# model constants must be positive.
+POTTS_MODEL_FLAGS = {"alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0,
+                     "gamma-bar": 10.0}
+POTTS_CALCULATOR_FLAGS = {"delta": 0.1, "mu": None, "gtilde-g": None, "gtilde-f": None}
 
 
 def build_parser() -> tuple[argparse.ArgumentParser,
@@ -390,6 +387,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     parser.add_argument("--version", action="version",
                         version="saddleprox %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    positive = finite_float(0.0, strict=True)
 
     def add_floats(sub, defaults, kind=finite_float()):
         for flag, default in defaults.items():
@@ -402,11 +400,13 @@ def build_parser() -> tuple[argparse.ArgumentParser,
         return sub
 
     sp = add_command("potts", cmd_potts, "discontinuity-penalized denoising run")
-    sp.add_argument("--input", help="input PGM image")
-    sp.add_argument("--synthetic", nargs=3, type=int_at_least(0),
-                    metavar=("N1", "N2", "SEED"),
-                    help="generate a seeded synthetic image instead of --input")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--input", help="input PGM image")
+    source.add_argument("--synthetic", nargs=3, type=int_at_least(0),
+                        metavar=("N1", "N2", "SEED"),
+                        help="generate a seeded synthetic image instead of --input")
     sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
+    add_floats(sp, POTTS_MODEL_FLAGS, positive)
     add_floats(sp, POTTS_CALCULATOR_FLAGS)
     sp.add_argument("--noise-sigma", type=finite_float(0.0), default=0.05)
     sp.add_argument("--n-shapes", type=int_at_least(0), default=6)
@@ -421,18 +421,19 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     sn.add_argument("--sizes", type=int_list, default=[63, 127],
                     help="comma list of grid sizes")
     sn.add_argument("--iters", type=int_at_least(1), default=12)
-    add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0},
-               finite_float(0.0, strict=True))
+    add_floats(sn, {"tau": 0.99, "sigma": 1.0, "omega": 1.0}, positive)
     sn.add_argument("--out", default="nash_dist.csv")
 
     st = add_command("steps", cmd_steps, "step-size calculators")
     st.add_argument("regime", choices=("constant", "accelerated", "linear",
                                        "potts"))
+    add_floats(st, POTTS_MODEL_FLAGS, positive)
     add_floats(st, POTTS_CALCULATOR_FLAGS)
-    add_floats(st, {"rk": 1.0, "lambda-x": 0.0, "lambda-y": 0.0, "lyx": 0.0,
+    add_floats(st, {"rk": 1.0}, finite_float(0.0))
+    add_floats(st, {"lambda-x": 0.0, "lambda-y": 0.0, "lyx": 0.0,
                     "rho-x": 0.0, "rho-y": 0.0, "theta-x": 1.0, "theta-y": 1.0,
-                    "xi-x": 0.0, "xi-y": 0.0, "gamma-g": 0.0, "gamma-f": 0.0,
-                    "tau": None, "tau0": None, "safety": 0.99})
+                    "xi-x": 0.0, "xi-y": 0.0, "gamma-g": 0.0, "gamma-f": 0.0})
+    add_floats(st, {"tau": None, "tau0": None, "safety": 0.99}, positive)
     st.add_argument("--p", type=penalty, default=1.0)
     st.add_argument("--check-48", type=int_at_least(0), default=0, metavar="N",
                     help="run the schedule condition check on the first N triples")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class InfeasibleConstantsError(ValueError):
@@ -100,14 +100,6 @@ class LinearRateRule:
         return StepTriple(self.tau, self.sigma, self.omega)
 
 
-StepSchedule = Union[StepTriple, ConstantRule, AcceleratedRule, LinearRateRule]
-
-
-def next_triple(schedule: StepSchedule, i: int) -> StepTriple:
-    """Step triple for iteration i.  Pure in (schedule, i)."""
-    return schedule.triple(i)
-
-
 @dataclass(frozen=True)
 class ProblemConstants:
     """Constants of a saddle problem entering the step-size conditions.
@@ -153,30 +145,31 @@ class ProblemConstants:
             )
 
 
-def bound_constant(c: ProblemConstants) -> tuple[float, "SigmaBound"]:
-    """Admissible steps for the constant regime.
+def _cap(num: float, denom: float) -> float:
+    """num / denom, or ``inf`` when the denominator is not positive."""
+    return num / denom if denom > 0 else math.inf
+
+
+def _primal_cap(c: ProblemConstants, omega: float) -> float:
+    """Largest tau with tau*(lambda_x + l_yx*(omega+2)*rho_y) <= delta."""
+    return _cap(c.delta, c.lambda_x + c.l_yx * (omega + 2.0) * c.rho_y)
+
+
+def _dual_load(c: ProblemConstants, tau: float, omega: float) -> float:
+    """r_k^2*tau/(1-mu) + lambda_y/omega; the dual step needs sigma*load <= 1."""
+    return c.r_k**2 * tau / (1.0 - c.mu) + c.lambda_y / omega
+
+
+def bound_constant(c: ProblemConstants) -> tuple[float, Callable[[float], float]]:
+    """Admissible steps for the constant regime (omega = 1).
 
     Returns ``(tau_sup, sigma_max)`` where tau must satisfy
     tau < tau_sup = delta / (lambda_x + 3*l_yx*rho_y)  (exclusive) and,
     given tau, sigma <= sigma_max(tau) = 1 / (r_k^2*tau/(1-mu) + lambda_y)
-    (inclusive).  Degenerate denominators give ``inf``.
+    (inclusive); ``sigma_max`` is a plain callable.  Degenerate
+    denominators give ``inf``.
     """
-    denom = c.lambda_x + 3.0 * c.l_yx * c.rho_y
-    tau_sup = c.delta / denom if denom > 0 else math.inf
-    return tau_sup, SigmaBound(c.r_k, c.mu, c.lambda_y)
-
-
-@dataclass(frozen=True)
-class SigmaBound:
-    """Callable dual-step cap for a given primal step."""
-
-    r_k: float
-    mu: float
-    lambda_y: float
-
-    def __call__(self, tau: float) -> float:
-        denom = self.r_k**2 * tau / (1.0 - self.mu) + self.lambda_y
-        return 1.0 / denom if denom > 0 else math.inf
+    return _primal_cap(c, 1.0), lambda tau: _cap(1.0, _dual_load(c, tau, 1.0))
 
 
 def bound_accelerated(c: ProblemConstants) -> tuple[float, float]:
@@ -188,10 +181,7 @@ def bound_accelerated(c: ProblemConstants) -> tuple[float, float]:
     does not enforce the per-iteration dual condition when lambda_y > 0;
     combine with ``bound_constant(c)[1](tau0)`` in that case.
     """
-    denom = c.lambda_x + 3.0 * c.l_yx * c.rho_y
-    tau0_sup = c.delta / denom if denom > 0 else math.inf
-    sig_tau = (1.0 - c.mu) / c.r_k**2 if c.r_k > 0 else math.inf
-    return tau0_sup, sig_tau
+    return _primal_cap(c, 1.0), _cap(1.0 - c.mu, c.r_k**2)
 
 
 def bound_linear(c: ProblemConstants) -> float:
@@ -207,16 +197,13 @@ def bound_linear(c: ProblemConstants) -> float:
     """
     if c.gtg <= 0 or c.gtf <= 0:
         raise InfeasibleConstantsError("linear-rate bound needs gtg > 0 and gtf > 0")
-    denom = c.lambda_x + 3.0 * c.l_yx * c.rho_y
-    first = c.delta / denom if denom > 0 else math.inf
-
     ratio = c.gtf / c.gtg
     quad = c.r_k**2 / (1.0 - c.mu) + 2.0 * c.gtg * c.lambda_y
     if quad <= 0:
-        second = ratio / c.lambda_y if c.lambda_y > 0 else math.inf
+        second = _cap(ratio, c.lambda_y)
     else:
         second = 2.0 * ratio / (c.lambda_y + math.sqrt(c.lambda_y**2 + 4.0 * ratio * quad))
-    return min(first, second)
+    return min(_primal_cap(c, 1.0), second)
 
 
 def derive_theta_lambda_primal(gamma_x: float, l_x_at_yhat: float, l_yx: float,
@@ -384,10 +371,6 @@ def potts_steps(
         lambda_x=lambda_x,
         lambda_y=lambda_y,
         l_yx=4.0 * l_op**2 * m_y,
-        rho_x=0.0,
-        rho_y=0.0,
-        theta_x=1.0,
-        theta_y=1.0,
         xi_x=xi_x,
         xi_y=xi_y,
         gamma_g=1.0 / alpha,
@@ -398,8 +381,7 @@ def potts_steps(
         mu=mu,
     )
     tau = (1.0 - e) * bound_linear(c)
-    rule = LinearRateRule(tau=tau, gtg=gtg, gtf=gtf)
-    return StepTriple(rule.tau, rule.sigma, rule.omega), c
+    return LinearRateRule(tau=tau, gtg=gtg, gtf=gtf).triple(0), c
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +430,11 @@ def _ineq(name: str, value: float, bound: float, detail: str = "") -> ConditionR
     scale = abs(bound) if bound != 0 else 1.0
     margin = (bound - value) / scale
     return ConditionReport(name, margin >= -EQUALITY_TOL, margin, detail)
+
+
+def _worst(reports: Iterable[ConditionReport]) -> ConditionReport:
+    """The report with the smallest margin; the first one on ties."""
+    return min(reports, key=lambda rep: rep.margin)
 
 
 def check_48(
@@ -517,23 +504,13 @@ def check_48(
     # Dual step condition.  sigma_i is triples[i-1].sigma; at i = 0 the
     # algorithm never uses sigma_0, take sigma_1 as surrogate (exact for
     # constant-sigma schedules).
-    dual_rep: Optional[ConditionReport] = None
-    for i in range(n):
-        sigma_i = triples[i - 1].sigma if i >= 1 else triples[0].sigma
-        value = sigma_i * (
-            c.r_k**2 * triples[i].tau / (1.0 - c.mu) + c.lambda_y / triples[i].omega
-        )
-        rep = _ineq("dual-step", value, 1.0, "iteration %d" % i)
-        if dual_rep is None or rep.margin < dual_rep.margin:
-            dual_rep = rep
-
-    primal_rep: Optional[ConditionReport] = None
-    for i in range(n):
-        denom = c.lambda_x + c.l_yx * (triples[i].omega + 2.0) * c.rho_y
-        bound = c.delta / denom if denom > 0 else math.inf
-        rep = _ineq("primal-step", triples[i].tau, bound, "iteration %d" % i)
-        if primal_rep is None or rep.margin < primal_rep.margin:
-            primal_rep = rep
+    dual_rep = _worst(
+        _ineq("dual-step", triples[max(i - 1, 0)].sigma * _dual_load(c, t.tau, t.omega),
+              1.0, "iteration %d" % i)
+        for i, t in enumerate(triples))
+    primal_rep = _worst(
+        _ineq("primal-step", t.tau, _primal_cap(c, t.omega), "iteration %d" % i)
+        for i, t in enumerate(triples))
 
     conv_g1 = _ineq("primal-convexity", c.gtg + c.xi_x, c.gamma_g,
                     "gamma_g >= gtg + xi_x")
@@ -544,15 +521,12 @@ def check_48(
     conv_f2 = _ineq("dual-convexity", c.rho_y / omega_low, c.theta_x,
                     "theta_x >= rho_y/omega_low")
 
-    def worse(a: ConditionReport, b: ConditionReport) -> ConditionReport:
-        return a if a.margin <= b.margin else b
-
     conditions = (
         cond_a,
         dual_rep,
         primal_rep,
-        worse(conv_g1, conv_g2),
-        worse(conv_f1, conv_f2),
+        _worst((conv_g1, conv_g2)),
+        _worst((conv_f1, conv_f2)),
     )
     return ScheduleCheckReport(conditions=conditions, testing=testing)
 
@@ -604,20 +578,14 @@ def check_52(
     if len(triples) == 0:
         raise InfeasibleConstantsError("check_52 needs at least one step triple")
 
-    denom_x = 2.0 * c.r_k * budget.r_y + 2.0 * l_x_at_yhat * budget.r_max
-    tau_bound = budget.delta_x / denom_x if denom_x > 0 else math.inf
-    denom_y = l_y_at_xhat * budget.r_y + c.r_k * (budget.r_max + budget.delta_x)
-    sigma_bound = budget.delta_y / denom_y if denom_y > 0 else math.inf
-
-    tau_rep: Optional[ConditionReport] = None
-    sig_rep: Optional[ConditionReport] = None
-    for i, t in enumerate(triples):
-        rep = _ineq("local-primal-step", t.tau, tau_bound, "iteration %d" % i)
-        if tau_rep is None or rep.margin < tau_rep.margin:
-            tau_rep = rep
-        rep = _ineq("local-dual-step", t.sigma, sigma_bound, "iteration %d" % i)
-        if sig_rep is None or rep.margin < sig_rep.margin:
-            sig_rep = rep
+    tau_bound = _cap(budget.delta_x,
+                     2.0 * c.r_k * budget.r_y + 2.0 * l_x_at_yhat * budget.r_max)
+    sigma_bound = _cap(budget.delta_y, l_y_at_xhat * budget.r_y
+                       + c.r_k * (budget.r_max + budget.delta_x))
+    tau_rep = _worst(_ineq("local-primal-step", t.tau, tau_bound, "iteration %d" % i)
+                     for i, t in enumerate(triples))
+    sig_rep = _worst(_ineq("local-dual-step", t.sigma, sigma_bound, "iteration %d" % i)
+                     for i, t in enumerate(triples))
 
     if c.mu > c.delta:
         required = budget.r_max * math.sqrt(

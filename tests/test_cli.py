@@ -245,6 +245,19 @@ def test_potts_reads_pgm_input(tmp_path, capsys):
     assert img.shape == (6, 9)
 
 
+def test_potts_non_ascii_input_is_escaped_in_headers(tmp_path, capsys):
+    src = str(tmp_path / "\u00e9.pgm")
+    rc, _, _ = run_cli(["gen-image", "--n1", "5", "--n2", "5", "--out", src], capsys)
+    assert rc == 0
+    rc, _, err = run_cli(["potts", "--input", src, "--iters", "2",
+                          "--out-prefix", str(tmp_path / "run")], capsys)
+    assert rc == 0, err
+    echo = ("input = %s" % (tmp_path / "\\xe9.pgm")).encode("ascii")
+    log = (tmp_path / "run_log.csv").read_bytes()
+    assert log.isascii() and echo in log
+    assert echo in (tmp_path / "run_denoised.pgm").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # nash.
 # ---------------------------------------------------------------------------
@@ -444,6 +457,20 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
       "--out-prefix", "{tmp}/no/run"], None, "no/run_log.csv"),
     (["steps", "linear", "--config", "{tmp}/run.cfg"], "regime = potts\n", "'regime'"),
     (WITH_CONFIG, "func = cmd_nash\n", "'func'"),
+    (["steps", "constant", "--tau", "-1"], None, "--tau"),
+    (["steps", "accelerated", "--tau0", "0"], None, "--tau0"),
+    (["steps", "constant", "--safety", "-1"], None, "--safety"),
+    (POTTS_4X4 + ["--alpha", "-1"], None, "--alpha"),
+    (["steps", "potts", "--alpha", "0"], None, "--alpha"),
+    (POTTS_4X4 + ["--gamma", "0"], None, "--gamma"),
+    (["steps", "potts", "--gamma", "-0.001"], None, "--gamma"),
+    (POTTS_4X4 + ["--dynamic-range", "0"], None, "--dynamic-range"),
+    (["steps", "potts", "--gamma-bar", "-10"], None, "--gamma-bar"),
+    (["steps", "linear", "--rk", "-1", "--gtilde-g", "1", "--gtilde-f", "1"], None,
+     "--rk"),
+    (POTTS_4X4 + ["--input", "{tmp}/x.pgm"], None, "--input"),
+    (["potts", "--input", "{tmp}/x.pgm", "--config", "{tmp}/run.cfg",
+      "--out-prefix", "{tmp}/run"], "synthetic = 4 4 0\n", "--input"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
         "iters-0-before-reference", "reference-iters-neg", "synthetic-seed-neg",
@@ -451,7 +478,10 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "gen-image-seed-neg", "n1-0", "maxval-70000", "nash-tau-neg",
         "nash-tau-nan", "nash-omega-neg", "noise-sigma-nan", "gen-image-noise-neg",
         "delta-nan", "cfg-alpha-inf", "nash-out-missing-dir", "potts-out-missing-dir",
-        "cfg-regime", "cfg-func"])
+        "cfg-regime", "cfg-func", "steps-tau-neg", "steps-tau0-0",
+        "steps-safety-neg", "potts-alpha-neg", "steps-alpha-0", "potts-gamma-0",
+        "steps-gamma-neg", "potts-dynamic-range-0", "steps-gamma-bar-neg",
+        "steps-rk-neg", "input-and-synthetic", "cfg-synthetic-and-input"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

@@ -25,7 +25,6 @@ from saddleprox.schedules import (
     check_52,
     derive_theta_lambda_dual,
     derive_theta_lambda_primal,
-    next_triple,
     potts_jump_bounds,
     potts_steps,
     r_max_initial,
@@ -41,8 +40,8 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 def test_step_triple_is_constant_schedule():
     t = StepTriple(0.1, 0.2, 0.9)
-    assert next_triple(t, 0) is t
-    assert next_triple(t, 10**6) is t
+    assert t.triple(0) is t
+    assert t.triple(10**6) is t
 
 
 @pytest.mark.parametrize("bad", [(0.0, 1, 1), (1, -2, 1), (1, 1, 0.0)])
@@ -443,6 +442,36 @@ def test_check_48_accepts_linear_rule_at_bound_for_feasible_constants(
     c = dataclasses.replace(c, theta_x=rho_y / rule.omega, theta_y=rho_x)
     report = check_48(c, [rule.triple(i) for i in range(15)])
     assert report.passed, report.conditions
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lambda_x=st.floats(min_value=1e-2, max_value=2.0),
+    lambda_y=st.floats(min_value=0.0, max_value=2.0),
+    l_yx=st.floats(min_value=0.0, max_value=2.0),
+    rho_y=st.floats(min_value=0.0, max_value=1.0),
+    delta=st.floats(min_value=0.01, max_value=0.5),
+    eps=st.floats(min_value=1e-6, max_value=0.5),
+    accelerated=st.booleans(),
+)
+def test_check_48_rejects_tau_past_the_binding_primal_cap(
+        lambda_x, lambda_y, l_yx, rho_y, delta, eps, accelerated):
+    # With omega = 1 the check's primal cap is the bound's tau_sup, so a
+    # first step (1 + eps) past it fails by a relative margin of -eps.
+    c = ProblemConstants(r_k=1.0, lambda_x=lambda_x, lambda_y=lambda_y, l_yx=l_yx,
+                         rho_y=rho_y, gtg=0.5, delta=delta, mu=0.5)
+    tau_sup, sigma_max = bound_constant(c)
+    tau = tau_sup * (1.0 + eps)
+    if accelerated:
+        rule = AcceleratedRule(tau, sigma_max(tau), c.gtg)
+    else:
+        rule = ConstantRule(tau, sigma_max(tau))
+    report = check_48(c, [rule.triple(i) for i in range(10)])
+    primal = {cond.name: cond for cond in report.conditions}["primal-step"]
+    assert not report.passed
+    assert not primal.passed
+    assert primal.margin == pytest.approx(-eps, abs=1e-12)
+    assert primal.detail == "iteration 0"
 
 
 # ---------------------------------------------------------------------------
