@@ -118,11 +118,19 @@ def fmt_triple(triple: StepTriple) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 
 def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstants]:
-    """The Potts step calculator applied to the flags ``potts`` and ``steps`` share."""
-    return potts_steps(args.alpha, args.gamma, args.p,
-                       dynamic_range=args.dynamic_range, gamma_bar=args.gamma_bar,
-                       delta=args.delta, mu=args.mu, gtg=args.gtilde_g,
-                       gtf=args.gtilde_f)
+    """The Potts step calculator applied to the flags ``potts`` and ``steps`` share.
+
+    The bounds grow with the fourth power of the dynamic range, the one
+    flag large enough to overflow them.
+    """
+    try:
+        return potts_steps(args.alpha, args.gamma, args.p,
+                           dynamic_range=args.dynamic_range, gamma_bar=args.gamma_bar,
+                           delta=args.delta, mu=args.mu, gtg=args.gtilde_g,
+                           gtf=args.gtilde_f)
+    except OverflowError:
+        raise ConfigurationError("--dynamic-range %r is too large: the step bounds "
+                                 "overflow" % args.dynamic_range) from None
 
 
 def cmd_potts(args: argparse.Namespace) -> int:
@@ -246,6 +254,14 @@ def constants_from_flags(args: argparse.Namespace) -> ProblemConstants:
     )
 
 
+def bounded(name: str, cap: float, flag: str) -> float:
+    """``cap`` if it is finite; an unbounded cap cannot set the step."""
+    if math.isinf(cap):
+        raise ConfigurationError("%s is unbounded for these constants; give %s"
+                                 % (name, flag))
+    return cap
+
+
 def cmd_steps(args: argparse.Namespace) -> int:
     regime = args.regime
     lines: list[tuple[str, object]] = [("regime", regime)]
@@ -255,21 +271,25 @@ def cmd_steps(args: argparse.Namespace) -> int:
         c = constants_from_flags(args)
         if regime == "constant":
             tau_sup, sigma_bound = bound_constant(c)
-            tau = args.safety * tau_sup if args.tau is None else args.tau
-            schedule = ConstantRule(tau, sigma_bound(tau))
+            tau = (args.safety * bounded("tau_sup", tau_sup, "--tau")
+                   if args.tau is None else args.tau)
+            schedule = ConstantRule(tau, bounded("sigma_max", sigma_bound(tau),
+                                                 "a positive --rk or --lambda-y"))
             lines += [("tau_sup", tau_sup), ("safety", args.safety)]
         elif regime == "accelerated":
             # The product cap alone does not imply the per-iteration
             # dual condition when lambda_y > 0, so sigma uses the
             # constant-regime cap evaluated at tau0.
             tau0_max, _sig_tau = bound_accelerated(c)
-            tau0 = tau0_max if args.tau0 is None else args.tau0
-            sigma = bound_constant(c)[1](tau0)
+            tau0 = (bounded("tau0_max", tau0_max, "--tau0")
+                    if args.tau0 is None else args.tau0)
+            sigma = bounded("sigma_max", bound_constant(c)[1](tau0),
+                            "a positive --rk or --lambda-y")
             schedule = AcceleratedRule(tau0, sigma, c.gtg)
             lines += [("tau0_max", tau0_max)]
         else:
             tau_max = bound_linear(c)
-            tau = tau_max if args.tau is None else args.tau
+            tau = bounded("tau_max", tau_max, "--tau") if args.tau is None else args.tau
             schedule = LinearRateRule(tau=tau, gtg=c.gtg, gtf=c.gtf)
             lines += [("tau_max", tau_max)]
     lines += fmt_triple(schedule.triple(0))
@@ -346,8 +366,10 @@ def int_at_least(low: int):
     return parse
 
 
-def finite_float(low: float = -math.inf, strict: bool = False):
-    """An argparse type accepting finite floats >= ``low`` (> ``low`` if ``strict``)."""
+def finite_float(low: float = -math.inf, strict: bool = False,
+                 below: float = math.inf):
+    """An argparse type accepting finite floats >= ``low`` (> ``low`` if
+    ``strict``) and < ``below``."""
     def parse(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
@@ -355,6 +377,8 @@ def finite_float(low: float = -math.inf, strict: bool = False):
         if value < low or (strict and value == low):
             raise argparse.ArgumentTypeError(
                 "must be %s %g, got %r" % (">" if strict else ">=", low, value))
+        if not value < below:
+            raise argparse.ArgumentTypeError("must be < %g, got %r" % (below, value))
         return value
     parse.__name__ = "float"  # argparse's "invalid float value" message uses it
     return parse
@@ -365,11 +389,9 @@ def int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-# Flags of the Potts step calculator shared by ``potts`` and ``steps``; the
-# model constants must be positive.
+# Model constants of the Potts step calculator; they must be positive.
 POTTS_MODEL_FLAGS = {"alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0,
                      "gamma-bar": 10.0}
-POTTS_CALCULATOR_FLAGS = {"delta": 0.1, "mu": None, "gtilde-g": None, "gtilde-f": None}
 
 
 def build_parser() -> tuple[argparse.ArgumentParser,
@@ -393,6 +415,16 @@ def build_parser() -> tuple[argparse.ArgumentParser,
         for flag, default in defaults.items():
             sub.add_argument("--" + flag, type=kind, default=default)
 
+    def add_calculator(sub):
+        """Flags of the Potts step calculator, shared by ``potts`` and ``steps``.
+
+        The bounds divide by 1 - mu, so delta and mu must lie below 1.
+        """
+        add_floats(sub, POTTS_MODEL_FLAGS, positive)
+        add_floats(sub, {"delta": 0.1}, finite_float(0.0, strict=True, below=1.0))
+        add_floats(sub, {"mu": None}, finite_float(0.0, below=1.0))
+        add_floats(sub, {"gtilde-g": None, "gtilde-f": None})
+
     def add_command(name, func, help):
         sub = subs.add_parser(name, help=help)
         sub.add_argument("--config", help="key = value file; flags override it")
@@ -406,8 +438,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                         metavar=("N1", "N2", "SEED"),
                         help="generate a seeded synthetic image instead of --input")
     sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
-    add_floats(sp, POTTS_MODEL_FLAGS, positive)
-    add_floats(sp, POTTS_CALCULATOR_FLAGS)
+    add_calculator(sp)
     sp.add_argument("--noise-sigma", type=finite_float(0.0), default=0.05)
     sp.add_argument("--n-shapes", type=int_at_least(0), default=6)
     sp.add_argument("--iters", type=int_at_least(1), default=10000)
@@ -427,8 +458,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     st = add_command("steps", cmd_steps, "step-size calculators")
     st.add_argument("regime", choices=("constant", "accelerated", "linear",
                                        "potts"))
-    add_floats(st, POTTS_MODEL_FLAGS, positive)
-    add_floats(st, POTTS_CALCULATOR_FLAGS)
+    add_calculator(st)
     add_floats(st, {"rk": 1.0}, finite_float(0.0))
     add_floats(st, {"lambda-x": 0.0, "lambda-y": 0.0, "lyx": 0.0,
                     "rho-x": 0.0, "rho-y": 0.0, "theta-x": 1.0, "theta-y": 1.0,

@@ -114,7 +114,8 @@ class ProblemConstants:
     acceleration.  ``delta`` and ``mu`` are the splitting parameters of
     the analysis, normally 0 < delta <= mu < 1 (violations are warned
     about, not rejected, since some closed-form bounds remain sensible
-    in degenerate limits).
+    in degenerate limits; the step bounds and ``check_48`` divide by
+    1 - mu and raise :class:`InfeasibleConstantsError` for mu >= 1).
     """
 
     r_k: float
@@ -155,9 +156,16 @@ def _primal_cap(c: ProblemConstants, omega: float) -> float:
     return _cap(c.delta, c.lambda_x + c.l_yx * (omega + 2.0) * c.rho_y)
 
 
+def _one_minus_mu(c: ProblemConstants) -> float:
+    """1 - mu, the denominator of the dual load; raises unless mu < 1."""
+    if not c.mu < 1.0:
+        raise InfeasibleConstantsError("the step bounds need mu < 1, got mu=%g" % c.mu)
+    return 1.0 - c.mu
+
+
 def _dual_load(c: ProblemConstants, tau: float, omega: float) -> float:
     """r_k^2*tau/(1-mu) + lambda_y/omega; the dual step needs sigma*load <= 1."""
-    return c.r_k**2 * tau / (1.0 - c.mu) + c.lambda_y / omega
+    return c.r_k**2 * tau / _one_minus_mu(c) + c.lambda_y / omega
 
 
 def bound_constant(c: ProblemConstants) -> tuple[float, Callable[[float], float]]:
@@ -181,7 +189,7 @@ def bound_accelerated(c: ProblemConstants) -> tuple[float, float]:
     does not enforce the per-iteration dual condition when lambda_y > 0;
     combine with ``bound_constant(c)[1](tau0)`` in that case.
     """
-    return _primal_cap(c, 1.0), _cap(1.0 - c.mu, c.r_k**2)
+    return _primal_cap(c, 1.0), _cap(_one_minus_mu(c), c.r_k**2)
 
 
 def bound_linear(c: ProblemConstants) -> float:
@@ -198,7 +206,7 @@ def bound_linear(c: ProblemConstants) -> float:
     if c.gtg <= 0 or c.gtf <= 0:
         raise InfeasibleConstantsError("linear-rate bound needs gtg > 0 and gtf > 0")
     ratio = c.gtf / c.gtg
-    quad = c.r_k**2 / (1.0 - c.mu) + 2.0 * c.gtg * c.lambda_y
+    quad = c.r_k**2 / _one_minus_mu(c) + 2.0 * c.gtg * c.lambda_y
     if quad <= 0:
         second = _cap(ratio, c.lambda_y)
     else:

@@ -471,6 +471,18 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (POTTS_4X4 + ["--input", "{tmp}/x.pgm"], None, "--input"),
     (["potts", "--input", "{tmp}/x.pgm", "--config", "{tmp}/run.cfg",
       "--out-prefix", "{tmp}/run"], "synthetic = 4 4 0\n", "--input"),
+    (["steps", "constant", "--lambda-x", "1", "--mu", "1"], None, "--mu"),
+    (POTTS_4X4 + ["--mu", "2"], None, "--mu"),
+    (["steps", "potts", "--delta", "0"], None, "--delta"),
+    (["steps", "potts", "--delta", "1e300"], None, "--delta"),
+    (["steps", "constant"], None, "give --tau"),
+    (["steps", "linear", "--gtilde-g", "1", "--gtilde-f", "1", "--rk", "0"], None,
+     "give --tau"),
+    (["steps", "accelerated", "--gtilde-g", "1"], None, "give --tau0"),
+    (["steps", "constant", "--tau", "1", "--rk", "0"], None, "--rk"),
+    (POTTS_4X4 + ["--dynamic-range", "1e300"], None, "--dynamic-range"),
+    (["steps", "potts", "--p", "inf", "--dynamic-range", "1e77"], None,
+     "--dynamic-range"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
         "iters-0-before-reference", "reference-iters-neg", "synthetic-seed-neg",
@@ -481,7 +493,11 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "cfg-regime", "cfg-func", "steps-tau-neg", "steps-tau0-0",
         "steps-safety-neg", "potts-alpha-neg", "steps-alpha-0", "potts-gamma-0",
         "steps-gamma-neg", "potts-dynamic-range-0", "steps-gamma-bar-neg",
-        "steps-rk-neg", "input-and-synthetic", "cfg-synthetic-and-input"])
+        "steps-rk-neg", "input-and-synthetic", "cfg-synthetic-and-input",
+        "steps-mu-1", "potts-mu-2", "steps-delta-0", "steps-delta-1e300",
+        "steps-constant-tau-unbounded", "steps-linear-tau-unbounded",
+        "steps-accelerated-tau0-unbounded", "steps-constant-sigma-unbounded",
+        "potts-dynamic-range-1e300", "steps-dynamic-range-1e77"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

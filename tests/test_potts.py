@@ -1,6 +1,7 @@
 """Discrete gradient, coupling, and denoising problem tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,114 @@ def test_dh_dht_validation():
         dht(np.zeros((3, 3)))
     with pytest.raises(ConfigurationError):
         dht(np.zeros((3, 3, 2)), h=-1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_dh_dht_adjoint_on_single_row_and_column(shape, h):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=shape)
+    g = rng.normal(size=shape + (2,))
+    lhs = float(np.sum(dh(x, h) * g))
+    rhs = float(np.sum(x * dht(g, h)))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# In-place kernels: bit parity with the plain expressions, and allocations.
+# ---------------------------------------------------------------------------
+
+
+def _dh_plain(x, h):
+    g = np.zeros(x.shape + (2,))
+    g[:, :-1, 0] = (x[:, 1:] - x[:, :-1]) / h
+    g[:-1, :, 1] = (x[1:, :] - x[:-1, :]) / h
+    return g
+
+
+def _dht_plain(g, h):
+    out = np.zeros(g.shape[:2])
+    out[:, :-1] -= g[:, :-1, 0]
+    out[:, 1:] += g[:, :-1, 0]
+    out[:-1, :] -= g[:-1, :, 1]
+    out[1:, :] += g[:-1, :, 1]
+    return out / h
+
+
+def _paired_plain(p, z, y):
+    if p == 1:
+        return z * y
+    return z[..., :1] * y[..., :1] + z[..., 1:] * y[..., 1:]
+
+
+def _prox_primal_plain(noisy, alpha, tau, v):
+    r = tau / alpha
+    return (v + r * noisy.ravel()) / (1.0 + r)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Signed zeros, infinities and NaNs of both signs: the in-place forms must
+# keep every operand order of the plain ones, not just the values.
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf,
+                            np.nan, -np.nan])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (33, 17),
+                                   (3, 0), (0, 3)],
+                         ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("h", [1.0, 0.5])
+@BOTH_P
+@pytest.mark.parametrize("entries", ["normal", "special"])
+def test_kernels_are_bit_identical_to_plain_expressions(shape, h, p, entries):
+    rng = np.random.default_rng(sum(shape))
+
+    def draw(size):
+        if entries == "normal":
+            return rng.normal(size=size)
+        return rng.choice(SPECIAL_ENTRIES, size=size)
+
+    x, v = draw(shape), draw(shape).ravel()
+    z, y = draw(shape + (2,)), draw(shape + (2,))
+    v_before = v.copy()
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=h), x)
+    with np.errstate(all="ignore"):
+        assert _same_bits(dh(x, h), _dh_plain(x, h))
+        assert _same_bits(dht(z, h), _dht_plain(z, h))
+        factor = 2.0 * (1.0 - _paired_plain(p, z, y))
+        assert _same_bits(kappa_z(p, z, y), factor * y)
+        assert _same_bits(kappa_y(p, z, y), factor * z)
+        assert _same_bits(prob.prox_primal(0.3, v),
+                          _prox_primal_plain(x, 0.7, 0.3, v))
+    assert _same_bits(v, v_before)
+
+
+def _traced_peak_in_images(call, image_bytes):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / image_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_one_result_buffer():
+    # Traced peak of one call, in units of one 128x128 image.  The plain
+    # expressions peak at 4 (dh), 4 (kappa_z, p = 1) and 2 (prox_primal);
+    # a temporary brought back adds at least one image.
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(128, 128))
+    z, y = rng.normal(size=(128, 128, 2)), rng.normal(size=(128, 128, 2))
+    v = rng.normal(size=x.size)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), x)
+    limits = [("dh", lambda: dh(x), 2.1),
+              ("dh h=0.5", lambda: dh(x, 0.5), 2.1),
+              ("kappa_z", lambda: kappa_z(1, z, y), 2.1),
+              ("prox_primal", lambda: prob.prox_primal(0.1, v), 1.1)]
+    for name, call, limit in limits:
+        assert _traced_peak_in_images(call, x.nbytes) <= limit, name
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,18 @@ def test_bound_constant_degenerate_denominators_give_inf():
     assert math.isinf(sigma_max(0.5))
 
 
+@pytest.mark.parametrize("mu", [1.0, 2.0, math.nan])
+def test_bounds_dividing_by_one_minus_mu_reject_mu_from_one(mu):
+    with pytest.warns(UserWarning, match="mu"):
+        c = ProblemConstants(r_k=1.0, lambda_x=1.0, lambda_y=1.0, gtg=1.0,
+                             gtf=1.0, delta=0.1, mu=mu)
+    for bound in (lambda: bound_constant(c)[1](0.05), lambda: bound_accelerated(c),
+                  lambda: bound_linear(c),
+                  lambda: check_48(c, [StepTriple(0.05, 0.5, 1.0)])):
+        with pytest.raises(InfeasibleConstantsError, match="mu < 1"):
+            bound()
+
+
 def test_bound_accelerated_product_cap():
     c = ProblemConstants(r_k=2.0, lambda_x=0.2, l_yx=1.0, rho_y=0.1,
                          delta=0.1, mu=0.4)
