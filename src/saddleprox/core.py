@@ -10,7 +10,9 @@ iteration with step sizes (tau, sigma, omega) reads
 
 Note that the dual coupling gradient is evaluated at (x_bar, y), never
 at (x_new, y).  Problems supply the proximal maps and coupling
-gradients; the engine is agnostic to their structure.
+gradients; the engine is agnostic to their structure.  The engine
+writes each iteration into recycled arrays, so a run allocates no
+primal- or dual-size vector per iteration.
 """
 
 from __future__ import annotations
@@ -44,21 +46,31 @@ class SaddleProblem:
     with respect to the problem's inner products (``inner_primal`` /
     ``inner_dual``, plain Euclidean by default), so that discretized
     function-space problems can keep mesh-independent step sizes.
+
+    Each of the four maps takes ``out``: ``None`` (return a new array)
+    or a float vector of the result's length, which the map fills and
+    returns.  A map may instead return another array; :func:`step` then
+    copies it into ``out``.  :func:`step` passes ``out`` disjoint from
+    the arguments, except that ``prox_dual`` gets ``out`` equal to ``w``.
     """
 
     primal_dim: int
     dual_dim: int
 
-    def prox_primal(self, tau: float, v: np.ndarray) -> np.ndarray:
+    def prox_primal(self, tau: float, v: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def prox_dual(self, sigma: float, w: np.ndarray) -> np.ndarray:
+    def prox_dual(self, sigma: float, w: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_x(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_y(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -145,24 +157,67 @@ def _check_dims(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
-def step(problem: SaddleProblem, triple, state: PrimalDualState) -> PrimalDualState:
+def _check_out(problem: SaddleProblem, state: PrimalDualState,
+               out: PrimalDualState) -> None:
+    _check_dims(problem, out.x, out.y)
+    x, y, x_bar = out.x, out.y, out.x_bar
+    if x_bar.shape != x.shape or not x.dtype == y.dtype == x_bar.dtype == np.float64:
+        raise ConfigurationError("out must hold float64 vectors of the problem's sizes")
+    share = np.may_share_memory  # a bounds check, cheap enough for every step
+    if (share(x, y) or share(x, x_bar) or share(y, x_bar)
+            or any(share(a, b) for a in (x, y, x_bar) for b in (state.x, state.y))):
+        raise ConfigurationError(
+            "out must not share memory with the state's x or y, nor between its arrays")
+
+
+def _fill(buf: np.ndarray, result: np.ndarray) -> np.ndarray:
+    """``buf`` holding ``result``, which a problem may return instead of ``buf``."""
+    if result is not buf:
+        np.copyto(buf, result)
+    return buf
+
+
+def step(problem: SaddleProblem, triple, state: PrimalDualState,
+         out: Optional[PrimalDualState] = None) -> PrimalDualState:
     """One primal-dual iteration with the step triple (tau, sigma, omega).
 
     ``triple`` is anything with ``tau``, ``sigma`` and ``omega``
-    attributes.  Raises :class:`DivergenceError` if the new iterates
+    attributes.  The new iterates are written into the arrays of
+    ``out`` and ``out`` is returned with the new iteration count; with
+    ``out=None`` they go into new arrays.  ``out`` must hold float64
+    vectors that share no memory with ``state.x``, ``state.y`` or each
+    other (:class:`ConfigurationError`).  The arithmetic is the
+    plain update with every operand order kept, so both forms give the
+    same bits.  Raises :class:`DivergenceError` if the new iterates
     contain non-finite entries, carrying the 1-based iteration index.
     """
     _check_dims(problem, state.x, state.y)
+    if out is None:
+        out = PrimalDualState(x=np.empty(problem.primal_dim), y=np.empty(problem.dual_dim),
+                              x_bar=np.empty(problem.primal_dim))
+    else:
+        _check_out(problem, state, out)
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
+    x, y = state.x, state.y
 
-    x_new = problem.prox_primal(tau, state.x - tau * problem.grad_x(state.x, state.y))
-    x_bar = x_new + omega * (x_new - state.x)
-    y_new = problem.prox_dual(sigma, state.y + sigma * problem.grad_y(x_bar, state.y))
+    # x_bar holds x - tau * grad_x(x, y) until x_new is known.
+    v = _fill(out.x_bar, problem.grad_x(x, y, out=out.x_bar))
+    np.multiply(tau, v, out=v)
+    np.subtract(x, v, out=v)
+    x_new = _fill(out.x, problem.prox_primal(tau, v, out=out.x))
+    x_bar = np.subtract(x_new, x, out=out.x_bar)
+    np.multiply(omega, x_bar, out=x_bar)
+    np.add(x_new, x_bar, out=x_bar)
+    w = _fill(out.y, problem.grad_y(x_bar, y, out=out.y))
+    np.multiply(sigma, w, out=w)
+    np.add(y, w, out=w)
+    y_new = _fill(out.y, problem.prox_dual(sigma, w, out=w))
 
     it = state.iteration + 1
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         raise DivergenceError("non-finite iterate at iteration %d" % it, iteration=it)
-    return PrimalDualState(x=x_new, y=y_new, x_bar=x_bar, iteration=it)
+    out.iteration = it
+    return out
 
 
 def _distance(problem: SaddleProblem, dx: np.ndarray, dy: np.ndarray) -> float:
@@ -187,7 +242,9 @@ def solve(
     in the problem's ``inner_primal``/``inner_dual``.  Returns the final
     state and the log.  Only kept iterations are recorded: every
     ``log_stride``-th one, the last of ``max_iters`` and the one where
-    ``step_tol`` stops the run.
+    ``step_tol`` stops the run.  The loop recycles two sets of iterate
+    arrays, so ``x0`` and ``y0`` are copied first; the returned state
+    belongs to the caller.
     """
     state = PrimalDualState.initial(x0, y0)
     _check_dims(problem, state.x, state.y)
@@ -198,10 +255,12 @@ def solve(
         _check_dims(problem, *ref)
 
     records: list[IterationRecord] = []
+    spare = None  # the state of two iterations back, overwritten by the next step
     for i in range(options.max_iters):
         trip = schedule.triple(i)
         prev = state
-        state = step(problem, trip, state)
+        state = step(problem, trip, state, out=spare)
+        spare = prev
         kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
         if not (kept or options.step_tol > 0):
             continue

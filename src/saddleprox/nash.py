@@ -147,7 +147,8 @@ class NashProblem(SaddleProblem):
 
     Primal x stacks (u1, u2), dual y stacks (v1, v2), each flattened from
     (n, n).  ``pde_solves`` counts Poisson solves across all gradient
-    evaluations.
+    evaluations.  The maps concatenate the two halves into ``out``; both
+    halves are computed first, so ``out`` may be the input itself.
     """
 
     def __init__(self, config: NashConfig):
@@ -198,7 +199,8 @@ class NashProblem(SaddleProblem):
 
     value = psi
 
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_x(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Primal coupling gradient; five Poisson solves, s(u1, u2) shared."""
         c = self.config
         u1, u2 = self._split(x)
@@ -210,9 +212,10 @@ class NashProblem(SaddleProblem):
         p2 = self.solver.solve(2.0 * s_uu - s_vu - c.z2)
         g1 = np.where(c.mask1, p1, 0.0) + c.alpha1 * np.where(c.mask1, u1, 0.0)
         g2 = np.where(c.mask2, p2, 0.0) + c.alpha2 * np.where(c.mask2, u2, 0.0)
-        return np.concatenate([g1.ravel(), g2.ravel()])
+        return np.concatenate([g1.ravel(), g2.ravel()], out=out)
 
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_y(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Dual coupling gradient; four Poisson solves."""
         c = self.config
         u1, u2 = self._split(x)
@@ -221,15 +224,16 @@ class NashProblem(SaddleProblem):
         q2 = self.solver.solve(c.z2 - self.state(u1, v2))
         g1 = np.where(c.mask1, q1, 0.0) - c.alpha1 * np.where(c.mask1, v1, 0.0)
         g2 = np.where(c.mask2, q2, 0.0) - c.alpha2 * np.where(c.mask2, v2, 0.0)
-        return np.concatenate([g1.ravel(), g2.ravel()])
+        return np.concatenate([g1.ravel(), g2.ravel()], out=out)
 
-    def prox_primal(self, tau: float, v: np.ndarray) -> np.ndarray:
+    def prox_primal(self, tau: float, v: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
         u1, u2 = self._split(v)
         return np.concatenate([
             proj_box(u1, c.mask1, c.a, c.b).ravel(),
             proj_box(u2, c.mask2, c.a, c.b).ravel(),
-        ])
+        ], out=out)
 
     prox_dual = prox_primal
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,24 +32,44 @@ def _check_p(p: float) -> None:
         raise ConfigurationError("penalty flavour p must be 1 or inf, got %r" % (p,))
 
 
-def dh(x: np.ndarray, h: float = 1.0) -> np.ndarray:
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:  # also rejects NaN
+        raise ConfigurationError("%s must be positive, got %r" % (name, value))
+
+
+def _out(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> np.ndarray:
+    """The result buffer of a kernel: a new array for ``out=None``, else
+    ``out`` itself, which must be a C-contiguous float64 array of
+    ``shape`` that shares no memory with ``inputs``."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ConfigurationError("out must be a C-contiguous float64 array of shape %s"
+                                 % (shape,))
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ConfigurationError("out must not share memory with this operand")
+    return out
+
+
+def dh(x: np.ndarray, h: float = 1.0,
+       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward-difference gradient with zero rows/columns at the far edge.
 
     [dh x]_{ij0} = (x[i, j+1] - x[i, j]) / h for j < n2-1, else 0;
     [dh x]_{ij1} = (x[i+1, j] - x[i, j]) / h for i < n1-1, else 0.
 
-    Fills one result buffer in place, with the same subtraction and
-    division per entry as the plain expression, so the result is
-    bit-identical to it.  The horizontal differences are taken along the
-    flattened image, which also writes a difference across each row end
-    into the far-edge column; that column is zeroed afterwards.
+    Fills one result buffer in place (``out``, if given), with the same
+    subtraction and division per entry as the plain expression, so the
+    result is bit-identical to it.  The horizontal differences are taken
+    along the flattened image, which also writes a difference across
+    each row end into the far-edge column; that column is zeroed
+    afterwards.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ConfigurationError("image must be 2-d, got shape %s" % (x.shape,))
-    if h <= 0:
-        raise ConfigurationError("mesh width h must be positive")
-    g = np.empty(x.shape + (2,))
+    _check_positive("mesh width h", h)
+    g = _out(out, x.shape + (2,), x)
     flat = x.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=g.reshape(-1, 2)[:-1, 0])
     np.subtract(x[1:, :], x[:-1, :], out=g[:-1, :, 1])
@@ -59,23 +80,23 @@ def dh(x: np.ndarray, h: float = 1.0) -> np.ndarray:
     return g
 
 
-def dht(g: np.ndarray, h: float = 1.0) -> np.ndarray:
+def dht(g: np.ndarray, h: float = 1.0,
+        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint of :func:`dh` (negative discrete divergence).
 
-    Fills one result buffer in place and keeps the summation order of
-    accumulating into zeros: per pixel ((((0 - g_ij0) + g_i,j-1,0)
-    - g_ij1) + g_i-1,j,1) / h, terms past an edge left out.  The result
-    is therefore bit-identical to that form, signed zeros included;
-    the shorter g_i,j-1,0 - g_ij0 would turn +0 into -0 where
+    Fills one result buffer in place (``out``, if given) and keeps the
+    summation order of accumulating into zeros: per pixel ((((0 - g_ij0)
+    + g_i,j-1,0) - g_ij1) + g_i-1,j,1) / h, terms past an edge left out.
+    The result is therefore bit-identical to that form, signed zeros
+    included; the shorter g_i,j-1,0 - g_ij0 would turn +0 into -0 where
     g_ij0 = +0 and g_i,j-1,0 = -0.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 3 or g.shape[2] != 2:
         raise ConfigurationError("gradient field must have shape (n1, n2, 2)")
-    if h <= 0:
-        raise ConfigurationError("mesh width h must be positive")
+    _check_positive("mesh width h", h)
     gx, gy = g[:, :-1, 0], g[:-1, :, 1]
-    out = np.empty(g.shape[:2])
+    out = _out(out, g.shape[:2], g)
     np.subtract(0.0, gx, out=out[:, :-1])
     out[:, -1:] = 0.0
     out[:, 1:] += gx
@@ -99,10 +120,15 @@ def _pair(z: np.ndarray, y: np.ndarray):
 
 def _paired(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Paired products t, keeping the last axis: t = z*y per component
-    for p = 1, t = z_ij1*y_ij1 + z_ij2*y_ij2 per pixel for p = inf."""
+    for p = 1, t = z_ij1*y_ij1 + z_ij2*y_ij2 per pixel for p = inf.
+
+    The p = inf sum is accumulated in the buffer of its first product,
+    which keeps the order of the plain two-product sum."""
     if p == 1:
         return z * y
-    return z[..., :1] * y[..., :1] + z[..., 1:] * y[..., 1:]
+    t = z[..., :1] * y[..., :1]
+    t += z[..., 1:] * y[..., 1:]
+    return t
 
 
 def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
@@ -117,32 +143,48 @@ def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(2.0 * t - t * t))
 
 
-# dh, dht, kappa_z and prox_primal fill one buffer each.  Three further
-# in-place edits were tried and left out because they raised the peak RSS
-# of a 1024^2 solve by 4-13% through heap fragmentation, not a larger live
-# set: kappa_y in place, the update arithmetic of core.step in place, and
-# kappa_z computed inside the buffer of dh in grad_x (no faster either).
-def kappa_z(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`kappa_val` in z: 2*(1 - t)*y with t as there.
-
-    Computed in the buffer of t, in the order of the plain expression.
-    """
-    _check_p(p)
-    z, y = _pair(z, y)
-    t = _paired(p, z, y)
+def _rho_prime_times(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
+                     out: Optional[np.ndarray]) -> np.ndarray:
+    """2*(1 - t)*w with t the paired products of z and y, in the order of
+    the plain expression.  ``out`` holds products of z and y before w is
+    read, so it may be z or y but not w.  For p = inf the per-pixel t is
+    one contiguous image and each component of w is multiplied into its
+    strided view of ``out``, with no broadcast over the size-2 axis."""
+    out = _out(out, z.shape, w)
+    if p == 1:
+        t = np.multiply(z, y, out=out)
+    else:
+        t = z[..., :1] * y[..., :1]
+        t += np.multiply(z[..., 1:], y[..., 1:], out=out[..., 1:])
     np.subtract(1.0, t, out=t)
     np.multiply(2.0, t, out=t)
     if p == 1:
-        t *= y
-        return t
-    return t * y  # t has shape (..., 1) here
+        return np.multiply(t, w, out=out)
+    np.multiply(t, w[..., :1], out=out[..., :1])
+    np.multiply(t, w[..., 1:], out=out[..., 1:])
+    return out
 
 
-def kappa_y(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`kappa_val` in y: 2*(1 - t)*z with t as there."""
+def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Derivative of :func:`kappa_val` in z: 2*(1 - t)*y with t as there.
+
+    Written into ``out`` if given; ``out`` may be z itself, not y.
+    """
     _check_p(p)
     z, y = _pair(z, y)
-    return 2.0 * (1.0 - _paired(p, z, y)) * z
+    return _rho_prime_times(p, z, y, y, out)
+
+
+def kappa_y(p: float, z: np.ndarray, y: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Derivative of :func:`kappa_val` in y: 2*(1 - t)*z with t as there.
+
+    Written into ``out`` if given; ``out`` may be y itself, not z.
+    """
+    _check_p(p)
+    z, y = _pair(z, y)
+    return _rho_prime_times(p, z, y, z, out)
 
 
 def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
@@ -153,8 +195,7 @@ def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
     entries/pixels as gamma -> 0.
     """
     _check_p(p)
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
+    _check_positive("gamma", gamma)
     z = np.asarray(z, dtype=float)
     s2 = _paired(p, z, z)
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
@@ -168,8 +209,7 @@ def dual_from_primal(p: float, x: np.ndarray, gamma: float,
     pixel.  The result satisfies gamma*y = kappa_y(p, dh(x), y).
     """
     _check_p(p)
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
+    _check_positive("gamma", gamma)
     z = dh(x, h)
     return 2.0 * z / (2.0 * _paired(p, z, z) + gamma)
 
@@ -185,17 +225,20 @@ class PottsConfig:
     h: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.h <= 0:
-            raise ConfigurationError("h must be positive")
+        _check_positive("alpha", self.alpha)
+        _check_positive("gamma", self.gamma)
+        _check_positive("h", self.h)
         _check_p(self.p)
 
 
 class PottsProblem(SaddleProblem):
-    """Saddle-point form of the discontinuity-penalized denoising problem."""
+    """Saddle-point form of the discontinuity-penalized denoising problem.
+
+    The maps write into ``out`` as :class:`SaddleProblem` describes and
+    keep no workspace between calls: each gradient builds D x in a field
+    of its own.  (A field kept on the problem raised the peak RSS of a
+    1024^2 solve by 8%, through heap fragmentation.)
+    """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
         noisy = np.asarray(noisy, dtype=float)
@@ -213,25 +256,35 @@ class PottsProblem(SaddleProblem):
     def _field(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(self.shape + (2,))
 
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_x(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
+        out = _out(out, (self.primal_dim,))
         z = dh(self._img(x), c.h)
-        return dht(kappa_z(c.p, z, self._field(y)), c.h).ravel()
+        kappa_z(c.p, z, self._field(y), out=z)
+        dht(z, c.h, out=self._img(out))
+        return out
 
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_y(self, x: np.ndarray, y: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
-        z = dh(self._img(x), c.h)
-        return kappa_y(c.p, z, self._field(y)).ravel()
+        out = _out(out, (self.dual_dim,))
+        kappa_y(c.p, dh(self._img(x), c.h), self._field(y), out=self._field(out))
+        return out
 
-    def prox_primal(self, tau: float, v: np.ndarray) -> np.ndarray:
+    def prox_primal(self, tau: float, v: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
         r = tau / self.config.alpha
-        out = r * self.noisy.ravel()
+        out = _out(out, (self.primal_dim,), v)  # r * noisy goes in before v is read
+        np.multiply(r, self.noisy.ravel(), out=out)
         np.add(v, out, out=out)
         out /= 1.0 + r
         return out
 
-    def prox_dual(self, sigma: float, w: np.ndarray) -> np.ndarray:
-        return w / (1.0 + self.config.gamma * sigma)
+    def prox_dual(self, sigma: float, w: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.divide(w, 1.0 + self.config.gamma * sigma,
+                         out=_out(out, (self.dual_dim,)))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         c = self.config

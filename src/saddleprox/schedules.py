@@ -338,13 +338,14 @@ def potts_steps(
     with e the small safety margin ``POTTS_MARGIN`` and the dual
     sensitivity radius r_k = 2*l_op.
     """
-    if alpha <= 0 or gamma <= 0:
+    # "not > 0" also rejects NaN.
+    if not (alpha > 0 and gamma > 0):
         raise InfeasibleConstantsError("alpha and gamma must be positive")
-    if dynamic_range <= 0:
+    if not dynamic_range > 0:
         raise InfeasibleConstantsError("dynamic_range must be positive")
-    if gamma_bar <= 0:
+    if not gamma_bar > 0:
         raise InfeasibleConstantsError("gamma_bar must be positive")
-    if l_op <= 0:
+    if not l_op > 0:
         raise InfeasibleConstantsError("l_op must be positive")
     if mu is None:
         mu = delta
@@ -361,34 +362,39 @@ def potts_steps(
             "gtf must lie in (0, gamma), got gtf=%g, gamma=%g" % (gtf, gamma)
         )
 
-    m_x, m_y = potts_jump_bounds(p, dynamic_range, gamma_bar)
-    e = POTTS_MARGIN
-    xi_x = 1.0 / alpha - gtg
-    xi_y = gamma - gtf
-    gap = xi_x - 2.0 * l_op * m_y**2
-    if gap <= 0:
-        raise InfeasibleConstantsError(
-            "coupling-curvature feasibility fails: need xi_x > 2*l_op*m_y^2, "
-            "got xi_x=%g, 2*l_op*m_y^2=%g" % (xi_x, 2.0 * l_op * m_y**2)
-        )
-    lambda_x = 2.0 * l_op**2 * m_y**4 / gap * (1.0 + e)
-    lambda_y = m_x**2 * (1.0 + e)
+    try:
+        m_x, m_y = potts_jump_bounds(p, dynamic_range, gamma_bar)
+        e = POTTS_MARGIN
+        xi_x = 1.0 / alpha - gtg
+        xi_y = gamma - gtf
+        gap = xi_x - 2.0 * l_op * m_y**2
+        if gap <= 0:
+            raise InfeasibleConstantsError(
+                "coupling-curvature feasibility fails: need xi_x > 2*l_op*m_y^2, "
+                "got xi_x=%g, 2*l_op*m_y^2=%g" % (xi_x, 2.0 * l_op * m_y**2)
+            )
+        lambda_x = 2.0 * l_op**2 * m_y**4 / gap * (1.0 + e)
+        lambda_y = m_x**2 * (1.0 + e)
 
-    c = ProblemConstants(
-        r_k=2.0 * l_op,
-        lambda_x=lambda_x,
-        lambda_y=lambda_y,
-        l_yx=4.0 * l_op**2 * m_y,
-        xi_x=xi_x,
-        xi_y=xi_y,
-        gamma_g=1.0 / alpha,
-        gamma_f=gamma,
-        gtg=gtg,
-        gtf=gtf,
-        delta=delta,
-        mu=mu,
-    )
-    tau = (1.0 - e) * bound_linear(c)
+        c = ProblemConstants(
+            r_k=2.0 * l_op,
+            lambda_x=lambda_x,
+            lambda_y=lambda_y,
+            l_yx=4.0 * l_op**2 * m_y,
+            xi_x=xi_x,
+            xi_y=xi_y,
+            gamma_g=1.0 / alpha,
+            gamma_f=gamma,
+            gtg=gtg,
+            gtf=gtf,
+            delta=delta,
+            mu=mu,
+        )
+        tau = (1.0 - e) * bound_linear(c)
+    except OverflowError:
+        # lambda_y**2 in bound_linear overflows first, from dynamic_range ~ 1e77 on.
+        raise OverflowError("the step bounds overflow: dynamic_range %r (or l_op %r) "
+                            "is too large" % (dynamic_range, l_op)) from None
     return LinearRateRule(tau=tau, gtg=gtg, gtf=gtf).triple(0), c
 
 

@@ -77,16 +77,17 @@ class _BilinearProblem(SaddleProblem):
         self.primal_dim = primal_dim
         self.dual_dim = dual_dim
 
-    def grad_x(self, x, y):
+    # The callables return new arrays, which step copies into its ``out``.
+    def grad_x(self, x, y, out=None):
         return self._adj(y)
 
-    def grad_y(self, x, y):
+    def grad_y(self, x, y, out=None):
         return self._fwd(x)
 
-    def prox_primal(self, tau, v):
+    def prox_primal(self, tau, v, out=None):
         return self._prox_g(tau, v)
 
-    def prox_dual(self, sigma, w):
+    def prox_dual(self, sigma, w, out=None):
         return self._prox_fstar(sigma, w)
 
     def value(self, x, y):

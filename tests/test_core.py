@@ -17,7 +17,10 @@ from saddleprox.core import (
     solve,
     step,
 )
-from saddleprox.schedules import StepTriple
+from saddleprox.nash import NashProblem, manufacture
+from saddleprox.potts import PottsConfig, PottsProblem, gen_synthetic
+from saddleprox.schedules import StepTriple, potts_steps
+from saddleprox.verify import _BilinearProblem
 
 
 class ScalarBilinear(SaddleProblem):
@@ -27,16 +30,16 @@ class ScalarBilinear(SaddleProblem):
         self.primal_dim = 1
         self.dual_dim = 1
 
-    def grad_x(self, x, y):
+    def grad_x(self, x, y, out=None):
         return y.copy()
 
-    def grad_y(self, x, y):
+    def grad_y(self, x, y, out=None):
         return x.copy()
 
-    def prox_primal(self, tau, v):
+    def prox_primal(self, tau, v, out=None):
         return v
 
-    def prox_dual(self, sigma, w):
+    def prox_dual(self, sigma, w, out=None):
         return w
 
     def value(self, x, y):
@@ -54,7 +57,7 @@ class CountingObjective(ScalarBilinear):
 
 
 class NanGradient(ScalarBilinear):
-    def grad_x(self, x, y):
+    def grad_x(self, x, y, out=None):
         return np.array([np.nan])
 
 
@@ -241,3 +244,92 @@ def test_initial_state_is_detached_copy():
     assert state.iteration == 0
     assert state.x_bar[0] == 2.0
     assert state.y[0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Iterates written into recycled arrays.
+# ---------------------------------------------------------------------------
+
+
+def allocating_step(problem, triple, state):
+    """The update written as plain expressions, every vector a new array."""
+    tau, sigma, omega = triple.tau, triple.sigma, triple.omega
+    x_new = problem.prox_primal(tau, state.x - tau * problem.grad_x(state.x, state.y))
+    x_bar = x_new + omega * (x_new - state.x)
+    y_new = problem.prox_dual(sigma, state.y + sigma * problem.grad_y(x_bar, state.y))
+    return PrimalDualState(x=x_new, y=y_new, x_bar=x_bar, iteration=state.iteration + 1)
+
+
+def _engine_cases():
+    f = gen_synthetic(24, 17, 2, n_shapes=3, noise_sigma=0.05)
+    for p in (1, math.inf):
+        triple, _ = potts_steps(1.0, 1e-3, p)
+        prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+        yield "potts-p%g" % p, prob, triple, f.ravel(), np.zeros(prob.dual_dim)
+    config, _, _ = manufacture(7)
+    prob = NashProblem(config)
+    yield "nash-7", prob, StepTriple(0.5, 0.5, 1.0), np.zeros(prob.primal_dim), \
+        np.full(prob.dual_dim, 0.1)
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(5, 4)) / 3.0
+    prob = _BilinearProblem(lambda x: a @ x, lambda y: a.T @ y,
+                            lambda tau, v: v / (1.0 + tau),
+                            lambda sigma, w: w / (1.0 + 0.5 * sigma), 4, 5)
+    yield "bilinear", prob, StepTriple(0.3, 0.3, 1.0), rng.normal(size=4), \
+        rng.normal(size=5)
+
+
+def _bits(state):
+    return state.iteration, state.x.tobytes(), state.y.tobytes(), state.x_bar.tobytes()
+
+
+@pytest.mark.parametrize("case", list(_engine_cases()), ids=lambda c: c[0])
+def test_recycled_step_and_solve_match_allocating_step_bit_for_bit(case):
+    _, problem, triple, x0, y0 = case
+    want = [PrimalDualState.initial(x0, y0)]
+    for _ in range(12):
+        want.append(allocating_step(problem, triple, want[-1]))
+
+    # step into the arrays of the state from two iterations back.
+    states = [PrimalDualState.initial(x0, y0), PrimalDualState.initial(x0, y0)]
+    states[1] = step(problem, triple, states[0], out=states[1])
+    for expected in want[2:]:
+        got = step(problem, triple, states[1], out=states[0])
+        assert got is states[0]
+        states.reverse()
+        assert _bits(got) == _bits(expected)
+
+    final, records = solve(problem, triple, x0, y0,
+                           SolveOptions(max_iters=12, log_stride=5, step_tol=1e-300))
+    assert _bits(final) == _bits(want[-1])
+    assert [r.iteration for r in records] == [5, 10, 12]
+    for r in records:
+        dx = want[r.iteration].x - want[r.iteration - 1].x
+        dy = want[r.iteration].y - want[r.iteration - 1].y
+        norm = math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
+        assert r.step_norm == norm
+
+
+def test_solve_does_not_write_into_its_inputs():
+    x0, y0 = np.array([1.0]), np.array([0.0])
+    final, _ = solve(ScalarBilinear(), UNIT, x0, y0, SolveOptions(max_iters=5))
+    assert (x0[0], y0[0]) == (1.0, 0.0)
+    assert not np.may_share_memory(final.x, x0)
+
+
+def test_step_rejects_out_sharing_memory():
+    prob = ScalarBilinear()
+    state = PrimalDualState.initial(np.array([1.0]), np.array([0.0]))
+    other = PrimalDualState.initial(np.array([1.0]), np.array([0.0]))
+    bad = [state,
+           PrimalDualState(x=other.x, y=state.y, x_bar=other.x_bar),
+           PrimalDualState(x=other.x, y=other.y, x_bar=state.x),
+           PrimalDualState(x=other.x, y=other.y, x_bar=other.x),
+           PrimalDualState(x=other.x, y=other.y, x_bar=np.zeros(1, dtype=np.float32)),
+           PrimalDualState(x=other.x, y=np.zeros(2), x_bar=other.x_bar)]
+    for out in bad:
+        with pytest.raises(ConfigurationError):
+            step(prob, UNIT, state, out=out)
+    # The state's x_bar is not read, so its arrays may be reused.
+    out = PrimalDualState(x=state.x_bar, y=other.y, x_bar=other.x_bar)
+    assert step(prob, UNIT, state, out=out).x[0] == 1.0

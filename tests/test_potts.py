@@ -96,6 +96,10 @@ def test_dh_dht_validation():
         dht(np.zeros((3, 3)))
     with pytest.raises(ConfigurationError):
         dht(np.zeros((3, 3, 2)), h=-1.0)
+    with pytest.raises(ConfigurationError):
+        dh(np.zeros((3, 3)), h=math.nan)
+    with pytest.raises(ConfigurationError):
+        dht(np.zeros((3, 3, 2)), h=math.nan)
 
 
 @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
@@ -180,6 +184,60 @@ def test_kernels_are_bit_identical_to_plain_expressions(shape, h, p, entries):
     assert _same_bits(v, v_before)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (33, 17), (3, 0)],
+                         ids=lambda s: "%dx%d" % s)
+@BOTH_P
+@pytest.mark.parametrize("entries", ["normal", "special"])
+def test_kernels_fill_out_with_the_bits_they_return(shape, p, entries):
+    # Every kernel and map gives the same bits into ``out`` as into a new
+    # array, also where ``out`` is the operand it may overwrite.
+    rng = np.random.default_rng(sum(shape) + 1)
+
+    def draw(size):
+        if entries == "normal":
+            return rng.normal(size=size)
+        return rng.choice(SPECIAL_ENTRIES, size=size)
+
+    x, v = draw(shape), draw(shape).ravel()
+    z, y, w = draw(shape + (2,)), draw(shape + (2,)), draw(shape + (2,)).ravel()
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=0.5), x)
+    field, image = np.empty(shape + (2,)), np.empty(shape)
+    with np.errstate(all="ignore"):
+        for fresh, into, out in [
+                (dh(x, 0.5), lambda o: dh(x, 0.5, out=o), field),
+                (dht(z, 0.5), lambda o: dht(z, 0.5, out=o), image),
+                (kappa_z(p, z, y), lambda o: kappa_z(p, z, y, out=o), field),
+                (kappa_z(p, z, y), lambda o: kappa_z(p, o, y, out=o), z.copy()),
+                (kappa_y(p, z, y), lambda o: kappa_y(p, z, y, out=o), field),
+                (kappa_y(p, z, y), lambda o: kappa_y(p, z, o, out=o), y.copy()),
+                (prob.prox_primal(0.3, v), lambda o: prob.prox_primal(0.3, v, out=o),
+                 image.ravel()),
+                (prob.prox_dual(0.3, w), lambda o: prob.prox_dual(0.3, o, out=o), w.copy()),
+                (prob.grad_x(x.ravel(), y.ravel()),
+                 lambda o: prob.grad_x(x.ravel(), y.ravel(), out=o), image.ravel()),
+                (prob.grad_y(x.ravel(), y.ravel()),
+                 lambda o: prob.grad_y(x.ravel(), y.ravel(), out=o), field.ravel())]:
+            assert into(out) is out
+            assert _same_bits(out, fresh)
+
+
+def test_kernel_out_validation():
+    x = np.zeros((4, 3))
+    z, y = np.zeros((4, 3, 2)), np.zeros((4, 3, 2))
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), x)
+    bad = [lambda: dh(x, out=np.empty((4, 3))),                      # shape
+           lambda: dh(x, out=np.empty((4, 3, 2), dtype=np.float32)),  # dtype
+           lambda: dh(x, out=np.empty((4, 3, 4))[..., ::2]),          # strided
+           lambda: dht(z, out=z.reshape(-1)[:12].reshape(4, 3)),      # overlaps g
+           lambda: kappa_z(1, z, y, out=y),                           # overlaps y
+           lambda: kappa_y(math.inf, z, y, out=z),                    # overlaps z
+           lambda: prob.prox_primal(0.1, x.ravel(), out=x.ravel()),   # overlaps v
+           lambda: prob.grad_x(x.ravel(), y.ravel(), out=np.empty((12, 2))[:, 0])]
+    for call in bad:
+        with pytest.raises(ConfigurationError):
+            call()
+
+
 def _traced_peak_in_images(call, image_bytes):
     tracemalloc.start()
     try:
@@ -204,6 +262,21 @@ def test_kernels_allocate_one_result_buffer():
               ("prox_primal", lambda: prob.prox_primal(0.1, v), 1.1)]
     for name, call, limit in limits:
         assert _traced_peak_in_images(call, x.nbytes) <= limit, name
+
+
+def test_step_with_out_allocates_at_most_one_field():
+    # Traced peak of one engine step into recycled arrays, 128x128, p = 1,
+    # in images: each gradient builds D x in one field of its own (2
+    # images), and the strided ufuncs of dht add numpy's fixed-size
+    # iterator buffers (1.5 images at this size).  Allocating every
+    # iterate and temporary peaks at 8.
+    f = gen_synthetic(128, 128, 5, n_shapes=3, noise_sigma=0.05)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
+    trip = StepTriple(0.01, 1.0, 0.99)
+    state = step(prob, trip, PrimalDualState.initial(f.ravel(), np.zeros(prob.dual_dim)))
+    out = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
+    assert _traced_peak_in_images(lambda: step(prob, trip, state, out=out),
+                                  f.nbytes) <= 4.1
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +483,12 @@ def test_config_validation():
         PottsConfig(alpha=1.0, gamma=1e-3, p=2)
     with pytest.raises(ConfigurationError):
         PottsConfig(alpha=1.0, gamma=1e-3, p=1, h=0.0)
+    with pytest.raises(ConfigurationError):
+        PottsConfig(alpha=math.nan, gamma=1e-3, p=1)
+    with pytest.raises(ConfigurationError):
+        PottsConfig(alpha=1.0, gamma=math.nan, p=1)
+    with pytest.raises(ConfigurationError):
+        PottsConfig(alpha=1.0, gamma=1e-3, p=1, h=math.nan)
     with pytest.raises(ConfigurationError):
         PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), np.zeros(4))
 

@@ -304,6 +304,17 @@ def test_potts_steps_moduli_bounds_enforced():
         potts_steps(1.0, 1e-3, 1, gtf=1e-3)  # needs gtf < gamma
     with pytest.raises(InfeasibleConstantsError):
         potts_steps(-1.0, 1e-3, 1)
+    for name in ("dynamic_range", "gamma_bar", "l_op"):
+        with pytest.raises(InfeasibleConstantsError, match=name):
+            potts_steps(1.0, 1e-3, 1, **{name: math.nan})
+    with pytest.raises(InfeasibleConstantsError):
+        potts_steps(math.nan, 1e-3, 1)
+
+
+@pytest.mark.parametrize("p, dynamic_range", [(1, 1e300), (math.inf, 1e77)])
+def test_potts_steps_overflow_names_dynamic_range(p, dynamic_range):
+    with pytest.raises(OverflowError, match="dynamic_range"):
+        potts_steps(1.0, 1e-3, p, dynamic_range=dynamic_range)
 
 
 def test_potts_steps_curvature_feasibility():
