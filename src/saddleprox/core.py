@@ -132,12 +132,12 @@ class SolveOptions:
     record_objective: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1, got %d" % self.max_iters)
-        if self.log_stride < 1:
-            raise ConfigurationError("log_stride must be >= 1, got %d" % self.log_stride)
-        if self.step_tol < 0:
-            raise ConfigurationError("step_tol must be >= 0")
+        for name in ("max_iters", "log_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigurationError("%s must be an integer >= 1, got %r" % (name, value))
+        if not self.step_tol >= 0:  # also rejects NaN
+            raise ConfigurationError("step_tol must be >= 0, got %r" % (self.step_tol,))
 
 
 def _flat(v) -> np.ndarray:
@@ -220,8 +220,12 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     return out
 
 
-def _distance(problem: SaddleProblem, dx: np.ndarray, dy: np.ndarray) -> float:
-    """Norm of the pair (dx, dy) in the problem's inner products."""
+def _distance(problem: SaddleProblem, state: PrimalDualState, x: np.ndarray,
+              y: np.ndarray, scratch: PrimalDualState) -> float:
+    """Norm of (state.x - x, state.y - y) in the problem's inner products.
+    The differences are written into the arrays of ``scratch``."""
+    dx = np.subtract(state.x, x, out=scratch.x)
+    dy = np.subtract(state.y, y, out=scratch.y)
     return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
 
 
@@ -264,12 +268,13 @@ def solve(
         kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
         if not (kept or options.step_tol > 0):
             continue
-        step_norm = _distance(problem, state.x - prev.x, state.y - prev.y)
+        # prev's arrays, which the next step overwrites, take the differences.
+        step_norm = _distance(problem, state, prev.x, prev.y, prev)
         stop = options.step_tol > 0 and step_norm <= options.step_tol
         if kept or stop:
             dist = None
             if ref is not None:
-                dist = _distance(problem, state.x - ref[0], state.y - ref[1])
+                dist = _distance(problem, state, ref[0], ref[1], prev)
             obj = problem.primal_objective(state.x) if options.record_objective else None
             records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
                                            trip.omega, step_norm, dist, obj))

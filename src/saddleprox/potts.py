@@ -7,8 +7,9 @@ a two-component field y on the same grid.  The problem is
 
 where D is the forward-difference gradient and the coupling applies
 rho(t) = 2t - t^2 either per gradient component (p = 1) or to the
-per-pixel inner product of gradient and dual (p = inf).  Maximizing the
-dual exactly turns the coupling into the smoothed counting penalty
+per-pixel inner product of gradient and dual (p = inf), through the row
+kernel ``rho_pair``/``rho_grad`` that :mod:`verify` shares.  Maximizing
+the dual exactly turns the coupling into the smoothed counting penalty
 sum 2s^2/(2s^2 + gamma) of the gradient magnitudes s.
 
 Arrays: images have shape (n1, n2); gradient-like fields have shape
@@ -107,7 +108,8 @@ def dht(g: np.ndarray, h: float = 1.0,
     return out
 
 
-def _pair(z: np.ndarray, y: np.ndarray):
+def _pair(p: float, z: np.ndarray, y: np.ndarray):
+    _check_p(p)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if z.shape != y.shape or z.ndim != 3 or z.shape[2] != 2:
@@ -118,17 +120,57 @@ def _pair(z: np.ndarray, y: np.ndarray):
     return z, y
 
 
-def _paired(p: float, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Paired products t, keeping the last axis: t = z*y per component
-    for p = 1, t = z_ij1*y_ij1 + z_ij2*y_ij2 per pixel for p = inf.
+def rho(t: np.ndarray) -> np.ndarray:
+    """rho(t) = 2t - t^2, entrywise."""
+    return 2.0 * t - t * t
 
-    The p = inf sum is accumulated in the buffer of its first product,
-    which keeps the order of the plain two-product sum."""
-    if p == 1:
-        return z * y
+
+def rho_pair(z: np.ndarray, y: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Paired products t = <z, y> of rows: arrays of shape (..., m)
+    paired over the last axis, which t keeps with size 1.
+
+    The sum runs in component order, which gives the bits of
+    ``np.sum(z * y, axis=-1)`` for the m used here (1 and 2).  For m = 1,
+    t is written into ``out`` (of z's shape) if given; for m > 1, t is a
+    new (..., 1) array and ``out[..., 1:]`` takes the later products."""
+    if z.shape[-1] == 1:
+        return np.multiply(z, y, out=out)
     t = z[..., :1] * y[..., :1]
-    t += z[..., 1:] * y[..., 1:]
+    for k in range(1, z.shape[-1]):
+        t += np.multiply(z[..., k:k + 1], y[..., k:k + 1],
+                         out=None if out is None else out[..., k:k + 1])
     return t
+
+
+def rho_grad(z: np.ndarray, y: np.ndarray, w: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """rho'(t) w = 2(1 - t) w with t = <z, y>: with w = y the gradient of
+    rho(<z, y>) in z, with w = z the one in y.
+
+    Written into ``out`` (new if None), one component of w at a time.
+    ``out`` holds products of z and y before w is read, so it may be z or
+    y but not w."""
+    if out is None:
+        out = np.empty(w.shape)
+    t = rho_pair(z, y, out)
+    np.subtract(1.0, t, out=t)
+    np.multiply(2.0, t, out=t)
+    for k in range(w.shape[-1]):
+        np.multiply(t, w[..., k:k + 1], out=out[..., k:k + 1])
+    return out
+
+
+def rho_mixed(z: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The derivative in z of the y-gradient, applied to v:
+    2(v - t v - z <y, v>).  ``rho_mixed(y, z, v)`` is the other block."""
+    return 2.0 * (v - rho_pair(z, y) * v - z * rho_pair(y, v))
+
+
+def _rows(p: float, *fields: np.ndarray):
+    """(n1, n2, 2) fields as kernel rows: p = 1 pairs each component on
+    its own (m = 1), p = inf the two components of a pixel (m = 2)."""
+    return [f[..., None] for f in fields] if p == 1 else fields
 
 
 def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
@@ -137,32 +179,8 @@ def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     p = 1 pairs componentwise, t = z_ijk * y_ijk; p = inf pairs per
     pixel, t = z_ij1*y_ij1 + z_ij2*y_ij2.
     """
-    _check_p(p)
-    z, y = _pair(z, y)
-    t = _paired(p, z, y)
-    return float(np.sum(2.0 * t - t * t))
-
-
-def _rho_prime_times(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
-                     out: Optional[np.ndarray]) -> np.ndarray:
-    """2*(1 - t)*w with t the paired products of z and y, in the order of
-    the plain expression.  ``out`` holds products of z and y before w is
-    read, so it may be z or y but not w.  For p = inf the per-pixel t is
-    one contiguous image and each component of w is multiplied into its
-    strided view of ``out``, with no broadcast over the size-2 axis."""
-    out = _out(out, z.shape, w)
-    if p == 1:
-        t = np.multiply(z, y, out=out)
-    else:
-        t = z[..., :1] * y[..., :1]
-        t += np.multiply(z[..., 1:], y[..., 1:], out=out[..., 1:])
-    np.subtract(1.0, t, out=t)
-    np.multiply(2.0, t, out=t)
-    if p == 1:
-        return np.multiply(t, w, out=out)
-    np.multiply(t, w[..., :1], out=out[..., :1])
-    np.multiply(t, w[..., 1:], out=out[..., 1:])
-    return out
+    z, y = _pair(p, z, y)
+    return float(np.sum(rho(rho_pair(*_rows(p, z, y)))))
 
 
 def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
@@ -171,9 +189,10 @@ def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
 
     Written into ``out`` if given; ``out`` may be z itself, not y.
     """
-    _check_p(p)
-    z, y = _pair(z, y)
-    return _rho_prime_times(p, z, y, y, out)
+    z, y = _pair(p, z, y)
+    out = _out(out, z.shape, y)
+    rho_grad(*_rows(p, z, y, y, out))
+    return out
 
 
 def kappa_y(p: float, z: np.ndarray, y: np.ndarray,
@@ -182,9 +201,10 @@ def kappa_y(p: float, z: np.ndarray, y: np.ndarray,
 
     Written into ``out`` if given; ``out`` may be y itself, not z.
     """
-    _check_p(p)
-    z, y = _pair(z, y)
-    return _rho_prime_times(p, z, y, z, out)
+    z, y = _pair(p, z, y)
+    out = _out(out, z.shape, z)
+    rho_grad(*_rows(p, z, y, z, out))
+    return out
 
 
 def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
@@ -197,7 +217,7 @@ def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
     _check_p(p)
     _check_positive("gamma", gamma)
     z = np.asarray(z, dtype=float)
-    s2 = _paired(p, z, z)
+    s2 = rho_pair(*_rows(p, z, z))
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
 
 
@@ -211,7 +231,8 @@ def dual_from_primal(p: float, x: np.ndarray, gamma: float,
     _check_p(p)
     _check_positive("gamma", gamma)
     z = dh(x, h)
-    return 2.0 * z / (2.0 * _paired(p, z, z) + gamma)
+    zr = _rows(p, z)[0]
+    return (2.0 * zr / (2.0 * rho_pair(zr, zr) + gamma)).reshape(z.shape)
 
 
 @dataclass

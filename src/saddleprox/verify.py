@@ -7,9 +7,10 @@ Independent checks used by the tests and the ``verify`` CLI command:
 * equivalence of the generic engine with a hand-coded classical
   primal-dual loop on bilinear couplings;
 * the model scalar-product coupling kappa(x, y) = rho(<x, y>) with
-  rho(t) = 2t - t^2, its derivatives, the eigenvalue test for its base
-  points, and Monte-Carlo sampling of the three-point growth conditions
-  on neighbourhood balls;
+  rho(t) = 2t - t^2, through the row kernel of :mod:`potts`: its
+  derivatives, the eigenvalue test for its base points, and
+  Monte-Carlo sampling of the three-point growth conditions on
+  neighbourhood balls;
 * geometric-rate estimation from error sequences.
 """
 
@@ -22,6 +23,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import PrimalDualState, SaddleProblem, step
+from .potts import (PottsConfig, PottsProblem, dh, dht, gen_synthetic, rho, rho_grad,
+                    rho_mixed, rho_pair)
 from .schedules import InfeasibleConstantsError, StepTriple
 
 
@@ -150,32 +153,20 @@ def bilinear_reduction_check(
 
 
 def kappa_small(x: np.ndarray, y: np.ndarray):
-    """Value and derivatives of kappa(x, y) = 2<x,y> - <x,y>^2.
+    """Value and derivatives of kappa(x, y) = rho(<x, y>) = 2<x,y> - <x,y>^2
+    at one pair of m-vectors, from the row kernel of :mod:`potts`.
 
     Returns (val, gx, gy, gyx) with gx = 2y(1 - <y,x>),
-    gy = 2x(1 - <x,y>) and gyx the m x m derivative of gy in x:
-    2(I - <x,y> I - x (x) y) where (x) is the outer product.
+    gy = 2x(1 - <x,y>) and gyx the dense m x m derivative of gy in x:
+    2(I - <x,y> I - x (x) y) where (x) is the outer product.  The
+    derivative of gx in y is ``kappa_small(y, x)[3]``.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
-    t = float(np.dot(x, y))
-    val = 2.0 * t - t * t
-    gx = 2.0 * y * (1.0 - t)
-    gy = 2.0 * x * (1.0 - t)
-    m = x.size
-    gyx = 2.0 * (np.eye(m) - t * np.eye(m) - np.outer(x, y))
-    return val, gx, gy, gyx
-
-
-def kappa_small_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of gx in y: 2(I - <y,x> I - y (x) x)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    t = float(np.dot(x, y))
-    m = x.size
-    return 2.0 * (np.eye(m) - t * np.eye(m) - np.outer(y, x))
+    gyx = rho_mixed(x, y, np.eye(x.size)).T  # row k: gyx e_k
+    return float(rho(rho_pair(x, y))[0]), rho_grad(x, y, y), rho_grad(x, y, x), gyx
 
 
 def c2_check(x_hat: np.ndarray, y_hat: np.ndarray,
@@ -254,14 +245,38 @@ class ThreePointReport:
         return self.violations_a == 0 and self.violations_b == 0
 
 
-def _ball(rng: np.random.Generator, center: np.ndarray, rho: float,
+def _ball(rng: np.random.Generator, center: np.ndarray, radius: float,
           n: int) -> np.ndarray:
-    """n points uniform in the ball B(center, rho)."""
+    """n points uniform in the ball B(center, radius)."""
     m = center.size
     g = rng.standard_normal((n, m))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    r = rho * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / m)
+    r = radius * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / m)
     return center[None, :] + g * r
+
+
+def _three_point_margins(x_hat, y_hat, c: KappaConstants, xs, xps, ys, yps):
+    """Margins of the two three-point conditions for sample rows
+    (x, x', y, y'), evaluated literally with the rho kernel."""
+    xh = np.broadcast_to(x_hat, xs.shape)
+    yh = np.broadcast_to(y_hat, ys.shape)
+
+    # Condition A.
+    lhs_a = rho_pair(rho_grad(xps, yh, yh) - rho_grad(xh, yh, yh), xs - xh) \
+        + c.xi_x * rho_pair(xs - xh, xs - xh)
+    resid_a = rho_grad(xh, ys, xh) - rho_grad(xs, ys, xs) - rho_mixed(xs, ys, xh - xs)
+    rhs_a = c.theta_x * np.sqrt(rho_pair(resid_a, resid_a)) \
+        - 0.5 * c.lambda_x * rho_pair(xs - xps, xs - xps)
+
+    # Condition B.
+    lhs_b = rho_pair(rho_grad(xs, ys, xs) - rho_grad(xs, yps, xs)
+                     + rho_grad(xh, yh, xh) - rho_grad(xh, ys, xh), ys - yh) \
+        + c.xi_y * rho_pair(ys - yh, ys - yh)
+    resid_b = rho_grad(xps, yh, yh) - rho_grad(xps, yps, yps) \
+        - rho_mixed(yps, xps, yh - yps)
+    rhs_b = c.theta_y * np.sqrt(rho_pair(resid_b, resid_b)) \
+        - 0.5 * c.lambda_y * rho_pair(ys - yps, ys - yps)
+    return lhs_a - rhs_a, lhs_b - rhs_b
 
 
 def three_point_sample(
@@ -290,41 +305,7 @@ def three_point_sample(
     ys = _ball(rng, y_hat, c.rho_y, n_samples)
     yps = _ball(rng, y_hat, c.rho_y, n_samples)
 
-    def dot(a, b):
-        return np.sum(a * b, axis=1)
-
-    def g_x(x, y):
-        # 2 y (1 - <y, x>) rowwise
-        return 2.0 * y * (1.0 - dot(y, x))[:, None]
-
-    def g_y(x, y):
-        return 2.0 * x * (1.0 - dot(x, y))[:, None]
-
-    def g_yx_apply(x, y, v):
-        # [2(I - <x,y> I - x (x) y)] v rowwise
-        return 2.0 * (v - dot(x, y)[:, None] * v - x * dot(y, v)[:, None])
-
-    def g_xy_apply(x, y, v):
-        return 2.0 * (v - dot(x, y)[:, None] * v - y * dot(x, v)[:, None])
-
-    xh = np.broadcast_to(x_hat, xs.shape)
-    yh = np.broadcast_to(y_hat, ys.shape)
-
-    # Condition A.
-    lhs_a = dot(g_x(xps, yh) - g_x(xh, yh), xs - xh) + c.xi_x * dot(xs - xh, xs - xh)
-    resid_a = g_y(xh, ys) - g_y(xs, ys) - g_yx_apply(xs, ys, xh - xs)
-    rhs_a = c.theta_x * np.sqrt(dot(resid_a, resid_a)) \
-        - 0.5 * c.lambda_x * dot(xs - xps, xs - xps)
-    margins_a = lhs_a - rhs_a
-
-    # Condition B.
-    lhs_b = dot(g_y(xs, ys) - g_y(xs, yps) + g_y(xh, yh) - g_y(xh, ys), ys - yh) \
-        + c.xi_y * dot(ys - yh, ys - yh)
-    resid_b = g_x(xps, yh) - g_x(xps, yps) - g_xy_apply(xps, yps, yh - yps)
-    rhs_b = c.theta_y * np.sqrt(dot(resid_b, resid_b)) \
-        - 0.5 * c.lambda_y * dot(ys - yps, ys - yps)
-    margins_b = lhs_b - rhs_b
-
+    margins_a, margins_b = _three_point_margins(x_hat, y_hat, c, xs, xps, ys, yps)
     return ThreePointReport(
         n_samples=n_samples,
         violations_a=int(np.sum(margins_a < -tol)),
@@ -492,8 +473,6 @@ def _tol_result(value: float, tol: float, detail: str = "") -> CheckResult:
 
 
 def _check_adjoint(seed: int) -> CheckResult:
-    from .potts import dh, dht
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
@@ -507,8 +486,6 @@ def _check_adjoint(seed: int) -> CheckResult:
 
 
 def _check_grad_potts(seed: int, p: float) -> CheckResult:
-    from .potts import PottsConfig, PottsProblem, gen_synthetic
-
     f = gen_synthetic(8, 8, seed + 1, n_shapes=3, noise_sigma=0.05)
     problem = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
     rng = np.random.default_rng(seed)
@@ -531,8 +508,6 @@ def _check_grad_nash(seed: int) -> CheckResult:
 
 
 def _check_bilinear(seed: int) -> CheckResult:
-    from .potts import dh, dht, gen_synthetic
-
     n1 = n2 = 16
     f = gen_synthetic(n1, n2, seed + 2, n_shapes=3, noise_sigma=0.05).ravel()
     alpha, gamma = 1.0, 1e-2
@@ -599,8 +574,6 @@ def _check_poisson_roundtrip(seed: int) -> CheckResult:
 
 
 def _check_gradnorm_bound(seed: int) -> CheckResult:
-    from .potts import dh, dht
-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((32, 32))
     v /= np.linalg.norm(v)

@@ -228,7 +228,8 @@ def test_divergence_error_carries_iteration():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(max_iters=0), dict(max_iters=-3), dict(log_stride=0), dict(step_tol=-1.0)],
+    [dict(max_iters=0), dict(max_iters=-3), dict(log_stride=0), dict(step_tol=-1.0),
+     dict(step_tol=math.nan), dict(max_iters=2.5), dict(log_stride=1.5)],
 )
 def test_solve_options_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -299,15 +300,71 @@ def test_recycled_step_and_solve_match_allocating_step_bit_for_bit(case):
         states.reverse()
         assert _bits(got) == _bits(expected)
 
+    ref = (want[4].x + 0.25, want[4].y - 0.5)
+    ref_bits = ref[0].tobytes(), ref[1].tobytes()
     final, records = solve(problem, triple, x0, y0,
-                           SolveOptions(max_iters=12, log_stride=5, step_tol=1e-300))
+                           SolveOptions(max_iters=12, log_stride=5, step_tol=1e-300,
+                                        reference=ref))
     assert _bits(final) == _bits(want[-1])
+    assert (ref[0].tobytes(), ref[1].tobytes()) == ref_bits
     assert [r.iteration for r in records] == [5, 10, 12]
+
+    def norm(dx, dy):
+        return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
+
     for r in records:
-        dx = want[r.iteration].x - want[r.iteration - 1].x
-        dy = want[r.iteration].y - want[r.iteration - 1].y
-        norm = math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
-        assert r.step_norm == norm
+        it = want[r.iteration]
+        assert r.step_norm == norm(it.x - want[r.iteration - 1].x,
+                                   it.y - want[r.iteration - 1].y)
+        assert r.dist_to_ref == norm(it.x - ref[0], it.y - ref[1])
+
+
+class OutRecorder(SaddleProblem):
+    """K(x, y) = <y, x> on R^3 with identity proxes.  Keeps every ``out``
+    that step hands it, and every vector whose inner product is taken."""
+
+    primal_dim = dual_dim = 3
+
+    def __init__(self):
+        self.outs, self.inner = [], []
+
+    def _into(self, out, v):
+        self.outs.append(out)
+        np.copyto(out, v)
+        return out
+
+    def grad_x(self, x, y, out=None):
+        return self._into(out, y)
+
+    def grad_y(self, x, y, out=None):
+        return self._into(out, x)
+
+    def prox_primal(self, tau, v, out=None):
+        return self._into(out, v)
+
+    def prox_dual(self, sigma, w, out=None):
+        return self._into(out, w)
+
+    def inner_primal(self, v, w):
+        self.inner += [v, w]
+        return float(np.dot(v, w))
+
+    inner_dual = inner_primal
+
+
+def test_solve_measures_norms_in_recycled_arrays():
+    # Step norms and reference distances are taken in the iterate arrays
+    # that the next step overwrites, not in new primal- or dual-size arrays.
+    prob = OutRecorder()
+    ref = (np.ones(3), np.ones(3))
+    _, records = solve(prob, StepTriple(0.5, 0.5, 1.0), np.arange(1.0, 4.0), np.zeros(3),
+                       SolveOptions(max_iters=6, log_stride=2, step_tol=1e-300,
+                                    reference=ref))
+    assert [r.iteration for r in records] == [2, 4, 6]
+    assert all(r.dist_to_ref is not None for r in records)
+    recycled = {out.ctypes.data for out in prob.outs}
+    assert len(prob.inner) == 6 * 4 + 3 * 4
+    assert {v.ctypes.data for v in prob.inner} <= recycled
 
 
 def test_solve_does_not_write_into_its_inputs():

@@ -11,11 +11,11 @@ from saddleprox.verify import (
     CheckResult,
     KappaConstants,
     ThreePointReport,
+    _three_point_margins,
     bilinear_reduction_check,
     c2_check,
     fd_grad_check,
     kappa_small,
-    kappa_small_xy,
     lift_constants,
     rate_fit,
     shrink_rho,
@@ -108,7 +108,7 @@ def test_kappa_small_hand_values():
     assert gx[0] == pytest.approx(0.4375, abs=0)
     assert gy[0] == pytest.approx(0.875, abs=0)
     assert gyx[0, 0] == pytest.approx(1.5, abs=0)
-    assert kappa_small_xy(np.array([0.5]), np.array([0.25]))[0, 0] == pytest.approx(1.5)
+    assert kappa_small(np.array([0.25]), np.array([0.5]))[3][0, 0] == pytest.approx(1.5)
 
 
 def test_kappa_small_derivatives_match_finite_differences():
@@ -124,7 +124,7 @@ def test_kappa_small_derivatives_match_finite_differences():
         fd_gy = (kappa_small(x + eps * v, y)[2] - kappa_small(x - eps * v, y)[2]) / (2 * eps)
         assert np.allclose(fd_gy, gyx @ v, rtol=1e-6, atol=1e-8)
         fd_gx = (kappa_small(x, y + eps * v)[1] - kappa_small(x, y - eps * v)[1]) / (2 * eps)
-        assert np.allclose(fd_gx, kappa_small_xy(x, y) @ v, rtol=1e-6, atol=1e-8)
+        assert np.allclose(fd_gx, kappa_small(y, x)[3] @ v, rtol=1e-6, atol=1e-8)
 
 
 def test_kappa_small_rejects_length_mismatch():
@@ -192,6 +192,53 @@ def test_feasibility_base_point_eigenvalue_branch():
                        xi_x=100.0, xi_y=1.0, rho_x=0.1, rho_y=0.1)
     with pytest.raises(InfeasibleConstantsError, match="eigenvalue"):
         three_point_sample(np.array([2.0]), np.array([1.2]), c, n_samples=10)
+
+
+def _closure_margins(x_hat, y_hat, c, xs, xps, ys, yps):
+    # The three-point margins written out with row-wise closures, as
+    # before the rho kernel: the reference for bit parity.
+    def dot(a, b):
+        return np.sum(a * b, axis=1)
+
+    def g_x(x, y):
+        return 2.0 * y * (1.0 - dot(y, x))[:, None]
+
+    def g_y(x, y):
+        return 2.0 * x * (1.0 - dot(x, y))[:, None]
+
+    def g_yx_apply(x, y, v):
+        return 2.0 * (v - dot(x, y)[:, None] * v - x * dot(y, v)[:, None])
+
+    def g_xy_apply(x, y, v):
+        return 2.0 * (v - dot(x, y)[:, None] * v - y * dot(x, v)[:, None])
+
+    xh = np.broadcast_to(x_hat, xs.shape)
+    yh = np.broadcast_to(y_hat, ys.shape)
+    lhs_a = dot(g_x(xps, yh) - g_x(xh, yh), xs - xh) + c.xi_x * dot(xs - xh, xs - xh)
+    resid_a = g_y(xh, ys) - g_y(xs, ys) - g_yx_apply(xs, ys, xh - xs)
+    rhs_a = c.theta_x * np.sqrt(dot(resid_a, resid_a)) \
+        - 0.5 * c.lambda_x * dot(xs - xps, xs - xps)
+    lhs_b = dot(g_y(xs, ys) - g_y(xs, yps) + g_y(xh, yh) - g_y(xh, ys), ys - yh) \
+        + c.xi_y * dot(ys - yh, ys - yh)
+    resid_b = g_x(xps, yh) - g_x(xps, yps) - g_xy_apply(xps, yps, yh - yps)
+    rhs_b = c.theta_y * np.sqrt(dot(resid_b, resid_b)) \
+        - 0.5 * c.lambda_y * dot(ys - yps, ys - yps)
+    return lhs_a - rhs_a, lhs_b - rhs_b
+
+
+@pytest.mark.parametrize("x_hat, y_hat", [((0.6,), (0.2,)), ((0.5, 0.1), (0.15, 0.05))],
+                         ids=["m1", "m2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_three_point_margins_are_bit_identical_to_closures(x_hat, y_hat, seed):
+    rng = np.random.default_rng(seed)
+    x_hat, y_hat = np.array(x_hat), np.array(y_hat)
+    xs, xps = (x_hat + rng.normal(scale=0.5, size=(400, x_hat.size)) for _ in range(2))
+    ys, yps = (y_hat + rng.normal(scale=0.5, size=(400, y_hat.size)) for _ in range(2))
+    new = _three_point_margins(x_hat, y_hat, GOOD_CONSTANTS, xs, xps, ys, yps)
+    old = _closure_margins(x_hat, y_hat, GOOD_CONSTANTS, xs, xps, ys, yps)
+    for a, b in zip(new, old):
+        assert a.size == b.size == 400 and a.tobytes() == b.tobytes()
+    assert min(np.min(new[0]), np.min(new[1])) < 0.0  # violations are compared too
 
 
 def test_shrink_rho_finds_admissible_radii():
