@@ -43,8 +43,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigurationError("grid needs n >= 2 interior nodes per direction")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ConfigurationError("grid needs an integer n >= 2, got %r" % (self.n,))
 
     @property
     def h(self) -> float:
@@ -138,7 +138,7 @@ class NashConfig:
                                          % (name, arr.shape, n, n))
         if not (self.a < 0 < self.b):
             raise ConfigurationError("control box must contain 0: a < 0 < b")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
+        if not (self.alpha1 > 0 and self.alpha2 > 0):  # also rejects NaN
             raise ConfigurationError("control costs alpha_k must be positive")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -68,7 +68,7 @@ class AcceleratedRule:
     gtg: float
 
     def __post_init__(self):
-        if self.gtg <= 0:
+        if not self.gtg > 0:  # also rejects NaN
             raise InfeasibleConstantsError("accelerated rule needs gtg > 0")
 
     def triple(self, i: int) -> StepTriple:
@@ -85,7 +85,7 @@ class LinearRateRule:
     gtf: float
 
     def __post_init__(self):
-        if self.gtg <= 0 or self.gtf <= 0:
+        if not (self.gtg > 0 and self.gtf > 0):
             raise InfeasibleConstantsError("linear-rate rule needs gtg > 0 and gtf > 0")
 
     @property
@@ -116,6 +116,7 @@ class ProblemConstants:
     about, not rejected, since some closed-form bounds remain sensible
     in degenerate limits; the step bounds and ``check_48`` divide by
     1 - mu and raise :class:`InfeasibleConstantsError` for mu >= 1).
+    A NaN in any other field raises :class:`InfeasibleConstantsError`.
     """
 
     r_k: float
@@ -136,7 +137,10 @@ class ProblemConstants:
     mu: float = 0.1
 
     def __post_init__(self):
-        if self.r_k < 0:
+        if any(math.isnan(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("delta", "mu")):
+            raise InfeasibleConstantsError("constants must not be NaN: %r" % (self,))
+        if not self.r_k >= 0:
             raise InfeasibleConstantsError("r_k must be >= 0")
         if not (0.0 < self.delta <= self.mu < 1.0):
             warnings.warn(
@@ -203,7 +207,7 @@ def bound_linear(c: ProblemConstants) -> float:
     (r_k^2/(1-mu) + 2*gtg*lambda_y) * tau^2 + lambda_y * tau = gtf/gtg,
     written in the cancellation-free form.
     """
-    if c.gtg <= 0 or c.gtf <= 0:
+    if not (c.gtg > 0 and c.gtf > 0):
         raise InfeasibleConstantsError("linear-rate bound needs gtg > 0 and gtf > 0")
     ratio = c.gtf / c.gtg
     quad = c.r_k**2 / _one_minus_mu(c) + 2.0 * c.gtg * c.lambda_y
@@ -227,7 +231,7 @@ def derive_theta_lambda_primal(gamma_x: float, l_x_at_yhat: float, l_yx: float,
         raise InfeasibleConstantsError(
             "alpha must lie in (0, gamma_x], got alpha=%g, gamma_x=%g" % (alpha, gamma_x)
         )
-    if l_yx <= 0:
+    if not l_yx > 0:
         raise InfeasibleConstantsError("l_yx must be positive")
     theta_x = 2.0 * (gamma_x - alpha) / l_yx
     lambda_x = l_x_at_yhat**2 / (2.0 * alpha)
@@ -250,9 +254,9 @@ def derive_theta_lambda_dual(gamma_y: float, l_y_bar: float, l_xy: float,
             "alpha1 must lie in (0, gamma_y], got alpha1=%g, gamma_y=%g"
             % (alpha1, gamma_y)
         )
-    if alpha2 <= 0:
+    if not alpha2 > 0:
         raise InfeasibleConstantsError("alpha2 must be positive")
-    if l_xy <= 0:
+    if not l_xy > 0:
         raise InfeasibleConstantsError("l_xy must be positive")
     theta_y = 2.0 * (gamma_y - alpha1) / ((1.0 + alpha2) * l_xy)
     lambda_y = l_y_bar**2 / (2.0 * alpha1) + (1.0 + 1.0 / alpha2) * l_xy * theta_y
@@ -562,7 +566,8 @@ class LocalityBudget:
     delta_y: float
 
     def __post_init__(self):
-        if min(self.r_max, self.nu, self.r_y, self.delta_x, self.delta_y) < 0:
+        if not all(v >= 0 for v in (self.r_max, self.nu, self.r_y, self.delta_x,
+                                      self.delta_y)):
             raise InfeasibleConstantsError("locality budget entries must be >= 0")
 
 

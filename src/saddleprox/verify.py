@@ -49,23 +49,21 @@ def fd_grad_check(
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     rng = np.random.default_rng(seed)
-    gx = problem.grad_x(x, y)
-    gy = problem.grad_y(x, y)
+    blocks = (  # (size, pairing, gradient, value at a shifted block)
+        (problem.primal_dim, problem.inner_primal, problem.grad_x(x, y),
+         lambda s: problem.value(x + s, y)),
+        (problem.dual_dim, problem.inner_dual, problem.grad_y(x, y),
+         lambda s: problem.value(x, y + s)),
+    )
     worst = 0.0
-    for _ in range(n_dirs):
-        d = rng.standard_normal(problem.primal_dim)
-        d /= np.linalg.norm(d)
-        fd = (problem.value(x + h * d, y) - problem.value(x - h * d, y)) / (2.0 * h)
-        an = problem.inner_primal(gx, d)
-        scale = math.sqrt(problem.inner_primal(gx, gx) * problem.inner_primal(d, d))
-        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), scale, 1e-300))
-    for _ in range(n_dirs):
-        d = rng.standard_normal(problem.dual_dim)
-        d /= np.linalg.norm(d)
-        fd = (problem.value(x, y + h * d) - problem.value(x, y - h * d)) / (2.0 * h)
-        an = problem.inner_dual(gy, d)
-        scale = math.sqrt(problem.inner_dual(gy, gy) * problem.inner_dual(d, d))
-        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), scale, 1e-300))
+    for dim, inner, grad, shifted in blocks:
+        for _ in range(n_dirs):
+            d = rng.standard_normal(dim)
+            d /= np.linalg.norm(d)
+            fd = (shifted(h * d) - shifted(-h * d)) / (2.0 * h)
+            an = inner(grad, d)
+            scale = math.sqrt(inner(grad, grad) * inner(d, d))
+            worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), scale, 1e-300))
     return worst
 
 
@@ -173,13 +171,12 @@ def c2_check(x_hat: np.ndarray, y_hat: np.ndarray,
              tol: float = 1e-12) -> tuple[bool, float, float]:
     """Base-point admissibility for the scalar-product coupling.
 
-    Forms M = <x,y> I + x (x) y and checks that the eigenvalues of its
-    symmetric part lie in [0, 2].  Returns (ok, eig_min, eig_max).
+    Forms M = I - gyx/2 = <x,y> I + x (x) y from the derivative gyx of
+    :func:`kappa_small` and checks that the eigenvalues of its symmetric
+    part lie in [0, 2].  Returns (ok, eig_min, eig_max).
     """
-    x = np.asarray(x_hat, dtype=float).ravel()
-    y = np.asarray(y_hat, dtype=float).ravel()
-    t = float(np.dot(x, y))
-    m = t * np.eye(x.size) + np.outer(x, y)
+    gyx = kappa_small(x_hat, y_hat)[3]
+    m = np.eye(gyx.shape[0]) - 0.5 * gyx
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     lo, hi = float(eigs[0]), float(eigs[-1])
     return (lo >= -tol and hi <= 2.0 + tol), lo, hi
@@ -199,11 +196,12 @@ class KappaConstants:
     rho_y: float
 
     def __post_init__(self):
-        if self.theta_x <= 0 or self.theta_y <= 0:
+        # "not > 0" and "not >= 0" also reject NaN.
+        if not (self.theta_x > 0 and self.theta_y > 0):
             raise InfeasibleConstantsError("theta_x and theta_y must be positive")
-        if self.lambda_x < 0 or self.lambda_y < 0:
+        if not (self.lambda_x >= 0 and self.lambda_y >= 0):
             raise InfeasibleConstantsError("lambda_x and lambda_y must be >= 0")
-        if self.rho_x < 0 or self.rho_y < 0:
+        if not (self.rho_x >= 0 and self.rho_y >= 0):
             raise InfeasibleConstantsError("radii must be >= 0")
 
 
@@ -334,7 +332,7 @@ def shrink_rho(
     which lies strictly inside the region rather than on its boundary.
     """
     rho_x, rho_y = c.rho_x, c.rho_y
-    if rho_x <= 0 or rho_y <= 0:
+    if not (rho_x > 0 and rho_y > 0):
         raise InfeasibleConstantsError("shrink_rho needs positive starting radii")
     previous_passed = False
     for k in range(max_halvings + 1):
@@ -392,7 +390,7 @@ def lift_constants(
     theta_y' = theta_y/||A||, l_x = ||A||^2*l_z, l_yx = ||A||^2*l_yz;
     the dual-side constants are unchanged.
     """
-    if a_norm <= 0:
+    if not a_norm > 0:
         raise InfeasibleConstantsError("operator norm must be positive")
     return LiftedConstants(
         r_k=r_k * a_norm,
@@ -508,26 +506,19 @@ def _check_grad_nash(seed: int) -> CheckResult:
 
 
 def _check_bilinear(seed: int) -> CheckResult:
-    n1 = n2 = 16
-    f = gen_synthetic(n1, n2, seed + 2, n_shapes=3, noise_sigma=0.05).ravel()
-    alpha, gamma = 1.0, 1e-2
+    f = gen_synthetic(16, 16, seed + 2, n_shapes=3, noise_sigma=0.05)
+    potts = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-2, p=1), f)
 
     def a_fwd(v):
-        return dh(v.reshape(n1, n2)).ravel()
+        return dh(v.reshape(f.shape)).ravel()
 
     def a_adj(w):
-        return dht(w.reshape(n1, n2, 2)).ravel()
-
-    def prox_g(tau, v):
-        return (v + (tau / alpha) * f) / (1.0 + tau / alpha)
-
-    def prox_fstar(sigma, w):
-        return w / (1.0 + sigma * gamma)
+        return dht(w.reshape(f.shape + (2,))).ravel()
 
     triple = StepTriple(tau=0.1, sigma=0.9 / (8.0 * 0.1), omega=1.0)
     worst = bilinear_reduction_check(
-        (a_fwd, a_adj), prox_g, prox_fstar, triple, 100,
-        f.copy(), np.zeros(f.size * 2))
+        (a_fwd, a_adj), potts.prox_primal, potts.prox_dual, triple, 100,
+        f.ravel(), np.zeros(f.size * 2))
     return _tol_result(worst, 1e-12)
 
 

@@ -124,6 +124,7 @@ def test_roundtrip_over_a_larger_existing_file(tmp_path, n1, n2, seed, maxval,
                                                binary):
     img = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(n1, n2))
     path = tmp_path / "img.pgm"
+    path.unlink(missing_ok=True)  # truncating an existing file forces writeback on ext4
     path.write_bytes(b"\xff" * 4096)
     write_pgm(path, img, maxval=maxval, binary=binary, comments=["seed = %d" % seed])
     back, mv = read_pgm(path)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddleprox.core import ConfigurationError
+from saddleprox.nash import Grid, manufacture
 from saddleprox.schedules import (
     POTTS_PRESETS,
     AcceleratedRule,
@@ -29,6 +31,7 @@ from saddleprox.schedules import (
     potts_steps,
     r_max_initial,
 )
+from saddleprox.verify import KappaConstants, lift_constants, shrink_rho
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -554,3 +557,55 @@ def test_check_52_empty_schedule_rejected():
     budget = LocalityBudget(r_max=0.5, nu=1.0, r_y=0.25, delta_x=0.4, delta_y=0.6)
     with pytest.raises(InfeasibleConstantsError):
         check_52(c, budget, [], 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# NaN and non-integer parameters are rejected, not read as valid values.
+# ---------------------------------------------------------------------------
+
+
+def _kappa_constants(**changes):
+    base = dict(theta_x=0.05, theta_y=0.05, lambda_x=1.0, lambda_y=1.0,
+                xi_x=0.5, xi_y=0.1, rho_x=0.05, rho_y=0.05)
+    return KappaConstants(**{**base, **changes})
+
+
+nan = math.nan
+NAN_CASES = {
+    "constants-r_k": lambda: ProblemConstants(r_k=nan),
+    "bound_constant-lambda_x": lambda: bound_constant(ProblemConstants(r_k=1.0, lambda_x=nan)),
+    "check_48-lambda_x": lambda: check_48(ProblemConstants(r_k=1.0, lambda_x=nan),
+                                          [StepTriple(0.1, 0.1, 1.0)]),
+    "constants-rho_y": lambda: ProblemConstants(r_k=1.0, l_yx=1.0, rho_y=nan),
+    "accelerated-gtg": lambda: AcceleratedRule(0.1, 0.1, nan),
+    "linear-rule-gtg": lambda: LinearRateRule(0.1, nan, 1.0),
+    "linear-rule-gtf": lambda: LinearRateRule(0.1, 1.0, nan),
+    "bound_linear-gtg": lambda: bound_linear(ProblemConstants(r_k=1.0, gtg=nan, gtf=1.0)),
+    "primal-pair-l_yx": lambda: derive_theta_lambda_primal(1.0, 1.0, nan, 0.5),
+    "dual-pair-alpha2": lambda: derive_theta_lambda_dual(1.0, 1.0, 1.0, 0.5, nan),
+    "dual-pair-l_xy": lambda: derive_theta_lambda_dual(1.0, 1.0, nan, 0.5, 1.0),
+    "budget-r_max": lambda: LocalityBudget(nan, 1.0, 1.0, 1.0, 1.0),
+    "budget-nu": lambda: LocalityBudget(1.0, nan, 1.0, 1.0, 1.0),
+    "kappa-theta_x": lambda: _kappa_constants(theta_x=nan),
+    "kappa-lambda_y": lambda: _kappa_constants(lambda_y=nan),
+    "kappa-rho_y": lambda: _kappa_constants(rho_y=nan),
+    "shrink_rho-rho_x": lambda: shrink_rho(np.array([0.6]), np.array([0.2]),
+                                           _kappa_constants(rho_x=nan), n_samples=10),
+    "lift-a_norm": lambda: lift_constants(nan, *[1.0] * 11),
+    "nash-alpha1": lambda: dataclasses.replace(manufacture(7)[0], alpha1=nan),
+    "nash-alpha2": lambda: dataclasses.replace(manufacture(7)[0], alpha2=nan),
+    "grid-2.5": lambda: Grid(2.5),
+    "grid-7.0": lambda: Grid(7.0),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_and_non_integer_parameters_are_rejected(case):
+    # The Nash model raises ConfigurationError; the step theory InfeasibleConstantsError.
+    error = ConfigurationError if case.startswith(("nash-", "grid-")) else InfeasibleConstantsError
+    with pytest.raises(error):
+        NAN_CASES[case]()
+
+
+def test_grid_accepts_numpy_integers():
+    assert Grid(np.int64(7)).h == Grid(7).h == 1.0 / 8.0

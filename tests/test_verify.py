@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from saddleprox.nash import NashProblem, manufacture
 from saddleprox.potts import PottsConfig, PottsProblem, dh, dht, gen_synthetic
 from saddleprox.schedules import InfeasibleConstantsError, StepTriple
 from saddleprox.verify import (
@@ -66,6 +69,55 @@ def test_fd_grad_check_catches_sign_flip_in_dual():
     prob, x, y = _potts_state()
     mut = Mutant(prob.config, prob.noisy)
     assert fd_grad_check(mut, x, y, h=1e-5, n_dirs=30, seed=0) > 1e-1
+
+
+def _two_loop_fd_grad_check(problem, x, y, h, n_dirs, seed):
+    # fd_grad_check with one loop per block, as before the blocks shared
+    # one loop: the reference for exact parity.
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    rng = np.random.default_rng(seed)
+    gx = problem.grad_x(x, y)
+    gy = problem.grad_y(x, y)
+    worst = 0.0
+    for _ in range(n_dirs):
+        d = rng.standard_normal(problem.primal_dim)
+        d /= np.linalg.norm(d)
+        fd = (problem.value(x + h * d, y) - problem.value(x - h * d, y)) / (2.0 * h)
+        an = problem.inner_primal(gx, d)
+        scale = math.sqrt(problem.inner_primal(gx, gx) * problem.inner_primal(d, d))
+        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), scale, 1e-300))
+    for _ in range(n_dirs):
+        d = rng.standard_normal(problem.dual_dim)
+        d /= np.linalg.norm(d)
+        fd = (problem.value(x, y + h * d) - problem.value(x, y - h * d)) / (2.0 * h)
+        an = problem.inner_dual(gy, d)
+        scale = math.sqrt(problem.inner_dual(gy, gy) * problem.inner_dual(d, d))
+        worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), scale, 1e-300))
+    return worst
+
+
+def _nash_state():
+    config, x_star, y_star = manufacture(7)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(17)
+    return (prob, x_star + 0.05 * rng.normal(size=prob.primal_dim),
+            y_star + 0.05 * rng.normal(size=prob.dual_dim))
+
+
+def _potts_inf_state():
+    prob, x, y = _potts_state()
+    return PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=math.inf), prob.noisy), x, y
+
+
+@pytest.mark.parametrize("state", [_potts_state, _potts_inf_state, _nash_state],
+                         ids=["potts-p1", "potts-pinf", "nash-7"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fd_grad_check_matches_two_loop_form(state, seed):
+    prob, x, y = state()
+    new = fd_grad_check(prob, x, y, h=1e-5, n_dirs=12, seed=seed)
+    assert new == _two_loop_fd_grad_check(prob, x, y, h=1e-5, n_dirs=12, seed=seed)
+    assert new > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +193,34 @@ def test_c2_check_boundary_and_failure():
     ok, lo, _ = c2_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert not ok and lo == pytest.approx(-0.5, rel=1e-12)
     assert c2_check(np.array([0.3]), np.array([0.3]))[0]
+
+
+def _outer_c2_check(x_hat, y_hat, tol=1e-12):
+    # c2_check with M = <x,y> I + x (x) y written out, as before it was
+    # formed from kappa_small: the reference for parity.
+    x = np.asarray(x_hat, dtype=float).ravel()
+    y = np.asarray(y_hat, dtype=float).ravel()
+    m = float(np.dot(x, y)) * np.eye(x.size) + np.outer(x, y)
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    return (lo >= -tol and hi <= 2.0 + tol), lo, hi
+
+
+_entries = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.lists(_entries, min_size=m, max_size=m),
+                        st.lists(_entries, min_size=m, max_size=m))))
+def test_c2_check_matches_outer_product_form(pair):
+    x, y = (np.array(v) for v in pair)
+    ok, lo, hi = c2_check(x, y)
+    ok_ref, lo_ref, hi_ref = _outer_c2_check(x, y)
+    scale = max(abs(lo_ref), abs(hi_ref), 1.0)  # the 1 that I - gyx/2 cancels
+    assert abs(lo - lo_ref) <= 1e-14 * scale and abs(hi - hi_ref) <= 1e-14 * scale
+    if min(abs(lo_ref + 1e-12), abs(hi_ref - 2.0 - 1e-12)) > 1e-13 * scale:
+        assert ok == ok_ref
 
 
 def test_kappa_constants_validation():
