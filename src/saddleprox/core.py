@@ -48,7 +48,7 @@ class SaddleProblem:
     function-space problems can keep mesh-independent step sizes.
 
     Each of the four maps takes ``out``: ``None`` (return a new array)
-    or a float vector of the result's length, which the map fills and
+    or a buffer that :func:`out_buffer` accepts, which the map fills and
     returns.  A map may instead return another array; :func:`step` then
     copies it into ``out``.  :func:`step` passes ``out`` disjoint from
     the arguments, except that ``prox_dual`` gets ``out`` equal to ``w``.
@@ -157,17 +157,18 @@ def _check_dims(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
-def _check_out(problem: SaddleProblem, state: PrimalDualState,
-               out: PrimalDualState) -> None:
-    _check_dims(problem, out.x, out.y)
-    x, y, x_bar = out.x, out.y, out.x_bar
-    if x_bar.shape != x.shape or not x.dtype == y.dtype == x_bar.dtype == np.float64:
-        raise ConfigurationError("out must hold float64 vectors of the problem's sizes")
-    share = np.may_share_memory  # a bounds check, cheap enough for every step
-    if (share(x, y) or share(x, x_bar) or share(y, x_bar)
-            or any(share(a, b) for a in (x, y, x_bar) for b in (state.x, state.y))):
-        raise ConfigurationError(
-            "out must not share memory with the state's x or y, nor between its arrays")
+def out_buffer(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> np.ndarray:
+    """The result buffer of a map: a new array for ``out=None``, else
+    ``out`` itself, which must be a C-contiguous float64 array of
+    ``shape`` that shares no memory with ``inputs``."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ConfigurationError("out must be a C-contiguous float64 array of shape %s"
+                                 % (shape,))
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ConfigurationError("out must not share memory with this operand")
+    return out
 
 
 def _fill(buf: np.ndarray, result: np.ndarray) -> np.ndarray:
@@ -184,21 +185,21 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     ``triple`` is anything with ``tau``, ``sigma`` and ``omega``
     attributes.  The new iterates are written into the arrays of
     ``out`` and ``out`` is returned with the new iteration count; with
-    ``out=None`` they go into new arrays.  ``out`` must hold float64
-    vectors that share no memory with ``state.x``, ``state.y`` or each
-    other (:class:`ConfigurationError`).  The arithmetic is the
-    plain update with every operand order kept, so both forms give the
-    same bits.  Raises :class:`DivergenceError` if the new iterates
-    contain non-finite entries, carrying the 1-based iteration index.
+    ``out=None`` they go into new arrays.  Each array of ``out`` must
+    pass :func:`out_buffer` against ``state.x``, ``state.y`` and the
+    arrays before it.  The arithmetic is the plain update with every
+    operand order kept, so both forms give the same bits.  Raises
+    :class:`DivergenceError` if the new iterates contain non-finite
+    entries, carrying the 1-based iteration index.
     """
     _check_dims(problem, state.x, state.y)
-    if out is None:
-        out = PrimalDualState(x=np.empty(problem.primal_dim), y=np.empty(problem.dual_dim),
-                              x_bar=np.empty(problem.primal_dim))
-    else:
-        _check_out(problem, state, out)
-    tau, sigma, omega = triple.tau, triple.sigma, triple.omega
     x, y = state.x, state.y
+    n, m = (problem.primal_dim,), (problem.dual_dim,)
+    out = PrimalDualState(None, None, None) if out is None else out
+    out.x = out_buffer(out.x, n, x, y)
+    out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
+    out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
+    tau, sigma, omega = triple.tau, triple.sigma, triple.omega
 
     # x_bar holds x - tau * grad_x(x, y) until x_new is known.
     v = _fill(out.x_bar, problem.grad_x(x, y, out=out.x_bar))

@@ -30,9 +30,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
-from .core import ConfigurationError, SaddleProblem
+from .core import ConfigurationError, SaddleProblem, out_buffer
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,7 @@ def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             "rhs shape %s does not match grid n=%d" % (rhs.shape, grid.n)
         )
+    from scipy.fft import dstn, idstn  # here, so importing the package skips scipy
     lam = _laplacian_eigenvalues(grid.n)
     return idstn(dstn(rhs, type=1, norm="ortho") / lam, type=1, norm="ortho")
 
@@ -147,8 +147,8 @@ class NashProblem(SaddleProblem):
 
     Primal x stacks (u1, u2), dual y stacks (v1, v2), each flattened from
     (n, n).  ``pde_solves`` counts Poisson solves across all gradient
-    evaluations.  The maps concatenate the two halves into ``out``; both
-    halves are computed first, so ``out`` may be the input itself.
+    evaluations.  The maps compute both halves, then concatenate them into
+    ``out`` (``out_buffer``, no operands), so ``out`` may be the input itself.
     """
 
     def __init__(self, config: NashConfig):
@@ -203,6 +203,7 @@ class NashProblem(SaddleProblem):
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Primal coupling gradient; five Poisson solves, s(u1, u2) shared."""
         c = self.config
+        out = out_buffer(out, (self.primal_dim,))
         u1, u2 = self._split(x)
         v1, v2 = self._split(y)
         s_uu = self.state(u1, u2)
@@ -218,6 +219,7 @@ class NashProblem(SaddleProblem):
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Dual coupling gradient; four Poisson solves."""
         c = self.config
+        out = out_buffer(out, (self.dual_dim,))
         u1, u2 = self._split(x)
         v1, v2 = self._split(y)
         q1 = self.solver.solve(c.z1 - self.state(v1, u2))
@@ -229,6 +231,7 @@ class NashProblem(SaddleProblem):
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
+        out = out_buffer(out, (self.primal_dim,))
         u1, u2 = self._split(v)
         return np.concatenate([
             proj_box(u1, c.mask1, c.a, c.b).ravel(),

@@ -57,7 +57,7 @@ def read_pgm(path: Union[str, Path]) -> tuple[np.ndarray, int]:
     magic = data[:2].decode()
 
     # Tokenize the header: magic, width, height, maxval.  Comments run
-    # from '#' to end of line anywhere in the header.
+    # from '#' to end of line anywhere in the header, and end a token.
     pos = 2
     tokens = []
     while len(tokens) < 3:
@@ -68,11 +68,13 @@ def read_pgm(path: Union[str, Path]) -> tuple[np.ndarray, int]:
                 pos += 1
             continue
         start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
+        while pos < len(data) and data[pos : pos + 1] not in b" \t\n\r\v\f#":
             pos += 1
         if start == pos:
             raise ConfigurationError("truncated graymap header: %s" % path)
         tokens.append(data[start:pos])
+    if not all(t.isdigit() for t in tokens):
+        raise ConfigurationError("non-numeric graymap header in %s" % path)
     width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise ConfigurationError("empty graymap (%dx%d): %s" % (width, height, path))
@@ -80,7 +82,10 @@ def read_pgm(path: Union[str, Path]) -> tuple[np.ndarray, int]:
         raise ConfigurationError("maxval out of range (1..65535): %d" % maxval)
 
     if magic == "P2":
-        values = np.array(data[pos:].split(), dtype=np.int64)
+        try:
+            values = np.array(data[pos:].split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ConfigurationError("non-numeric or oversized sample in %s" % path) from None
         if values.size != width * height:
             raise ConfigurationError(
                 "expected %d samples, found %d" % (width * height, values.size)
@@ -90,8 +95,8 @@ def read_pgm(path: Union[str, Path]) -> tuple[np.ndarray, int]:
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height
         raw = data[pos : pos + count * dtype.itemsize]
-        if len(raw) != count * dtype.itemsize:
-            raise ConfigurationError("truncated raster in %s" % path)
+        if len(raw) != count * dtype.itemsize or not data[pos - 1 : pos].isspace():
+            raise ConfigurationError("truncated raster, or none after maxval: %s" % path)
         values = np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
     if values.min() < 0 or values.max() > maxval:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, SaddleProblem
+from .core import ConfigurationError, SaddleProblem, out_buffer
 
 
 def _check_p(p: float) -> None:
@@ -36,20 +36,6 @@ def _check_p(p: float) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not value > 0:  # also rejects NaN
         raise ConfigurationError("%s must be positive, got %r" % (name, value))
-
-
-def _out(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> np.ndarray:
-    """The result buffer of a kernel: a new array for ``out=None``, else
-    ``out`` itself, which must be a C-contiguous float64 array of
-    ``shape`` that shares no memory with ``inputs``."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ConfigurationError("out must be a C-contiguous float64 array of shape %s"
-                                 % (shape,))
-    if any(np.may_share_memory(out, a) for a in inputs):
-        raise ConfigurationError("out must not share memory with this operand")
-    return out
 
 
 def dh(x: np.ndarray, h: float = 1.0,
@@ -70,7 +56,7 @@ def dh(x: np.ndarray, h: float = 1.0,
     if x.ndim != 2:
         raise ConfigurationError("image must be 2-d, got shape %s" % (x.shape,))
     _check_positive("mesh width h", h)
-    g = _out(out, x.shape + (2,), x)
+    g = out_buffer(out, x.shape + (2,), x)
     flat = x.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=g.reshape(-1, 2)[:-1, 0])
     np.subtract(x[1:, :], x[:-1, :], out=g[:-1, :, 1])
@@ -97,7 +83,7 @@ def dht(g: np.ndarray, h: float = 1.0,
         raise ConfigurationError("gradient field must have shape (n1, n2, 2)")
     _check_positive("mesh width h", h)
     gx, gy = g[:, :-1, 0], g[:-1, :, 1]
-    out = _out(out, g.shape[:2], g)
+    out = out_buffer(out, g.shape[:2], g)
     np.subtract(0.0, gx, out=out[:, :-1])
     out[:, -1:] = 0.0
     out[:, 1:] += gx
@@ -190,7 +176,7 @@ def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
     Written into ``out`` if given; ``out`` may be z itself, not y.
     """
     z, y = _pair(p, z, y)
-    out = _out(out, z.shape, y)
+    out = out_buffer(out, z.shape, y)
     rho_grad(*_rows(p, z, y, y, out))
     return out
 
@@ -202,7 +188,7 @@ def kappa_y(p: float, z: np.ndarray, y: np.ndarray,
     Written into ``out`` if given; ``out`` may be y itself, not z.
     """
     z, y = _pair(p, z, y)
-    out = _out(out, z.shape, z)
+    out = out_buffer(out, z.shape, z)
     rho_grad(*_rows(p, z, y, z, out))
     return out
 
@@ -280,7 +266,7 @@ class PottsProblem(SaddleProblem):
     def grad_x(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
-        out = _out(out, (self.primal_dim,))
+        out = out_buffer(out, (self.primal_dim,))
         z = dh(self._img(x), c.h)
         kappa_z(c.p, z, self._field(y), out=z)
         dht(z, c.h, out=self._img(out))
@@ -289,14 +275,14 @@ class PottsProblem(SaddleProblem):
     def grad_y(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         c = self.config
-        out = _out(out, (self.dual_dim,))
+        out = out_buffer(out, (self.dual_dim,))
         kappa_y(c.p, dh(self._img(x), c.h), self._field(y), out=self._field(out))
         return out
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
         r = tau / self.config.alpha
-        out = _out(out, (self.primal_dim,), v)  # r * noisy goes in before v is read
+        out = out_buffer(out, (self.primal_dim,), v)  # r * noisy goes in before v is read
         np.multiply(r, self.noisy.ravel(), out=out)
         np.add(v, out, out=out)
         out /= 1.0 + r
@@ -305,7 +291,7 @@ class PottsProblem(SaddleProblem):
     def prox_dual(self, sigma: float, w: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
         return np.divide(w, 1.0 + self.config.gamma * sigma,
-                         out=_out(out, (self.dual_dim,)))
+                         out=out_buffer(out, (self.dual_dim,)))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         c = self.config

@@ -169,6 +169,8 @@ def _one_minus_mu(c: ProblemConstants) -> float:
 
 def _dual_load(c: ProblemConstants, tau: float, omega: float) -> float:
     """r_k^2*tau/(1-mu) + lambda_y/omega; the dual step needs sigma*load <= 1."""
+    if not tau > 0:  # also rejects NaN
+        raise InfeasibleConstantsError("the dual load needs tau > 0, got %r" % (tau,))
     return c.r_k**2 * tau / _one_minus_mu(c) + c.lambda_y / omega
 
 
@@ -596,6 +598,8 @@ def check_52(
     """
     if len(triples) == 0:
         raise InfeasibleConstantsError("check_52 needs at least one step triple")
+    if not (l_x_at_yhat >= 0 and l_y_at_xhat >= 0):  # also rejects NaN
+        raise InfeasibleConstantsError("l_x_at_yhat and l_y_at_xhat must be >= 0")
 
     tau_bound = _cap(budget.delta_x,
                      2.0 * c.r_k * budget.r_y + 2.0 * l_x_at_yhat * budget.r_max)

@@ -422,16 +422,16 @@ def rate_fit(errors: Sequence[float], window: tuple[int, int]) -> RateFit:
     """Fit errors[i] ~ C * rate^i over i in [window[0], window[1]].
 
     ``errors`` is indexed by iteration.  Entries in the window must be
-    positive.  Returns the exponentiated slope and the r^2 of the
-    straight-line fit to log(errors).
+    finite and positive.  Returns the exponentiated slope and the r^2 of
+    the straight-line fit to log(errors).
     """
     lo, hi = window
     if not (0 <= lo < hi < len(errors)):
         raise ValueError("window %r out of range for %d errors" % (window, len(errors)))
     idx = np.arange(lo, hi + 1, dtype=float)
     vals = np.asarray(errors[lo : hi + 1], dtype=float)
-    if np.any(vals <= 0):
-        raise ValueError("errors in the fit window must be positive")
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError("errors in the fit window must be finite and positive")
     logs = np.log(vals)
     slope, intercept = np.polyfit(idx, logs, 1)
     pred = slope * idx + intercept

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,16 @@ def test_potts_reads_pgm_input(tmp_path, capsys):
     assert rc == 0
     img, _ = read_pgm(tmp_path / "from_file_denoised.pgm")
     assert img.shape == (6, 9)
+
+
+def test_potts_malformed_pgm_input_exits_two_with_one_line(tmp_path, capsys):
+    src = tmp_path / "bad.pgm"
+    src.write_bytes(b"P2\n2 2\n255\n1 2 x 4\n")
+    rc, _, err = run_cli(["potts", "--input", str(src), "--out-prefix",
+                          str(tmp_path / "run")], capsys)
+    assert rc == 2
+    assert err.splitlines()[-1] == ("saddleprox potts: non-numeric or oversized "
+                                    "sample in %s" % src)
 
 
 def test_potts_non_ascii_input_is_escaped_in_headers(tmp_path, capsys):
@@ -533,6 +545,34 @@ def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, write):
     write(path)
     assert flags and not any(f & os.O_TRUNC for f in flags)
     assert path.read_bytes() == fresh
+
+
+def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypatch,
+                                                             capsys):
+    # bench/tracing.py wraps methods in their class bodies; a method moved
+    # elsewhere breaks the traced benchmark, and this catches it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+
+    def attrs():
+        return [inspect.getattr_static(owner, attr)
+                for owner, attr, _, _ in tracing.targets()]
+
+    before = attrs()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rcs = [cli.main(["potts", "--synthetic", "8", "8", "0", "--reference-iters",
+                             "2", "--iters", "3", "--out-prefix", str(tmp_path / "run")]),
+                   cli.main(["nash", "--sizes", "7", "--iters", "2",
+                             "--out", str(tmp_path / "nash.csv")])]
+    finally:
+        tracer.uninstall()
+    assert rcs == [0, 0]
+    assert {t[2] for t in tracing.targets()} <= {span[0] for span in tracer.spans}
+    assert all(a is b for a, b in zip(before, attrs()))
 
 
 def test_version_flag(capsys):

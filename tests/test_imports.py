@@ -1,6 +1,9 @@
-"""Static check: every top-level import in the package is used."""
+"""Import hygiene: every top-level import in the package is used, and
+importing the command line does not load scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import saddleprox
@@ -25,3 +28,12 @@ def test_no_unused_top_level_imports():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Only the Poisson solver needs scipy; it imports scipy.fft on first use.
+    code = ("import sys, saddleprox.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -238,6 +238,50 @@ def test_exactly_nine_solves_per_iteration():
         assert prob.pde_solves - before == 9 * k
 
 
+NASH_MAPS = {
+    "grad_x": lambda prob, x, y, out: prob.grad_x(x, y, out=out),
+    "grad_y": lambda prob, x, y, out: prob.grad_y(x, y, out=out),
+    "prox_primal": lambda prob, x, y, out: prob.prox_primal(0.5, x, out=out),
+    "prox_dual": lambda prob, x, y, out: prob.prox_dual(0.5, y, out=out),
+}
+
+
+def _nash_point(n: int = 7):
+    config, x_star, y_star = manufacture(n)
+    rng = np.random.default_rng(4)
+    return (NashProblem(config), x_star + 0.3 * rng.normal(size=x_star.size),
+            y_star + 0.3 * rng.normal(size=y_star.size))
+
+
+@pytest.mark.parametrize("name", NASH_MAPS)
+def test_nash_maps_reject_a_bad_out(name):
+    prob, x, y = _nash_point()
+    dim = prob.primal_dim
+    for out in (np.empty(dim, np.float32), np.empty(2 * dim)[::2], np.empty(dim - 1)):
+        with pytest.raises(ConfigurationError):
+            NASH_MAPS[name](prob, x, y, out)
+
+
+@pytest.mark.parametrize("name", NASH_MAPS)
+def test_nash_maps_may_write_over_their_inputs(name):
+    prob, x, y = _nash_point()
+    want = NASH_MAPS[name](prob, x, y, None).tobytes()
+    for alias in (0, 1):
+        xy = [x.copy(), y.copy()]
+        got = NASH_MAPS[name](prob, *xy, xy[alias])
+        assert got is xy[alias]
+        assert got.tobytes() == want
+
+
+def test_step_rejects_a_strided_out_on_nash():
+    prob, x, y = _nash_point()
+    state = PrimalDualState.initial(x, y)
+    out = PrimalDualState.initial(x, y)
+    out.x = np.empty(2 * prob.primal_dim)[::2]
+    with pytest.raises(ConfigurationError):
+        step(prob, GAME_TRIPLE, state, out=out)
+
+
 def _distance_run(n: int, iters: int = 10):
     config, x_star, y_star = manufacture(n)
     prob = NashProblem(config)

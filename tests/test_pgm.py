@@ -99,6 +99,33 @@ def test_reader_rejects_bad_input(tmp_path):
         read_pgm(overrange)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P2\n3 x\n255\n1 2 3\n", "non-numeric"),
+    (b"P5\n1 1\n25five\n\x00", "non-numeric"),
+    (b"P2\n2 2\n255\n1 2 x 4\n", "non-numeric"),
+    (b"P2\n1 1\n255\n1.5\n", "non-numeric"),
+    (b"P2\n1 1\n255\n99999999999999999999\n", "oversized"),
+    (b"P5\n2 1\n255#c\n\x01\x02", "none after maxval"),
+], ids=["header-x", "maxval-word", "sample-x", "sample-float", "sample-overflow",
+        "comment-before-raster"])
+def test_reader_rejects_malformed_tokens(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigurationError, match=message):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("raw", [b"P2\n3#c\n2 255\n0 1 2 3 4 255\n",
+                                 b"P5\n3#c\n2 255\n\x00\x01\x02\x03\x04\xff"],
+                         ids=["P2", "P5"])
+def test_comment_right_after_a_header_number_ends_it(tmp_path, raw):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(raw)
+    img, mv = read_pgm(path)
+    assert mv == 255
+    assert np.array_equal(img, np.array([[0, 1, 2], [3, 4, 255]]) / 255.0)
+
+
 def test_writer_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigurationError):
         write_pgm(tmp_path / "x.pgm", np.zeros(4))

@@ -31,7 +31,7 @@ from saddleprox.schedules import (
     potts_steps,
     r_max_initial,
 )
-from saddleprox.verify import KappaConstants, lift_constants, shrink_rho
+from saddleprox.verify import KappaConstants, lift_constants, rate_fit, shrink_rho
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -596,13 +596,28 @@ NAN_CASES = {
     "nash-alpha2": lambda: dataclasses.replace(manufacture(7)[0], alpha2=nan),
     "grid-2.5": lambda: Grid(2.5),
     "grid-7.0": lambda: Grid(7.0),
+    "check_52-l_x_at_yhat": lambda: _check_52_with(nan, 1.0),
+    "check_52-l_y_at_xhat": lambda: _check_52_with(1.0, nan),
+    "check_52-negative": lambda: _check_52_with(-1.0, 1.0),
+    "bound_constant-tau": lambda: bound_constant(ProblemConstants(r_k=1.0))[1](nan),
+    "rate_fit-nan": lambda: rate_fit([1.0, nan, 0.25, 0.125], (0, 3)),
+    "rate_fit-inf": lambda: rate_fit([1.0, math.inf, 0.25, 0.125], (0, 3)),
 }
+
+
+def _check_52_with(l_x_at_yhat, l_y_at_xhat):
+    # With 1.0, 1.0 this check fails its step caps, so a NaN must not pass it.
+    return check_52(ProblemConstants(r_k=1.0, delta=0.1, mu=0.5),
+                    LocalityBudget(0.5, 1.0, 0.25, 0.4, 0.6),
+                    [StepTriple(100.0, 100.0, 1.0)], l_x_at_yhat, l_y_at_xhat)
 
 
 @pytest.mark.parametrize("case", NAN_CASES)
 def test_nan_and_non_integer_parameters_are_rejected(case):
-    # The Nash model raises ConfigurationError; the step theory InfeasibleConstantsError.
-    error = ConfigurationError if case.startswith(("nash-", "grid-")) else InfeasibleConstantsError
+    # The Nash model raises ConfigurationError, rate_fit ValueError, and the
+    # step theory InfeasibleConstantsError.
+    error = (ConfigurationError if case.startswith(("nash-", "grid-")) else
+             ValueError if case.startswith("rate_fit-") else InfeasibleConstantsError)
     with pytest.raises(error):
         NAN_CASES[case]()
 
