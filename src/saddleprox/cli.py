@@ -213,6 +213,9 @@ def cmd_nash(args: argparse.Namespace) -> int:
     sizes, iters = args.sizes, args.iters
     if min(sizes) < 2:
         raise ConfigurationError("--sizes must all be >= 2, got %d" % min(sizes))
+    if len(set(sizes)) < len(sizes):
+        raise ConfigurationError("--sizes must not repeat a size, got %s"
+                                 % ",".join(map(str, sizes)))
     triple = StepTriple(args.tau, args.sigma, args.omega)
 
     cfg_items = [("sizes", ",".join(str(n) for n in sizes)), ("iters", iters),

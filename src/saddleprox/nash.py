@@ -61,45 +61,61 @@ def _laplacian_eigenvalues(n: int) -> np.ndarray:
     return lam[:, None] + lam[None, :]
 
 
+def _on_grid(grid: Grid, w: np.ndarray, name: str) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (grid.n, grid.n):
+        raise ConfigurationError(
+            "%s shape %s does not match grid n=%d" % (name, w.shape, grid.n)
+        )
+    return w
+
+
+def sine_transform(w: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Orthonormal 2-D DST-I of ``w``, which is its own inverse.
+
+    It diagonalizes the 5-point Dirichlet Laplacian: the coefficients of
+    A w are those of w times :func:`_laplacian_eigenvalues`.  With
+    ``overwrite`` the transform may reuse the memory of ``w``.
+    """
+    from scipy.fft import dstn  # here, so importing the package skips scipy
+    return dstn(w, type=1, norm="ortho", overwrite_x=overwrite)
+
+
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs with the 5-point Dirichlet Laplacian A on ``grid``.
 
     The spectral data is cached per grid size, so repeated solves on the
     same grid reuse it.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (grid.n, grid.n):
-        raise ConfigurationError(
-            "rhs shape %s does not match grid n=%d" % (rhs.shape, grid.n)
-        )
-    from scipy.fft import dstn, idstn  # here, so importing the package skips scipy
+    rhs = _on_grid(grid, rhs, "rhs")
     lam = _laplacian_eigenvalues(grid.n)
-    return idstn(dstn(rhs, type=1, norm="ortho") / lam, type=1, norm="ortho")
+    return sine_transform(sine_transform(rhs) / lam, overwrite=True)
 
 
 class PoissonSolver:
-    """:func:`poisson_solve` on a fixed grid that counts its solves."""
+    """Counted Poisson solves on a fixed grid, in sine coefficients:
+    ``solve(sine_transform(rhs))`` is ``sine_transform(poisson_solve(grid, rhs))``."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.count = 0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs_hat: np.ndarray) -> np.ndarray:
+        rhs_hat = _on_grid(self.grid, rhs_hat, "rhs")
         self.count += 1
-        return poisson_solve(self.grid, rhs)
+        return rhs_hat / _laplacian_eigenvalues(self.grid.n)
 
 
 def apply_laplacian(grid: Grid, w: np.ndarray) -> np.ndarray:
     """Apply the 5-point Dirichlet Laplacian (zero outside the grid)."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grid.n, grid.n):
-        raise ConfigurationError("field shape does not match grid")
-    out = 4.0 * w.copy()
+    w = _on_grid(grid, w, "field")
+    out = 4.0 * w
     out[:-1, :] -= w[1:, :]
     out[1:, :] -= w[:-1, :]
     out[:, :-1] -= w[:, 1:]
     out[:, 1:] -= w[:, :-1]
-    return out / grid.h**2
+    out /= grid.h**2
+    return out
 
 
 def half_masks(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +123,11 @@ def half_masks(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     for player 2.  Nodes exactly on the dividing line belong to neither."""
     _, yy = grid.coords()
     return yy < 0.5, yy > 0.5
+
+
+def _out(out: Optional[np.ndarray], dim: int, *inputs: np.ndarray) -> np.ndarray:
+    """``out_buffer`` against the ``inputs`` that are not ``out`` itself."""
+    return out_buffer(out, (dim,), *(a for a in inputs if a is not out))
 
 
 def proj_box(u: np.ndarray, mask: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -147,8 +168,12 @@ class NashProblem(SaddleProblem):
 
     Primal x stacks (u1, u2), dual y stacks (v1, v2), each flattened from
     (n, n).  ``pde_solves`` counts Poisson solves across all gradient
-    evaluations.  The maps compute both halves, then concatenate them into
-    ``out`` (``out_buffer``, no operands), so ``out`` may be the input itself.
+    evaluations.  The coupling gradients keep the states in sine
+    coefficients (the adjoint right-hand sides are linear in them), so
+    an iteration makes nine solves with nine transforms.  Each map reads
+    all of its inputs before it writes the halves of ``out``, so ``out``
+    may be an input itself; otherwise it must pass ``out_buffer``
+    against the inputs.
     """
 
     def __init__(self, config: NashConfig):
@@ -157,6 +182,10 @@ class NashProblem(SaddleProblem):
         n2 = config.grid.n**2
         self.primal_dim = 2 * n2
         self.dual_dim = 2 * n2
+        self._z1_hat = sine_transform(config.z1)
+        self._z2_hat = sine_transform(config.z2)
+        self._off1 = ~config.mask1
+        self._off2 = ~config.mask2
 
     @property
     def pde_solves(self) -> int:
@@ -166,11 +195,32 @@ class NashProblem(SaddleProblem):
         n = self.config.grid.n
         return x[: n * n].reshape(n, n), x[n * n :].reshape(n, n)
 
+    def _state_hat(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """Sine coefficients of s(u1, u2); one solve."""
+        c = self.config
+        rhs = np.where(c.mask1, u1, 0.0)
+        rhs += np.where(c.mask2, u2, 0.0)
+        rhs += c.f
+        return self.solver.solve(sine_transform(rhs, overwrite=True))
+
+    def _adjoint(self, rhs_hat: np.ndarray) -> np.ndarray:
+        """A^{-1} of the field with sine coefficients ``rhs_hat``; one solve."""
+        return sine_transform(self.solver.solve(rhs_hat), overwrite=True)
+
+    def _write_half(self, half: np.ndarray, k: int, adjoint: np.ndarray,
+                    combine: np.ufunc, ctrl: np.ndarray) -> None:
+        """half = combine(adjoint, alpha_k * ctrl) on player k's mask, +0 off
+        it: the bits of ``np.where``, where a float mask would leave -0."""
+        c = self.config
+        mask, off, alpha = ((c.mask1, self._off1, c.alpha1) if k == 1
+                            else (c.mask2, self._off2, c.alpha2))
+        np.multiply(ctrl, alpha, out=half, where=mask)
+        combine(adjoint, half, out=half, where=mask)
+        np.copyto(half, 0.0, where=off)
+
     def state(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Shared PDE state s(u1, u2) = A^{-1}(B1 u1 + B2 u2 + f)."""
-        c = self.config
-        rhs = np.where(c.mask1, u1, 0.0) + np.where(c.mask2, u2, 0.0) + c.f
-        return self.solver.solve(rhs)
+        return sine_transform(self._state_hat(u1, u2), overwrite=True)
 
     def payout(self, k: int, u1: np.ndarray, u2: np.ndarray) -> float:
         """Player k's cost at the control pair (u1, u2); h^2-weighted."""
@@ -201,42 +251,45 @@ class NashProblem(SaddleProblem):
 
     def grad_x(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Primal coupling gradient; five Poisson solves, s(u1, u2) shared."""
-        c = self.config
-        out = out_buffer(out, (self.primal_dim,))
+        """Primal coupling gradient; five Poisson solves, s(u1, u2) shared,
+        three forward and two inverse transforms."""
+        out = _out(out, self.primal_dim, x, y)
         u1, u2 = self._split(x)
         v1, v2 = self._split(y)
-        s_uu = self.state(u1, u2)
-        s_uv = self.state(u1, v2)
-        s_vu = self.state(v1, u2)
-        p1 = self.solver.solve(2.0 * s_uu - s_uv - c.z1)
-        p2 = self.solver.solve(2.0 * s_uu - s_vu - c.z2)
-        g1 = np.where(c.mask1, p1, 0.0) + c.alpha1 * np.where(c.mask1, u1, 0.0)
-        g2 = np.where(c.mask2, p2, 0.0) + c.alpha2 * np.where(c.mask2, u2, 0.0)
-        return np.concatenate([g1.ravel(), g2.ravel()], out=out)
+        two_s_uu = 2.0 * self._state_hat(u1, u2)
+        r1 = two_s_uu - self._state_hat(u1, v2)
+        r1 -= self._z1_hat
+        r2 = two_s_uu - self._state_hat(v1, u2)
+        r2 -= self._z2_hat
+        p1, p2 = self._adjoint(r1), self._adjoint(r2)
+        g1, g2 = self._split(out)
+        self._write_half(g1, 1, p1, np.add, u1)
+        self._write_half(g2, 2, p2, np.add, u2)
+        return out
 
     def grad_y(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dual coupling gradient; four Poisson solves."""
-        c = self.config
-        out = out_buffer(out, (self.dual_dim,))
+        """Dual coupling gradient; four Poisson solves, two forward and
+        two inverse transforms."""
+        out = _out(out, self.dual_dim, x, y)
         u1, u2 = self._split(x)
         v1, v2 = self._split(y)
-        q1 = self.solver.solve(c.z1 - self.state(v1, u2))
-        q2 = self.solver.solve(c.z2 - self.state(u1, v2))
-        g1 = np.where(c.mask1, q1, 0.0) - c.alpha1 * np.where(c.mask1, v1, 0.0)
-        g2 = np.where(c.mask2, q2, 0.0) - c.alpha2 * np.where(c.mask2, v2, 0.0)
-        return np.concatenate([g1.ravel(), g2.ravel()], out=out)
+        q1 = self._adjoint(self._z1_hat - self._state_hat(v1, u2))
+        q2 = self._adjoint(self._z2_hat - self._state_hat(u1, v2))
+        g1, g2 = self._split(out)
+        self._write_half(g1, 1, q1, np.subtract, v1)
+        self._write_half(g2, 2, q2, np.subtract, v2)
+        return out
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Clamp to [a, b] on each player's mask, +0 off it (``proj_box``)."""
         c = self.config
-        out = out_buffer(out, (self.primal_dim,))
-        u1, u2 = self._split(v)
-        return np.concatenate([
-            proj_box(u1, c.mask1, c.a, c.b).ravel(),
-            proj_box(u2, c.mask2, c.a, c.b).ravel(),
-        ], out=out)
+        out = _out(out, self.primal_dim, v)
+        for u, half, off in zip(self._split(v), self._split(out), (self._off1, self._off2)):
+            np.clip(u, c.a, c.b, out=half)
+            np.copyto(half, 0.0, where=off)
+        return out
 
     prox_dual = prox_primal
 

@@ -442,6 +442,8 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (POTTS_4X4 + ["--config", "{tmp}/missing.cfg"], None, "missing.cfg"),
     (["nash", "--sizes", "abc"], None, "--sizes"),
     (["nash", "--sizes", "1"], None, "--sizes"),
+    (["nash", "--sizes", "7,15,7", "--iters", "1", "--out", "{tmp}/run_nash.csv"], None,
+     "--sizes"),
     (["potts", "--synthetic", "8", "8", "x"], None, "--synthetic"),
     (POTTS_4X4 + ["--iters", "0"], None, "--iters"),
     (POTTS_4X4 + ["--log-stride", "0"], None, "--log-stride"),
@@ -496,7 +498,8 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["steps", "potts", "--p", "inf", "--dynamic-range", "1e77"], None,
      "--dynamic-range"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
-        "sizes-abc", "sizes-1", "synthetic-x", "iters-0", "log-stride-0",
+        "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
+        "log-stride-0",
         "iters-0-before-reference", "reference-iters-neg", "synthetic-seed-neg",
         "n-shapes-neg", "nash-iters-0", "check-48-neg", "verify-seed-neg",
         "gen-image-seed-neg", "n1-0", "maxval-70000", "nash-tau-neg",

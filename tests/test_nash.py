@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddleprox import nash
 from saddleprox.core import ConfigurationError, PrimalDualState, SolveOptions, solve, step
 from saddleprox.nash import (
     Grid,
@@ -20,6 +21,7 @@ from saddleprox.nash import (
     manufacture,
     poisson_solve,
     proj_box,
+    sine_transform,
 )
 from saddleprox.schedules import StepTriple
 from saddleprox.verify import fd_grad_check
@@ -95,6 +97,13 @@ def test_solver_counts_solves():
     assert solver.count == 2
     with pytest.raises(ConfigurationError):
         solver.solve(np.ones((14, 15)))
+
+
+@pytest.mark.parametrize("n", [15, 63])
+def test_sine_transform_is_its_own_inverse(n):
+    w = np.random.default_rng(n).normal(size=(n, n))
+    back = sine_transform(sine_transform(w))
+    assert np.max(np.abs(back - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 def test_solver_matches_dense_factorization():
@@ -238,6 +247,75 @@ def test_exactly_nine_solves_per_iteration():
         assert prob.pde_solves - before == 9 * k
 
 
+def test_nine_transforms_per_iteration(monkeypatch):
+    config, _, _ = manufacture(15)
+    prob = NashProblem(config)
+    calls = []
+
+    def counted(w, overwrite=False):
+        calls.append(w.shape)
+        return sine_transform(w, overwrite)
+
+    monkeypatch.setattr(nash, "sine_transform", counted)
+    state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
+    for _ in range(4):
+        before = (len(calls), prob.pde_solves)
+        state = step(prob, GAME_TRIPLE, state)
+        assert (len(calls) - before[0], prob.pde_solves - before[1]) == (9, 9)
+
+
+def _physical_state(prob, a1, a2):
+    c = prob.config
+    rhs = np.where(c.mask1, a1, 0.0) + np.where(c.mask2, a2, 0.0) + c.f
+    return poisson_solve(c.grid, rhs)
+
+
+def _physical_grad_x(prob, x, y):
+    """The primal coupling gradient from five physical-space Poisson solves."""
+    c = prob.config
+    u1, u2 = prob._split(x)
+    v1, v2 = prob._split(y)
+    s_uu = _physical_state(prob, u1, u2)
+    p1 = poisson_solve(c.grid, 2.0 * s_uu - _physical_state(prob, u1, v2) - c.z1)
+    p2 = poisson_solve(c.grid, 2.0 * s_uu - _physical_state(prob, v1, u2) - c.z2)
+    g1 = np.where(c.mask1, p1, 0.0) + c.alpha1 * np.where(c.mask1, u1, 0.0)
+    g2 = np.where(c.mask2, p2, 0.0) + c.alpha2 * np.where(c.mask2, u2, 0.0)
+    return np.concatenate([g1.ravel(), g2.ravel()])
+
+
+def _physical_grad_y(prob, x, y):
+    """The dual coupling gradient from four physical-space Poisson solves."""
+    c = prob.config
+    u1, u2 = prob._split(x)
+    v1, v2 = prob._split(y)
+    q1 = poisson_solve(c.grid, c.z1 - _physical_state(prob, v1, u2))
+    q2 = poisson_solve(c.grid, c.z2 - _physical_state(prob, u1, v2))
+    g1 = np.where(c.mask1, q1, 0.0) - c.alpha1 * np.where(c.mask1, v1, 0.0)
+    g2 = np.where(c.mask2, q2, 0.0) - c.alpha2 * np.where(c.mask2, v2, 0.0)
+    return np.concatenate([g1.ravel(), g2.ravel()])
+
+
+@pytest.mark.parametrize("n", [15, 63])
+@pytest.mark.parametrize("name, physical", [("grad_x", _physical_grad_x),
+                                            ("grad_y", _physical_grad_y)])
+def test_coefficient_space_gradients_match_physical_solves(n, name, physical):
+    config, x_star, y_star = manufacture(n)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(n)
+    # Entries of size ~1 leave the box [-0.5, 0.5], off-mask entries are nonzero.
+    x = x_star + rng.normal(size=x_star.size)
+    y = y_star + rng.normal(size=y_star.size)
+    want = physical(prob, x, y)
+    scale = np.max(np.abs(want))
+    got = getattr(prob, name)(x, y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    for alias in (0, 1):
+        xy = [x.copy(), y.copy()]
+        got = getattr(prob, name)(*xy, out=xy[alias])
+        assert got is xy[alias]
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 NASH_MAPS = {
     "grad_x": lambda prob, x, y, out: prob.grad_x(x, y, out=out),
     "grad_y": lambda prob, x, y, out: prob.grad_y(x, y, out=out),
@@ -271,6 +349,30 @@ def test_nash_maps_may_write_over_their_inputs(name):
         got = NASH_MAPS[name](prob, *xy, xy[alias])
         assert got is xy[alias]
         assert got.tobytes() == want
+
+
+@pytest.mark.parametrize("name, alias", [("grad_x", 0), ("grad_x", 1), ("grad_y", 0),
+                                         ("grad_y", 1), ("prox_primal", 0),
+                                         ("prox_dual", 1)])
+def test_nash_maps_reject_an_out_overlapping_an_input_in_part(name, alias):
+    prob, x, y = _nash_point()
+    buf = np.empty(x.size + 1)
+    xy = [x, y]
+    xy[alias] = buf[:-1]
+    xy[alias][:] = (x, y)[alias]
+    with pytest.raises(ConfigurationError):
+        NASH_MAPS[name](prob, *xy, buf[1:])
+
+
+def test_nash_prox_is_proj_box_on_each_half():
+    prob, x, _ = _nash_point()
+    x[:4] = [-0.0, np.nan, -np.inf, np.inf]
+    c = prob.config
+    u1, u2 = prob._split(x)
+    want = np.concatenate([proj_box(u1, c.mask1, c.a, c.b).ravel(),
+                           proj_box(u2, c.mask2, c.a, c.b).ravel()]).tobytes()
+    assert prob.prox_primal(0.5, x).tobytes() == want
+    assert prob.prox_dual(0.5, x, out=x).tobytes() == want
 
 
 def test_step_rejects_a_strided_out_on_nash():
