@@ -72,7 +72,23 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+class CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that maps each of its flags to its action in
+    ``flags``.  ``add_argument(..., group=g)`` adds the flag to the
+    argument group ``g`` of this parser."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}  # __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, group=None, **kwargs) -> argparse.Action:
+        container = super() if group is None else group
+        action = container.add_argument(*args, **kwargs)
+        self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+
+def config_tokens(command: CommandParser, path: str) -> list[str]:
     """Command-line tokens standing for the lines of a config file.
 
     Each ``key = value`` becomes ``--key=value``, or ``--key`` followed by
@@ -83,7 +99,7 @@ def config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
     tokens: list[str] = []
     for key, value in parse_config_file(path).items():
         flag = "--" + key.replace("_", "-")
-        action = command._option_string_actions.get(flag)
+        action = command.flags.get(flag)
         if action is None:
             command.error("unknown configuration key %r in %s" % (key, path))
         tokens += [flag] + value.split() if action.nargs else [flag + "=" + value]
@@ -116,6 +132,11 @@ def fmt_triple(triple: StepTriple) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 # potts subcommand.
 # ---------------------------------------------------------------------------
+
+# Bytes of iterate copies a ``potts --reference-iters`` run may keep to
+# make its reference and its log in one pass; past it, it makes two.
+_COPY_BUDGET = 64 << 20
+
 
 def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstants]:
     """The Potts step calculator applied to the flags ``potts`` and ``steps`` share.
@@ -170,17 +191,28 @@ def cmd_potts(args: argparse.Namespace) -> int:
     x0 = image.ravel().copy()
     y0 = np.zeros(problem.dual_dim)
 
-    reference = None
-    if ref_iters > 0:
-        ref_state, _ = solve(problem, triple, x0, y0,
-                             SolveOptions(max_iters=ref_iters,
-                                          log_stride=ref_iters))
-        reference = (ref_state.x, ref_state.y)
+    # One pass keeps at most this many (x, y) pairs: the kept iterates
+    # before the reference, the reference or the log's last state, and
+    # one scratch pair.
+    copies = min(iters, ref_iters) // args.log_stride + 3
+    if 0 < ref_iters and copies * (x0.nbytes + y0.nbytes) <= _COPY_BUDGET:
+        result = solve(problem, triple, x0, y0,
+                       SolveOptions(max_iters=iters, log_stride=args.log_stride,
+                                    reference=ref_iters, record_objective=True))
+        state, records = result
+        reference = result.reference
+    else:
+        reference = None
+        if ref_iters > 0:
+            ref_state, _ = solve(problem, triple, x0, y0,
+                                 SolveOptions(max_iters=ref_iters,
+                                              log_stride=ref_iters))
+            reference = (ref_state.x, ref_state.y)
 
-    state, records = solve(problem, triple, x0, y0,
-                           SolveOptions(max_iters=iters, log_stride=args.log_stride,
-                                        reference=reference,
-                                        record_objective=True))
+        state, records = solve(problem, triple, x0, y0,
+                               SolveOptions(max_iters=iters, log_stride=args.log_stride,
+                                            reference=reference,
+                                            record_objective=True))
 
     header = config_header("potts", cfg_items)
     columns = ["iter", "objective", "step_norm"]
@@ -397,8 +429,7 @@ POTTS_MODEL_FLAGS = {"alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0,
                      "gamma-bar": 10.0}
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
     """The ``saddleprox`` parser and its subcommand parsers by name.
 
     A default of None marks a value that is optional or derived from
@@ -411,7 +442,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                     " step-size calculators, numerical verification.")
     parser.add_argument("--version", action="version",
                         version="saddleprox %s" % __version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=CommandParser)
     positive = finite_float(0.0, strict=True)
 
     def add_floats(sub, defaults, kind=finite_float()):
@@ -436,10 +468,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     sp = add_command("potts", cmd_potts, "discontinuity-penalized denoising run")
     source = sp.add_mutually_exclusive_group()
-    source.add_argument("--input", help="input PGM image")
-    source.add_argument("--synthetic", nargs=3, type=int_at_least(0),
-                        metavar=("N1", "N2", "SEED"),
-                        help="generate a seeded synthetic image instead of --input")
+    sp.add_argument("--input", group=source, help="input PGM image")
+    sp.add_argument("--synthetic", group=source, nargs=3, type=int_at_least(0),
+                    metavar=("N1", "N2", "SEED"),
+                    help="generate a seeded synthetic image instead of --input")
     sp.add_argument("--p", type=penalty, default=1.0, help="penalty flavour: 1 or inf")
     add_calculator(sp)
     sp.add_argument("--noise-sigma", type=finite_float(0.0), default=0.05)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class IterationRecord:
 
     ``step_norm`` and ``dist_to_ref`` are norms in the problem's
     ``inner_primal``/``inner_dual``.  ``dist_to_ref`` is present only
-    when a reference pair was supplied in the solve options,
+    when the solve options name a reference,
     ``objective`` only when objective recording was requested and the
     problem defines one.
     """
@@ -125,10 +125,15 @@ class IterationRecord:
 
 @dataclass
 class SolveOptions:
+    """Options of :func:`solve`.  ``reference`` is a pair (x, y), or the
+    index of an iteration of the run itself: the run then goes on to
+    that iteration if it is past the log, and measures the logged
+    iterates against it."""
+
     max_iters: int = 100
     step_tol: float = 0.0
     log_stride: int = 1
-    reference: Optional[tuple[np.ndarray, np.ndarray]] = None
+    reference: Union[tuple[np.ndarray, np.ndarray], int, None] = None
     record_objective: bool = False
 
     def __post_init__(self):
@@ -136,6 +141,9 @@ class SolveOptions:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigurationError("%s must be an integer >= 1, got %r" % (name, value))
+        if isinstance(self.reference, (int, np.integer)) and self.reference < 1:
+            raise ConfigurationError("a reference index must be >= 1, got %r"
+                                     % (self.reference,))
         if not self.step_tol >= 0:  # also rejects NaN
             raise ConfigurationError("step_tol must be >= 0, got %r" % (self.step_tol,))
 
@@ -221,13 +229,25 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     return out
 
 
-def _distance(problem: SaddleProblem, state: PrimalDualState, x: np.ndarray,
-              y: np.ndarray, scratch: PrimalDualState) -> float:
-    """Norm of (state.x - x, state.y - y) in the problem's inner products.
-    The differences are written into the arrays of ``scratch``."""
-    dx = np.subtract(state.x, x, out=scratch.x)
-    dy = np.subtract(state.y, y, out=scratch.y)
+def _distance(problem: SaddleProblem, x: np.ndarray, y: np.ndarray,
+              x0: np.ndarray, y0: np.ndarray, scratch: PrimalDualState) -> float:
+    """Norm of (x - x0, y - y0) in the problem's inner products.  The
+    differences are written into the arrays of ``scratch``."""
+    dx = np.subtract(x, x0, out=scratch.x)
+    dy = np.subtract(y, y0, out=scratch.y)
     return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
+
+
+class SolveResult(tuple):
+    """The pair ``(state, records)`` that :func:`solve` returns, with the
+    reference pair (x, y) the records were measured against, or None,
+    as ``reference``."""
+
+    def __new__(cls, state: PrimalDualState, records: list[IterationRecord],
+                reference: Optional[tuple[np.ndarray, np.ndarray]]):
+        result = super().__new__(cls, (state, records))
+        result.reference = reference
+        return result
 
 
 def solve(
@@ -236,7 +256,7 @@ def solve(
     x0: np.ndarray,
     y0: np.ndarray,
     options: SolveOptions,
-) -> tuple[PrimalDualState, list[IterationRecord]]:
+) -> SolveResult:
     """Run the iteration from (x0, y0).
 
     ``schedule`` supplies the step triple for iteration i via
@@ -245,40 +265,67 @@ def solve(
     joint step norm ||(x,y)_new - (x,y)_old|| drops to ``step_tol``
     (when positive).  Step norms and reference distances are measured
     in the problem's ``inner_primal``/``inner_dual``.  Returns the final
-    state and the log.  Only kept iterations are recorded: every
-    ``log_stride``-th one, the last of ``max_iters`` and the one where
-    ``step_tol`` stops the run.  The loop recycles two sets of iterate
-    arrays, so ``x0`` and ``y0`` are copied first; the returned state
-    belongs to the caller.
+    state and the log as a :class:`SolveResult`.  Only kept iterations
+    are recorded: every ``log_stride``-th one, the last of ``max_iters``
+    and the one where ``step_tol`` stops the run.
+
+    A reference given as an iteration index R is iterate R of this same
+    run.  Kept iterates before R are copied as (x, y) pairs and get
+    their distance once iterate R exists; if the log ends before R, its
+    last state is copied and the run goes on to R.  The returned state
+    is still the one that ends the log.  The loop recycles two sets of
+    iterate arrays, so ``x0`` and ``y0`` are copied first; the returned
+    state and reference belong to the caller.
     """
     state = PrimalDualState.initial(x0, y0)
     _check_dims(problem, state.x, state.y)
-    ref = options.reference
-    if ref is not None:
+    ref, ref_at = options.reference, None
+    if isinstance(ref, (int, np.integer)):
+        ref, ref_at = None, ref
+    elif ref is not None:
         # Flat views, not copies: the reference is only read.
         ref = _flat(ref[0]), _flat(ref[1])
         _check_dims(problem, *ref)
 
     records: list[IterationRecord] = []
+    pending = []  # (record, x, y) of the kept iterations before iteration ref_at
+    final = None  # the state that ends the log, once the run goes on past it
     spare = None  # the state of two iterations back, overwritten by the next step
-    for i in range(options.max_iters):
+    for i in range(max(options.max_iters, ref_at or 0)):
         trip = schedule.triple(i)
         prev = state
         state = step(problem, trip, state, out=spare)
         spare = prev
+        if state.iteration == ref_at:
+            ref = state.x, state.y
+            if final is None and ref_at < options.max_iters:
+                ref = state.x.copy(), state.y.copy()  # the log goes on in these arrays
+            # prev still holds the step norm's other end, so these get their own scratch.
+            scratch = PrimalDualState(np.empty_like(ref[0]), np.empty_like(ref[1]), None)
+            for rec, x, y in pending:
+                rec.dist_to_ref = _distance(problem, x, y, *ref, scratch)
+        if final is not None:
+            if ref is not None:
+                break
+            continue
         kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
         if not (kept or options.step_tol > 0):
             continue
         # prev's arrays, which the next step overwrites, take the differences.
-        step_norm = _distance(problem, state, prev.x, prev.y, prev)
+        step_norm = _distance(problem, state.x, state.y, prev.x, prev.y, prev)
         stop = options.step_tol > 0 and step_norm <= options.step_tol
         if kept or stop:
             dist = None
             if ref is not None:
-                dist = _distance(problem, state, ref[0], ref[1], prev)
+                dist = _distance(problem, state.x, state.y, *ref, prev)
             obj = problem.primal_objective(state.x) if options.record_objective else None
             records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
                                            trip.omega, step_norm, dist, obj))
-        if stop:
-            break
-    return state, records
+            if ref is None and ref_at is not None:
+                pending.append((records[-1], state.x.copy(), state.y.copy()))
+        if stop or i + 1 == options.max_iters:
+            if ref is not None or ref_at is None:
+                break
+            final = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),
+                                    state.iteration)
+    return SolveResult(state if final is None else final, records, ref)

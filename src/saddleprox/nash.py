@@ -224,26 +224,28 @@ class NashProblem(SaddleProblem):
 
     def payout(self, k: int, u1: np.ndarray, u2: np.ndarray) -> float:
         """Player k's cost at the control pair (u1, u2); h^2-weighted."""
-        c = self.config
-        s = self.state(u1, u2)
-        if k == 1:
-            track = s - c.z1
-            ctrl = c.alpha1 * np.sum(np.where(c.mask1, u1, 0.0) ** 2)
-        elif k == 2:
-            track = s - c.z2
-            ctrl = c.alpha2 * np.sum(np.where(c.mask2, u2, 0.0) ** 2)
-        else:
+        if k not in (1, 2):
             raise ConfigurationError("player index must be 1 or 2")
+        return self._payout(k, self.state(u1, u2), u1 if k == 1 else u2)
+
+    def _payout(self, k: int, s: np.ndarray, u: np.ndarray) -> float:
+        """Player k's cost with state ``s`` and own control ``u``."""
+        c = self.config
+        z, mask, alpha = (c.z1, c.mask1, c.alpha1) if k == 1 else (c.z2, c.mask2, c.alpha2)
+        track = s - z
+        ctrl = alpha * np.sum(np.where(mask, u, 0.0) ** 2)
         return 0.5 * c.grid.h**2 * (float(np.sum(track**2)) + float(ctrl))
 
     def psi(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Regularized-gap coupling via four payout evaluations."""
+        """Regularized-gap coupling: four payouts on three states, since
+        both players' first payout is at s(u1, u2)."""
         u1, u2 = self._split(x)
         v1, v2 = self._split(y)
+        s_uu = self.state(u1, u2)
         return (
-            self.payout(1, u1, u2)
+            self._payout(1, s_uu, u1)
             - self.payout(1, v1, u2)
-            + self.payout(2, u1, u2)
+            + self._payout(2, s_uu, u2)
             - self.payout(2, u1, v2)
         )
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from saddleprox import __version__
-from saddleprox import cli
+from saddleprox import cli, core
 from saddleprox.cli import main, parse_config_file
 from saddleprox.pgm import read_pgm
 from saddleprox.schedules import potts_steps
@@ -208,6 +208,86 @@ def test_potts_runs_are_byte_identical(tmp_path, capsys):
             "ref": (tmp_path / (name + "_reference.pgm")).read_bytes(),
         })
     assert outs[0] == outs[1]
+
+
+# One pass and two passes of ``potts --reference-iters`` write the same bytes.
+ONE_PASS_ARGV = {
+    "potts-64-cli": ["--synthetic", "64", "64", "1", "--p", "inf", "--n-shapes", "1",
+                     "--noise-sigma", "0", "--reference-iters", "600", "--iters", "400",
+                     "--log-stride", "50"],
+    "readme-paper-pinf": ["--input", "{noisy}", "--p", "inf", "--preset", "paper-pinf",
+                          "--iters", "50", "--reference-iters", "60", "--log-stride", "5"],
+    "ref-before-iters-p1": ["--synthetic", "20", "16", "4", "--iters", "130",
+                            "--reference-iters", "60", "--log-stride", "50"],
+    "ref-kept-before-iters-pinf": ["--synthetic", "20", "16", "4", "--p", "inf",
+                                   "--iters", "100", "--reference-iters", "70",
+                                   "--log-stride", "7"],
+    "ref-equals-iters-pinf": ["--synthetic", "20", "16", "4", "--p", "inf",
+                              "--iters", "100", "--reference-iters", "100",
+                              "--log-stride", "7"],
+    "ref-equals-iters-1-p1": ["--synthetic", "9", "7", "2", "--iters", "1",
+                              "--reference-iters", "1"],
+    "ref-after-iters-p1": ["--synthetic", "20", "16", "5", "--iters", "40",
+                           "--reference-iters", "90", "--log-stride", "7"],
+}
+
+
+def _potts_outputs(argv, workdir, monkeypatch, capsys):
+    """The files and stdout of ``potts argv`` run in ``workdir``, and the
+    number of ``solve`` calls it made."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", counted)
+    rc, out, _ = run_cli(["potts"] + argv + ["--out-prefix", "run"], capsys)
+    monkeypatch.setattr(cli, "solve", real_solve)
+    assert rc == 0
+    files = {name: (workdir / name).read_bytes()
+             for name in ("run_log.csv", "run_denoised.pgm", "run_reference.pgm")}
+    return files, out, len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_ARGV))
+def test_one_pass_reference_writes_the_bytes_of_two_passes(tmp_path, monkeypatch,
+                                                           capsys, name):
+    noisy = tmp_path / "noisy.pgm"
+    assert run_cli(["gen-image", "--n1", "24", "--n2", "20", "--seed", "7",
+                    "--n-shapes", "3", "--noise-sigma", "0.05", "--out", str(noisy)],
+                   capsys)[0] == 0
+    argv = [a.format(noisy=noisy) for a in ONE_PASS_ARGV[name]]
+    one = _potts_outputs(argv, tmp_path / "one", monkeypatch, capsys)
+    monkeypatch.setattr(cli, "_COPY_BUDGET", 0)
+    two = _potts_outputs(argv, tmp_path / "two", monkeypatch, capsys)
+    assert (one[2], two[2]) == (1, 2)
+    assert one[:2] == two[:2]
+
+
+@pytest.mark.parametrize("ref_iters, iters", [(600, 400), (40, 130)])
+def test_one_pass_reference_makes_max_iterations(tmp_path, monkeypatch, capsys,
+                                                 ref_iters, iters):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    real_step = core.step
+    monkeypatch.setattr(core, "step", counted)
+    argv = ["potts", "--synthetic", "6", "5", "3", "--p", "inf",
+            "--reference-iters", str(ref_iters), "--iters", str(iters),
+            "--log-stride", "50", "--out-prefix", str(tmp_path / "run")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) == max(ref_iters, iters)
+    monkeypatch.setattr(cli, "_COPY_BUDGET", 0)
+    del calls[:]
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) == ref_iters + iters
 
 
 def test_potts_requires_an_image_source(capsys):

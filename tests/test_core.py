@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddleprox import core
 from saddleprox.core import (
     ConfigurationError,
     DivergenceError,
@@ -171,6 +172,66 @@ def test_solve_keeps_stride_hits_and_last_of_every_iteration(
     assert final.iteration == want_final.iteration
     assert np.array_equal(final.x, want_final.x)
     assert np.array_equal(final.y, want_final.y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    max_iters=st.integers(1, 30),
+    log_stride=st.integers(1, 12),
+    ref_at=st.integers(1, 40),
+    step_tol=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    x0=st.floats(-1.0, 1.0),
+    tau=st.floats(0.1, 1.0),
+)
+def test_reference_index_matches_a_separate_reference_run(
+        max_iters, log_stride, ref_at, step_tol, x0, tau):
+    # Iterate ref_at of the run itself is the final state of a run of
+    # ref_at iterations from the same start, and the log is as with that
+    # pair given as the reference.
+    prob, triple = ScalarBilinear(), StepTriple(tau, 0.5, 1.0)
+    start = (np.array([x0]), np.array([0.25]))
+    ref_state, _ = solve(prob, triple, *start, SolveOptions(max_iters=ref_at))
+    pair = (ref_state.x, ref_state.y)
+    want_final, want = solve(prob, triple, *start,
+                             SolveOptions(max_iters=max_iters, log_stride=log_stride,
+                                          step_tol=step_tol, reference=pair))
+    result = solve(prob, triple, *start,
+                   SolveOptions(max_iters=max_iters, log_stride=log_stride,
+                                step_tol=step_tol, reference=ref_at))
+    final, records = result
+    assert records == want
+    assert _bits(final) == _bits(want_final)
+    assert [a.tobytes() for a in result.reference] == [a.tobytes() for a in pair]
+
+
+def test_reference_index_runs_max_iterations_and_keeps_the_log_end(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(core, "step", counted)
+    f = gen_synthetic(6, 5, 1)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=math.inf), f)
+    triple, _ = potts_steps(1.0, 1e-3, math.inf)
+    x0, y0 = f.ravel(), np.zeros(prob.dual_dim)
+    for max_iters, ref_at in ((4, 9), (9, 4), (6, 6)):
+        want, _ = solve(prob, triple, x0, y0, SolveOptions(max_iters=max_iters))
+        del calls[:]
+        final, records = solve(prob, triple, x0, y0,
+                               SolveOptions(max_iters=max_iters, log_stride=4,
+                                            reference=ref_at))
+        assert len(calls) == max(max_iters, ref_at)
+        assert records[-1].iteration == max_iters
+        assert _bits(final) == _bits(want)
+
+
+def test_reference_index_must_be_positive():
+    for bad in (0, -2):
+        with pytest.raises(ConfigurationError):
+            SolveOptions(reference=bad)
+    assert SolveOptions(reference=np.int64(3)).reference == 3
 
 
 def test_objective_is_evaluated_only_for_kept_iterations():

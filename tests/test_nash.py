@@ -206,6 +206,21 @@ def test_psi_vanishes_on_the_diagonal():
     assert prob.psi(x, x) == 0.0
 
 
+def test_psi_makes_three_solves_and_equals_its_four_payouts():
+    config, x_star, y_star = manufacture(15)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(14)
+    x = x_star + 0.05 * rng.normal(size=prob.primal_dim)
+    y = y_star + 0.05 * rng.normal(size=prob.dual_dim)
+    (u1, u2), (v1, v2) = prob._split(x), prob._split(y)
+    for k in range(1, 4):
+        before = prob.pde_solves
+        value = prob.psi(x, y)
+        assert prob.pde_solves - before == 3
+    assert value == (prob.payout(1, u1, u2) - prob.payout(1, v1, u2)
+                     + prob.payout(2, u1, u2) - prob.payout(2, u1, v2))
+
+
 def test_payout_matches_dense_recomputation():
     n = 7
     config, x_star, _ = manufacture(n)
