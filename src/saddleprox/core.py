@@ -139,13 +139,20 @@ class SolveOptions:
     def __post_init__(self):
         for name in ("max_iters", "log_stride"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ConfigurationError("%s must be an integer >= 1, got %r" % (name, value))
-        if isinstance(self.reference, (int, np.integer)) and self.reference < 1:
-            raise ConfigurationError("a reference index must be >= 1, got %r"
+        if isinstance(self.reference, bool) or (is_int(self.reference)
+                                                and self.reference < 1):
+            raise ConfigurationError("a reference index must be an integer >= 1, got %r"
                                      % (self.reference,))
         if not self.step_tol >= 0:  # also rejects NaN
             raise ConfigurationError("step_tol must be >= 0, got %r" % (self.step_tol,))
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool,
+    which would otherwise pass as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _flat(v) -> np.ndarray:
@@ -167,13 +174,14 @@ def _check_dims(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> None:
 
 def out_buffer(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> np.ndarray:
     """The result buffer of a map: a new array for ``out=None``, else
-    ``out`` itself, which must be a C-contiguous float64 array of
-    ``shape`` that shares no memory with ``inputs``."""
+    ``out`` itself, which must be a writeable C-contiguous float64 array
+    of ``shape`` that shares no memory with ``inputs``."""
     if out is None:
         return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ConfigurationError("out must be a C-contiguous float64 array of shape %s"
-                                 % (shape,))
+    if (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
+            or not out.flags.writeable):
+        raise ConfigurationError("out must be a writeable C-contiguous float64 array "
+                                 "of shape %s" % (shape,))
     if any(np.may_share_memory(out, a) for a in inputs):
         raise ConfigurationError("out must not share memory with this operand")
     return out
@@ -280,7 +288,7 @@ def solve(
     state = PrimalDualState.initial(x0, y0)
     _check_dims(problem, state.x, state.y)
     ref, ref_at = options.reference, None
-    if isinstance(ref, (int, np.integer)):
+    if is_int(ref):
         ref, ref_at = None, ref
     elif ref is not None:
         # Flat views, not copies: the reference is only read.

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConfigurationError, SaddleProblem, out_buffer
+from .core import ConfigurationError, SaddleProblem, is_int, out_buffer
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not is_int(self.n) or self.n < 2:
             raise ConfigurationError("grid needs an integer n >= 2, got %r" % (self.n,))
 
     @property

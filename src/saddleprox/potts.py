@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, SaddleProblem, out_buffer
+from .core import ConfigurationError, SaddleProblem, is_int, out_buffer
 
 
 def _check_p(p: float) -> None:
@@ -77,16 +77,25 @@ def dht(g: np.ndarray, h: float = 1.0,
     The result is therefore bit-identical to that form, signed zeros
     included; the shorter g_i,j-1,0 - g_ij0 would turn +0 into -0 where
     g_ij0 = +0 and g_i,j-1,0 = -0.
+
+    The horizontal terms are taken along the flattened image, as in
+    :func:`dh`, so each is one ufunc loop: 0 - g_ij0 for every pixel,
+    then the far column zeroed, then g_i,j-1,0 added from the previous
+    flat entry.  That also adds g_i-1,n2-1,0 across each row start, so
+    column 0 is recomputed as 0 - g_i00.  For n2 = 1 column 0 is the far
+    column: it has no horizontal term and stays 0.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 3 or g.shape[2] != 2:
         raise ConfigurationError("gradient field must have shape (n1, n2, 2)")
     _check_positive("mesh width h", h)
-    gx, gy = g[:, :-1, 0], g[:-1, :, 1]
     out = out_buffer(out, g.shape[:2], g)
-    np.subtract(0.0, gx, out=out[:, :-1])
+    flat, gx, gy = out.reshape(-1), g.reshape(-1, 2)[:, 0], g[:-1, :, 1]
+    np.subtract(0.0, gx, out=flat)
     out[:, -1:] = 0.0
-    out[:, 1:] += gx
+    if g.shape[1] > 1:
+        np.add(flat[1:], gx[:-1], out=flat[1:])
+        np.subtract(0.0, g[:, :1, 0], out=out[:, :1])
     out[:-1, :] -= gy
     out[1:, :] += gy
     if h != 1.0:
@@ -116,16 +125,16 @@ def rho_pair(z: np.ndarray, y: np.ndarray,
     """Paired products t = <z, y> of rows: arrays of shape (..., m)
     paired over the last axis, which t keeps with size 1.
 
-    The sum runs in component order, which gives the bits of
-    ``np.sum(z * y, axis=-1)`` for the m used here (1 and 2).  For m = 1,
-    t is written into ``out`` (of z's shape) if given; for m > 1, t is a
-    new (..., 1) array and ``out[..., 1:]`` takes the later products."""
+    The products z * y are taken in one pass, into ``out`` (of z's shape)
+    if given, and summed in component order, which gives the bits of
+    ``np.sum(z * y, axis=-1)`` for the m used here (1 and 2).  For m = 1
+    the products are t; for m > 1, t is a new (..., 1) array."""
+    prod = np.multiply(z, y, out=out)
     if z.shape[-1] == 1:
-        return np.multiply(z, y, out=out)
-    t = z[..., :1] * y[..., :1]
-    for k in range(1, z.shape[-1]):
-        t += np.multiply(z[..., k:k + 1], y[..., k:k + 1],
-                         out=None if out is None else out[..., k:k + 1])
+        return prod
+    t = prod[..., :1] + prod[..., 1:2]
+    for k in range(2, z.shape[-1]):
+        t += prod[..., k:k + 1]
     return t
 
 
@@ -238,13 +247,28 @@ class PottsConfig:
         _check_p(self.p)
 
 
+# Dual field held as scratch by one gradient call.  The gradients walk
+# the image in row blocks of at most this many bytes of field, so that a
+# block's D x stays in cache between the kernels applied to it.
+_BLOCK_BYTES = 1 << 20
+
+
 class PottsProblem(SaddleProblem):
     """Saddle-point form of the discontinuity-penalized denoising problem.
 
     The maps write into ``out`` as :class:`SaddleProblem` describes and
-    keep no workspace between calls: each gradient builds D x in a field
-    of its own.  (A field kept on the problem raised the peak RSS of a
-    1024^2 solve by 8%, through heap fragmentation.)
+    keep no workspace between calls.  Each gradient walks the image in
+    row blocks of at most ``_BLOCK_BYTES`` of field (an image of up to
+    65,536 pixels is one block) and builds D x of one block, with its
+    halo rows, in a field of its own: the scratch of a call is one
+    block's field, not a field of the whole image.  Every entry keeps
+    the operand order of the whole-image kernels, so the result has
+    their bits for any block size, up to the sign of a NaN met by a NaN
+    (numpy's add and multiply loops pick that operand by the entry's
+    place in the loop).  A block writes ``out`` while later blocks still
+    read x and y, so the gradients' ``out`` shares memory with neither.
+    (A field kept on the problem raised the peak RSS of a 1024^2 solve
+    by 8%, through heap fragmentation.)
     """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
@@ -263,20 +287,43 @@ class PottsProblem(SaddleProblem):
     def _field(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(self.shape + (2,))
 
+    def _blocks(self, halo: int):
+        """The rows of a block, and scratch for one block's field with
+        ``halo`` extra rows."""
+        n1, n2 = self.shape
+        rows = max(1, _BLOCK_BYTES // (16 * max(n2, 1)))
+        return rows, np.empty((min(rows + halo, n1), n2, 2))
+
     def grad_x(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        c = self.config
-        out = out_buffer(out, (self.primal_dim,))
-        z = dh(self._img(x), c.h)
-        kappa_z(c.p, z, self._field(y), out=z)
-        dht(z, c.h, out=self._img(out))
+        # Rows [a, b) of D^T kappa_z(D x, y) read kappa_z on rows
+        # [a - 1, b), which reads x on rows [a - 1, b + 1).  dht writes
+        # the halo rows too: row a - 1, already final, is put back, and
+        # row b is written again by the next block.
+        c, n1 = self.config, self.shape[0]
+        out = out_buffer(out, (self.primal_dim,), x, y)
+        img, field, res = self._img(x), self._field(y), self._img(out)
+        rows, scratch = self._blocks(2)
+        for a in range(0, n1, rows):
+            lo, hi = max(a - 1, 0), min(a + rows + 1, n1)
+            z = dh(img[lo:hi], c.h, out=scratch[:hi - lo])
+            kappa_z(c.p, z, field[lo:hi], out=z)
+            kept = res[lo:a].copy()
+            dht(z, c.h, out=res[lo:hi])
+            res[lo:a] = kept
         return out
 
     def grad_y(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        c = self.config
-        out = out_buffer(out, (self.dual_dim,))
-        kappa_y(c.p, dh(self._img(x), c.h), self._field(y), out=self._field(out))
+        # Rows [a, b) of D x read x on rows [a, b + 1).
+        c, n1 = self.config, self.shape[0]
+        out = out_buffer(out, (self.dual_dim,), x, y)
+        img, field, res = self._img(x), self._field(y), self._field(out)
+        rows, scratch = self._blocks(1)
+        for a in range(0, n1, rows):
+            b, hi = min(a + rows, n1), min(a + rows + 1, n1)
+            z = dh(img[a:hi], c.h, out=scratch[:hi - a])
+            kappa_y(c.p, z[:b - a], field[a:b], out=res[a:b])
         return out
 
     def prox_primal(self, tau: float, v: np.ndarray,
@@ -322,11 +369,13 @@ def gen_synthetic(
     noise-free image has at most n_shapes + 1 distinct values.  Noise is
     then added and the result clamped to [0, 1].
     """
-    if n1 < 1 or n2 < 1:
-        raise ConfigurationError("image dimensions n1, n2 must be positive, got %d, %d"
-                                 % (n1, n2))
-    if n_shapes < 0 or not noise_sigma >= 0:
-        raise ConfigurationError("n_shapes and noise_sigma must be >= 0")
+    for name, value, least in (("n1", n1, 1), ("n2", n2, 1), ("seed", seed, 0),
+                               ("n_shapes", n_shapes, 0)):
+        if not is_int(value) or value < least:
+            raise ConfigurationError("%s must be an integer >= %d, got %r"
+                                     % (name, least, value))
+    if not noise_sigma >= 0:  # also rejects NaN
+        raise ConfigurationError("noise_sigma must be >= 0, got %r" % (noise_sigma,))
     rng = np.random.default_rng(seed)
     img = np.full((n1, n2), rng.uniform(0.1, 0.4))
     ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")

@@ -19,7 +19,8 @@ from saddleprox.core import (
     step,
 )
 from saddleprox.nash import NashProblem, manufacture
-from saddleprox.potts import PottsConfig, PottsProblem, gen_synthetic
+from saddleprox.potts import (PottsConfig, PottsProblem, dh, dht, gen_synthetic, kappa_y,
+                              kappa_z)
 from saddleprox.schedules import StepTriple, potts_steps
 from saddleprox.verify import _BilinearProblem
 
@@ -228,7 +229,7 @@ def test_reference_index_runs_max_iterations_and_keeps_the_log_end(monkeypatch):
 
 
 def test_reference_index_must_be_positive():
-    for bad in (0, -2):
+    for bad in (0, -2, True, False):
         with pytest.raises(ConfigurationError):
             SolveOptions(reference=bad)
     assert SolveOptions(reference=np.int64(3)).reference == 3
@@ -290,7 +291,8 @@ def test_divergence_error_carries_iteration():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(max_iters=0), dict(max_iters=-3), dict(log_stride=0), dict(step_tol=-1.0),
-     dict(step_tol=math.nan), dict(max_iters=2.5), dict(log_stride=1.5)],
+     dict(step_tol=math.nan), dict(max_iters=2.5), dict(log_stride=1.5),
+     dict(max_iters=True), dict(log_stride=True), dict(max_iters=np.bool_(True))],
 )
 def test_solve_options_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -451,3 +453,44 @@ def test_step_rejects_out_sharing_memory():
     # The state's x_bar is not read, so its arrays may be reused.
     out = PrimalDualState(x=state.x_bar, y=other.y, x_bar=other.x_bar)
     assert step(prob, UNIT, state, out=out).x[0] == 1.0
+
+
+def _read_only(shape):
+    a = np.full(shape, 7.0)
+    a.flags.writeable = False
+    return a
+
+
+def test_read_only_out_is_rejected_before_anything_is_written():
+    # numpy would raise its own ValueError from inside the map, and in
+    # ``step`` only after x+ had been written into the other arrays.
+    f = gen_synthetic(6, 5, 1, n_shapes=1)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
+    n, m = prob.primal_dim, prob.dual_dim
+    state = PrimalDualState.initial(f.ravel(), np.ones(m))
+    step(prob, UNIT, state, out=PrimalDualState(np.empty(n), np.empty(m), np.empty(n)))
+    for k in range(3):
+        arrays = [np.full(n, 7.0), np.full(m, 7.0), np.full(n, 7.0)]  # x, y, x_bar
+        arrays[k].flags.writeable = False
+        with pytest.raises(ConfigurationError):
+            step(prob, UNIT, state, out=PrimalDualState(*arrays))
+        assert all((a == 7.0).all() for a in arrays)
+    img, z, y = f, dh(f), np.ones((6, 5, 2))
+    nash_prob = NashProblem(manufacture(7)[0])
+    u, v = np.zeros(nash_prob.primal_dim), np.zeros(nash_prob.dual_dim)
+    calls = [lambda o: dh(img, out=o(z.shape)),
+             lambda o: dht(z, out=o(img.shape)),
+             lambda o: kappa_z(1, z, y, out=o(z.shape)),
+             lambda o: kappa_y(math.inf, z, y, out=o(z.shape)),
+             lambda o: prob.grad_x(state.x, state.y, out=o(n)),
+             lambda o: prob.grad_y(state.x, state.y, out=o(m)),
+             lambda o: prob.prox_primal(0.5, state.x, out=o(n)),
+             lambda o: prob.prox_dual(0.5, state.y, out=o(m)),
+             lambda o: nash_prob.grad_x(u, v, out=o(u.size)),
+             lambda o: nash_prob.grad_y(u, v, out=o(v.size)),
+             lambda o: nash_prob.prox_primal(0.5, u, out=o(u.size)),
+             lambda o: nash_prob.prox_dual(0.5, v, out=o(v.size))]
+    for call in calls:
+        call(np.empty)  # the same call with a writeable out is fine
+        with pytest.raises(ConfigurationError):
+            call(_read_only)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddleprox import potts
 from saddleprox.core import ConfigurationError, PrimalDualState, step
 from saddleprox.potts import (
     PottsConfig,
@@ -225,6 +226,7 @@ def test_kernel_out_validation():
     x = np.zeros((4, 3))
     z, y = np.zeros((4, 3, 2)), np.zeros((4, 3, 2))
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), x)
+    buf = np.zeros(24)
     bad = [lambda: dh(x, out=np.empty((4, 3))),                      # shape
            lambda: dh(x, out=np.empty((4, 3, 2), dtype=np.float32)),  # dtype
            lambda: dh(x, out=np.empty((4, 3, 4))[..., ::2]),          # strided
@@ -232,7 +234,11 @@ def test_kernel_out_validation():
            lambda: kappa_z(1, z, y, out=y),                           # overlaps y
            lambda: kappa_y(math.inf, z, y, out=z),                    # overlaps z
            lambda: prob.prox_primal(0.1, x.ravel(), out=x.ravel()),   # overlaps v
-           lambda: prob.grad_x(x.ravel(), y.ravel(), out=np.empty((12, 2))[:, 0])]
+           lambda: prob.grad_x(x.ravel(), y.ravel(), out=np.empty((12, 2))[:, 0]),
+           # The gradients write out block by block while still reading x, y.
+           lambda: prob.grad_x(x.ravel(), y.ravel(), out=y.reshape(-1)[:12]),
+           lambda: prob.grad_y(x.ravel(), y.ravel(), out=y.reshape(-1)),
+           lambda: prob.grad_y(buf[:12], y.ravel(), out=buf)]
     for call in bad:
         with pytest.raises(ConfigurationError):
             call()
@@ -266,17 +272,69 @@ def test_kernels_allocate_one_result_buffer():
 
 def test_step_with_out_allocates_at_most_one_field():
     # Traced peak of one engine step into recycled arrays, 128x128, p = 1,
-    # in images: each gradient builds D x in one field of its own (2
-    # images), and the strided ufuncs of dht add numpy's fixed-size
-    # iterator buffers (1.5 images at this size).  Allocating every
-    # iterate and temporary peaks at 8.
+    # in images: each gradient builds D x of its one block (the whole
+    # image here) in a field of its own, 2 images.  dht runs along the
+    # flattened image, so no ufunc needs numpy's iterator buffers.
+    # Allocating every iterate and temporary peaks at 8.
     f = gen_synthetic(128, 128, 5, n_shapes=3, noise_sigma=0.05)
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
     trip = StepTriple(0.01, 1.0, 0.99)
     state = step(prob, trip, PrimalDualState.initial(f.ravel(), np.zeros(prob.dual_dim)))
     out = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
     assert _traced_peak_in_images(lambda: step(prob, trip, state, out=out),
-                                  f.nbytes) <= 4.1
+                                  f.nbytes) <= 2.1
+
+
+def _rows_per_block(monkeypatch, n2, rows):
+    """Set the gradients' block budget to ``rows`` rows of an n2-wide field."""
+    monkeypatch.setattr(potts, "_BLOCK_BYTES", 16 * max(n2, 1) * rows)
+
+
+@pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
+                                         ((9, 1), 4), ((1, 9), 1), ((2, 2), 1)],
+                         ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("h", [1.0, 0.5])
+@BOTH_P
+@pytest.mark.parametrize("entries", ["normal", "special"])
+def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
+        monkeypatch, shape, rows, h, p, entries):
+    # Several blocks, the last of them one row (33 = 8*4 + 1, 9 = 4*2 + 1),
+    # must give the bits of the kernels applied to the whole image, up to
+    # the sign of a NaN: numpy's contiguous add and multiply loops return
+    # one operand's NaN in their vector body and the other's in the
+    # remainder, so a NaN met by a NaN takes a sign that depends on the
+    # entry's place in the loop, which a block moves.
+    rng = np.random.default_rng(sum(shape) + rows)
+
+    def draw(size):
+        if entries == "normal":
+            return rng.normal(size=size)
+        return rng.choice(SPECIAL_ENTRIES, size=size)
+
+    x, y = draw(shape), draw(shape + (2,))
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=h), x)
+    with np.errstate(all="ignore"):
+        want_x = dht(kappa_z(p, dh(x, h), y), h).ravel()
+        want_y = kappa_y(p, dh(x, h), y).ravel()
+        _rows_per_block(monkeypatch, shape[1], rows)
+        got_x, got_y = prob.grad_x(x.ravel(), y.ravel()), prob.grad_y(x.ravel(), y.ravel())
+    for got, want in ((got_x, want_x), (got_y, want_y)):
+        assert _same_bits(*(np.where(np.isnan(a), np.nan, a) for a in (got, want)))
+
+
+@BOTH_P
+def test_blocked_gradients_hold_one_block_of_field(monkeypatch, p):
+    # 128x128 in blocks of 16 rows: a gradient call holds one block's
+    # field with its halo rows (18 rows; for p = inf also rho_pair's
+    # half-size t), not a field of the whole image (128 rows).
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=128 * 128), rng.normal(size=128 * 128 * 2)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), x.reshape(128, 128))
+    gx, gy = np.empty(x.size), np.empty(y.size)
+    _rows_per_block(monkeypatch, 128, 16)
+    block_field = 18 * 128 * 2 * 8
+    for call in (lambda: prob.grad_x(x, y, out=gx), lambda: prob.grad_y(x, y, out=gy)):
+        assert _traced_peak_in_images(call, block_field) <= 1.75
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +590,8 @@ def test_gen_synthetic_validation():
         gen_synthetic(4, 4, seed=0, noise_sigma=-0.1)
     with pytest.raises(ConfigurationError):
         gen_synthetic(4, 4, seed=0, noise_sigma=math.nan)
+    for args, kwargs in [((4, 4, 0), dict(n_shapes=2.5)), ((4.0, 4, 0), {}),
+                         ((4, 4.5, 0), {}), ((4, "4", 0), {}), ((4, 4, 0.5), {}),
+                         ((4, 4, -1), {}), ((True, 4, 0), {})]:
+        with pytest.raises(ConfigurationError):
+            gen_synthetic(*args, **kwargs)
