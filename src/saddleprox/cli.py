@@ -133,11 +133,6 @@ def fmt_triple(triple: StepTriple) -> list[tuple[str, object]]:
 # potts subcommand.
 # ---------------------------------------------------------------------------
 
-# Bytes of iterate copies a ``potts --reference-iters`` run may keep to
-# make its reference and its log in one pass; past it, it makes two.
-_COPY_BUDGET = 64 << 20
-
-
 def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstants]:
     """The Potts step calculator applied to the flags ``potts`` and ``steps`` share.
 
@@ -188,31 +183,10 @@ def cmd_potts(args: argparse.Namespace) -> int:
 
     problem = potts.PottsProblem(potts.PottsConfig(alpha=alpha, gamma=gamma, p=p),
                                  image)
-    x0 = image.ravel().copy()
-    y0 = np.zeros(problem.dual_dim)
-
-    # One pass keeps at most this many (x, y) pairs: the kept iterates
-    # before the reference, the reference or the log's last state, and
-    # one scratch pair.
-    copies = min(iters, ref_iters) // args.log_stride + 3
-    if 0 < ref_iters and copies * (x0.nbytes + y0.nbytes) <= _COPY_BUDGET:
-        result = solve(problem, triple, x0, y0,
-                       SolveOptions(max_iters=iters, log_stride=args.log_stride,
-                                    reference=ref_iters, record_objective=True))
-        state, records = result
-        reference = result.reference
-    else:
-        reference = None
-        if ref_iters > 0:
-            ref_state, _ = solve(problem, triple, x0, y0,
-                                 SolveOptions(max_iters=ref_iters,
-                                              log_stride=ref_iters))
-            reference = (ref_state.x, ref_state.y)
-
-        state, records = solve(problem, triple, x0, y0,
-                               SolveOptions(max_iters=iters, log_stride=args.log_stride,
-                                            reference=reference,
-                                            record_objective=True))
+    result = solve(problem, triple, image.ravel(), np.zeros(problem.dual_dim),
+                   SolveOptions(max_iters=iters, log_stride=args.log_stride,
+                                reference=ref_iters or None, record_objective=True))
+    (state, records), reference = result, result.reference
 
     header = config_header("potts", cfg_items)
     columns = ["iter", "objective", "step_norm"]
@@ -304,29 +278,36 @@ def cmd_steps(args: argparse.Namespace) -> int:
         schedule, c = potts_schedule(args)
     else:
         c = constants_from_flags(args)
-        if regime == "constant":
-            tau_sup, sigma_bound = bound_constant(c)
-            tau = (args.safety * bounded("tau_sup", tau_sup, "--tau")
-                   if args.tau is None else args.tau)
-            schedule = ConstantRule(tau, bounded("sigma_max", sigma_bound(tau),
-                                                 "a positive --rk or --lambda-y"))
-            lines += [("tau_sup", tau_sup), ("safety", args.safety)]
-        elif regime == "accelerated":
-            # The product cap alone does not imply the per-iteration
-            # dual condition when lambda_y > 0, so sigma uses the
-            # constant-regime cap evaluated at tau0.
-            tau0_max, _sig_tau = bound_accelerated(c)
-            tau0 = (bounded("tau0_max", tau0_max, "--tau0")
-                    if args.tau0 is None else args.tau0)
-            sigma = bounded("sigma_max", bound_constant(c)[1](tau0),
-                            "a positive --rk or --lambda-y")
-            schedule = AcceleratedRule(tau0, sigma, c.gtg)
-            lines += [("tau0_max", tau0_max)]
-        else:
-            tau_max = bound_linear(c)
-            tau = bounded("tau_max", tau_max, "--tau") if args.tau is None else args.tau
-            schedule = LinearRateRule(tau=tau, gtg=c.gtg, gtf=c.gtf)
-            lines += [("tau_max", tau_max)]
+        try:  # the bounds square r_k and lambda_y
+            if regime == "constant":
+                tau_sup, sigma_bound = bound_constant(c)
+                tau = (args.safety * bounded("tau_sup", tau_sup, "--tau")
+                       if args.tau is None else args.tau)
+                schedule = ConstantRule(tau, bounded("sigma_max", sigma_bound(tau),
+                                                     "a positive --rk or --lambda-y"))
+                lines += [("tau_sup", tau_sup), ("safety", args.safety)]
+            elif regime == "accelerated":
+                # The product cap alone does not imply the per-iteration
+                # dual condition when lambda_y > 0, so sigma uses the
+                # constant-regime cap evaluated at tau0.
+                tau0_max, _sig_tau = bound_accelerated(c)
+                tau0 = (bounded("tau0_max", tau0_max, "--tau0")
+                        if args.tau0 is None else args.tau0)
+                sigma = bounded("sigma_max", bound_constant(c)[1](tau0),
+                                "a positive --rk or --lambda-y")
+                schedule = AcceleratedRule(tau0, sigma, c.gtg)
+                lines += [("tau0_max", tau0_max)]
+            else:
+                tau_max = bound_linear(c)
+                tau = (bounded("tau_max", tau_max, "--tau")
+                       if args.tau is None else args.tau)
+                schedule = LinearRateRule(tau=tau, gtg=c.gtg, gtf=c.gtf)
+                lines += [("tau_max", tau_max)]
+        except OverflowError:
+            flag, value = (("--rk", args.rk) if math.isinf(args.rk * args.rk)
+                           else ("--lambda-y", args.lambda_y))
+            raise ConfigurationError("%s %r is too large: the step bounds overflow"
+                                     % (flag, value)) from None
     lines += fmt_triple(schedule.triple(0))
 
     lines += [(f.name, getattr(c, f.name)) for f in dataclasses.fields(c)]

@@ -18,7 +18,7 @@ primal- or dual-size vector per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -26,6 +26,10 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """Inconsistent problem/solver configuration (shape mismatch, bad option)."""
+
+
+# Bytes of (x, y) copies :func:`solve` may keep for a one-pass reference.
+_COPY_BUDGET = 64 << 20
 
 
 class DivergenceError(RuntimeError):
@@ -49,9 +53,8 @@ class SaddleProblem:
 
     Each of the four maps takes ``out``: ``None`` (return a new array)
     or a buffer that :func:`out_buffer` accepts, which the map fills and
-    returns.  A map may instead return another array; :func:`step` then
-    copies it into ``out``.  :func:`step` passes ``out`` disjoint from
-    the arguments, except that ``prox_dual`` gets ``out`` equal to ``w``.
+    returns.  :func:`step` passes ``out`` disjoint from the arguments,
+    except that ``prox_dual`` gets ``out`` equal to ``w``.
     """
 
     primal_dim: int
@@ -126,9 +129,10 @@ class IterationRecord:
 @dataclass
 class SolveOptions:
     """Options of :func:`solve`.  ``reference`` is a pair (x, y), or the
-    index of an iteration of the run itself: the run then goes on to
+    index R of an iteration of the run itself: the run then goes on to
     that iteration if it is past the log, and measures the logged
-    iterates against it."""
+    iterates against it, in one pass unless the copies that takes would
+    pass 64 MiB (``_COPY_BUDGET``)."""
 
     max_iters: int = 100
     step_tol: float = 0.0
@@ -187,13 +191,6 @@ def out_buffer(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> 
     return out
 
 
-def _fill(buf: np.ndarray, result: np.ndarray) -> np.ndarray:
-    """``buf`` holding ``result``, which a problem may return instead of ``buf``."""
-    if result is not buf:
-        np.copyto(buf, result)
-    return buf
-
-
 def step(problem: SaddleProblem, triple, state: PrimalDualState,
          out: Optional[PrimalDualState] = None) -> PrimalDualState:
     """One primal-dual iteration with the step triple (tau, sigma, omega).
@@ -218,17 +215,17 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
 
     # x_bar holds x - tau * grad_x(x, y) until x_new is known.
-    v = _fill(out.x_bar, problem.grad_x(x, y, out=out.x_bar))
+    v = problem.grad_x(x, y, out=out.x_bar)
     np.multiply(tau, v, out=v)
     np.subtract(x, v, out=v)
-    x_new = _fill(out.x, problem.prox_primal(tau, v, out=out.x))
+    x_new = problem.prox_primal(tau, v, out=out.x)
     x_bar = np.subtract(x_new, x, out=out.x_bar)
     np.multiply(omega, x_bar, out=x_bar)
     np.add(x_new, x_bar, out=x_bar)
-    w = _fill(out.y, problem.grad_y(x_bar, y, out=out.y))
+    w = problem.grad_y(x_bar, y, out=out.y)
     np.multiply(sigma, w, out=w)
     np.add(y, w, out=w)
-    y_new = _fill(out.y, problem.prox_dual(sigma, w, out=w))
+    y_new = problem.prox_dual(sigma, w, out=w)
 
     it = state.iteration + 1
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
@@ -281,16 +278,26 @@ def solve(
     run.  Kept iterates before R are copied as (x, y) pairs and get
     their distance once iterate R exists; if the log ends before R, its
     last state is copied and the run goes on to R.  The returned state
-    is still the one that ends the log.  The loop recycles two sets of
-    iterate arrays, so ``x0`` and ``y0`` are copied first; the returned
-    state and reference belong to the caller.
+    is still the one that ends the log.  If the min(max_iters, R) //
+    log_stride + 3 pairs this keeps would pass 64 MiB (``_COPY_BUDGET``),
+    R quiet iterations from (x0, y0) make the reference pair first, with
+    the same bits: R + max_iters steps instead of max(R, max_iters).
+    The loop recycles two sets of iterate arrays, so ``x0`` and ``y0``
+    are copied first; the returned state and reference belong to the caller.
     """
-    state = PrimalDualState.initial(x0, y0)
-    _check_dims(problem, state.x, state.y)
     ref, ref_at = options.reference, None
     if is_int(ref):
+        # Pairs before R, the reference or the log's end, and a scratch pair.
+        copies = min(options.max_iters, ref) // options.log_stride + 3
+        if copies * 8 * (problem.primal_dim + problem.dual_dim) > _COPY_BUDGET:
+            pair, _ = solve(problem, schedule, x0, y0,
+                            SolveOptions(max_iters=ref, log_stride=ref))
+            return solve(problem, schedule, x0, y0,
+                         replace(options, reference=(pair.x, pair.y)))
         ref, ref_at = None, ref
-    elif ref is not None:
+    state = PrimalDualState.initial(x0, y0)
+    _check_dims(problem, state.x, state.y)
+    if ref is not None:
         # Flat views, not copies: the reference is only read.
         ref = _flat(ref[0]), _flat(ref[1])
         _check_dims(problem, *ref)

@@ -50,7 +50,9 @@ def dh(x: np.ndarray, h: float = 1.0,
     result is bit-identical to it.  The horizontal differences are taken
     along the flattened image, which also writes a difference across
     each row end into the far-edge column; that column is zeroed
-    afterwards.
+    afterwards.  A non-finite entry at a row end can make numpy warn
+    there (``dh([[0, inf], [inf, 0]])``: "invalid value encountered in
+    subtract"); the result is right, and ``solve``'s iterates are finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -83,7 +85,9 @@ def dht(g: np.ndarray, h: float = 1.0,
     then the far column zeroed, then g_i,j-1,0 added from the previous
     flat entry.  That also adds g_i-1,n2-1,0 across each row start, so
     column 0 is recomputed as 0 - g_i00.  For n2 = 1 column 0 is the far
-    column: it has no horizontal term and stays 0.
+    column: it has no horizontal term and stays 0.  As in :func:`dh`, a
+    non-finite entry can make numpy warn of a sum across a row start that
+    column 0 then recomputes; the result is right.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 3 or g.shape[2] != 2:

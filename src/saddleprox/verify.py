@@ -67,6 +67,14 @@ def fd_grad_check(
     return worst
 
 
+def _into(out, result):
+    """A bilinear callable's new array ``result``, copied into ``out`` if given."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
 class _BilinearProblem(SaddleProblem):
     """K(x, y) = <y, A x> wrapped for the generic engine."""
 
@@ -78,18 +86,17 @@ class _BilinearProblem(SaddleProblem):
         self.primal_dim = primal_dim
         self.dual_dim = dual_dim
 
-    # The callables return new arrays, which step copies into its ``out``.
     def grad_x(self, x, y, out=None):
-        return self._adj(y)
+        return _into(out, self._adj(y))
 
     def grad_y(self, x, y, out=None):
-        return self._fwd(x)
+        return _into(out, self._fwd(x))
 
     def prox_primal(self, tau, v, out=None):
-        return self._prox_g(tau, v)
+        return _into(out, self._prox_g(tau, v))
 
     def prox_dual(self, sigma, w, out=None):
-        return self._prox_fstar(sigma, w)
+        return _into(out, self._prox_fstar(sigma, w))
 
     def value(self, x, y):
         return float(np.dot(y, self._fwd(x)))

@@ -234,19 +234,19 @@ ONE_PASS_ARGV = {
 
 def _potts_outputs(argv, workdir, monkeypatch, capsys):
     """The files and stdout of ``potts argv`` run in ``workdir``, and the
-    number of ``solve`` calls it made."""
+    number of steps it made."""
     workdir.mkdir()
     monkeypatch.chdir(workdir)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real_solve(*args, **kwargs)
+        return real_step(*args, **kwargs)
 
-    real_solve = cli.solve
-    monkeypatch.setattr(cli, "solve", counted)
+    real_step = core.step
+    monkeypatch.setattr(core, "step", counted)
     rc, out, _ = run_cli(["potts"] + argv + ["--out-prefix", "run"], capsys)
-    monkeypatch.setattr(cli, "solve", real_solve)
+    monkeypatch.setattr(core, "step", real_step)
     assert rc == 0
     files = {name: (workdir / name).read_bytes()
              for name in ("run_log.csv", "run_denoised.pgm", "run_reference.pgm")}
@@ -262,9 +262,11 @@ def test_one_pass_reference_writes_the_bytes_of_two_passes(tmp_path, monkeypatch
                    capsys)[0] == 0
     argv = [a.format(noisy=noisy) for a in ONE_PASS_ARGV[name]]
     one = _potts_outputs(argv, tmp_path / "one", monkeypatch, capsys)
-    monkeypatch.setattr(cli, "_COPY_BUDGET", 0)
+    monkeypatch.setattr(core, "_COPY_BUDGET", 0)
     two = _potts_outputs(argv, tmp_path / "two", monkeypatch, capsys)
-    assert (one[2], two[2]) == (1, 2)
+    ref_iters, iters = (int(argv[argv.index(flag) + 1])
+                        for flag in ("--reference-iters", "--iters"))
+    assert (one[2], two[2]) == (max(ref_iters, iters), ref_iters + iters)
     assert one[:2] == two[:2]
 
 
@@ -284,7 +286,7 @@ def test_one_pass_reference_makes_max_iterations(tmp_path, monkeypatch, capsys,
             "--log-stride", "50", "--out-prefix", str(tmp_path / "run")]
     assert run_cli(argv, capsys)[0] == 0
     assert len(calls) == max(ref_iters, iters)
-    monkeypatch.setattr(cli, "_COPY_BUDGET", 0)
+    monkeypatch.setattr(core, "_COPY_BUDGET", 0)
     del calls[:]
     assert run_cli(argv, capsys)[0] == 0
     assert len(calls) == ref_iters + iters
@@ -577,6 +579,12 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (POTTS_4X4 + ["--dynamic-range", "1e300"], None, "--dynamic-range"),
     (["steps", "potts", "--p", "inf", "--dynamic-range", "1e77"], None,
      "--dynamic-range"),
+    (["steps", "linear", "--rk", "1e300", "--gtilde-g", "1", "--gtilde-f", "1"], None,
+     "--rk"),
+    (["steps", "constant", "--rk", "1e300", "--tau", "1"], None, "--rk"),
+    (["steps", "accelerated", "--rk", "1e300", "--gtilde-g", "1"], None, "--rk"),
+    (["steps", "linear", "--rk", "1", "--lambda-y", "1e300", "--gtilde-g", "1",
+      "--gtilde-f", "1"], None, "--lambda-y"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -592,7 +600,9 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-mu-1", "potts-mu-2", "steps-delta-0", "steps-delta-1e300",
         "steps-constant-tau-unbounded", "steps-linear-tau-unbounded",
         "steps-accelerated-tau0-unbounded", "steps-constant-sigma-unbounded",
-        "potts-dynamic-range-1e300", "steps-dynamic-range-1e77"])
+        "potts-dynamic-range-1e300", "steps-dynamic-range-1e77",
+        "steps-linear-rk-1e300", "steps-constant-rk-1e300",
+        "steps-accelerated-rk-1e300", "steps-linear-lambda-y-1e300"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

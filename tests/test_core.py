@@ -25,6 +25,13 @@ from saddleprox.schedules import StepTriple, potts_steps
 from saddleprox.verify import _BilinearProblem
 
 
+def _filled(out, v):
+    """``out`` holding ``v``, or a copy of ``v`` for ``out=None``."""
+    out = np.empty_like(v) if out is None else out
+    np.copyto(out, v)
+    return out
+
+
 class ScalarBilinear(SaddleProblem):
     """K(x, y) = x*y on scalars, G = F* = 0 (identity proxes)."""
 
@@ -33,16 +40,16 @@ class ScalarBilinear(SaddleProblem):
         self.dual_dim = 1
 
     def grad_x(self, x, y, out=None):
-        return y.copy()
+        return _filled(out, y)
 
     def grad_y(self, x, y, out=None):
-        return x.copy()
+        return _filled(out, x)
 
     def prox_primal(self, tau, v, out=None):
-        return v
+        return _filled(out, v)
 
     def prox_dual(self, sigma, w, out=None):
-        return w
+        return _filled(out, w)
 
     def value(self, x, y):
         return float(x[0] * y[0])
@@ -60,7 +67,7 @@ class CountingObjective(ScalarBilinear):
 
 class NanGradient(ScalarBilinear):
     def grad_x(self, x, y, out=None):
-        return np.array([np.nan])
+        return _filled(out, np.array([np.nan]))
 
 
 UNIT = StepTriple(1.0, 1.0, 1.0)
@@ -184,11 +191,13 @@ def test_solve_keeps_stride_hits_and_last_of_every_iteration(
     x0=st.floats(-1.0, 1.0),
     tau=st.floats(0.1, 1.0),
 )
+@pytest.mark.parametrize("budget", ["default", 0])
 def test_reference_index_matches_a_separate_reference_run(
-        max_iters, log_stride, ref_at, step_tol, x0, tau):
+        budget, max_iters, log_stride, ref_at, step_tol, x0, tau):
     # Iterate ref_at of the run itself is the final state of a run of
     # ref_at iterations from the same start, and the log is as with that
-    # pair given as the reference.
+    # pair given as the reference.  Past the copy budget solve makes
+    # that run itself, first.
     prob, triple = ScalarBilinear(), StepTriple(tau, 0.5, 1.0)
     start = (np.array([x0]), np.array([0.25]))
     ref_state, _ = solve(prob, triple, *start, SolveOptions(max_iters=ref_at))
@@ -196,13 +205,26 @@ def test_reference_index_matches_a_separate_reference_run(
     want_final, want = solve(prob, triple, *start,
                              SolveOptions(max_iters=max_iters, log_stride=log_stride,
                                           step_tol=step_tol, reference=pair))
-    result = solve(prob, triple, *start,
-                   SolveOptions(max_iters=max_iters, log_stride=log_stride,
-                                step_tol=step_tol, reference=ref_at))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "step", counted)
+        if budget != "default":
+            mp.setattr(core, "_COPY_BUDGET", budget)
+        result = solve(prob, triple, *start,
+                       SolveOptions(max_iters=max_iters, log_stride=log_stride,
+                                    step_tol=step_tol, reference=ref_at))
     final, records = result
     assert records == want
     assert _bits(final) == _bits(want_final)
     assert [a.tobytes() for a in result.reference] == [a.tobytes() for a in pair]
+    logged = want_final.iteration
+    assert len(calls) == (max(logged, ref_at) if budget == "default"
+                          else ref_at + logged)
 
 
 def test_reference_index_runs_max_iterations_and_keeps_the_log_end(monkeypatch):
@@ -226,6 +248,28 @@ def test_reference_index_runs_max_iterations_and_keeps_the_log_end(monkeypatch):
         assert len(calls) == max(max_iters, ref_at)
         assert records[-1].iteration == max_iters
         assert _bits(final) == _bits(want)
+
+
+def test_reference_index_past_the_copy_budget_is_made_first(monkeypatch):
+    # A library call is bounded too: 10 // 1 + 3 pairs of 2 x 4 MiB pass
+    # the 64 MiB budget, so iterate 10 is made in a run of its own.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    prob = ScalarBilinear()
+    prob.primal_dim = prob.dual_dim = 1 << 19
+    start = (np.linspace(-1.0, 1.0, 1 << 19), np.zeros(1 << 19))
+    triple = StepTriple(0.5, 0.5, 1.0)
+    ref_state, _ = solve(prob, triple, *start, SolveOptions(max_iters=10))
+    monkeypatch.setattr(core, "step", counted)
+    result = solve(prob, triple, *start, SolveOptions(max_iters=10, reference=10))
+    assert len(calls) == 20
+    assert [a.tobytes() for a in result.reference] == [ref_state.x.tobytes(),
+                                                        ref_state.y.tobytes()]
+    assert result[1][-1].dist_to_ref == 0.0
 
 
 def test_reference_index_must_be_positive():
