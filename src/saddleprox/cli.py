@@ -278,13 +278,17 @@ def cmd_steps(args: argparse.Namespace) -> int:
         schedule, c = potts_schedule(args)
     else:
         c = constants_from_flags(args)
+        # A positive r_k whose square underflows leaves the dual cap infinite too.
+        dual_hint = ("a positive --rk or --lambda-y" if args.rk == 0 else
+                     "a larger --rk or a positive --lambda-y (at --rk %r the dual cap "
+                     "overflows)" % args.rk)
         try:  # the bounds square r_k and lambda_y
             if regime == "constant":
                 tau_sup, sigma_bound = bound_constant(c)
                 tau = (args.safety * bounded("tau_sup", tau_sup, "--tau")
                        if args.tau is None else args.tau)
                 schedule = ConstantRule(tau, bounded("sigma_max", sigma_bound(tau),
-                                                     "a positive --rk or --lambda-y"))
+                                                     dual_hint))
                 lines += [("tau_sup", tau_sup), ("safety", args.safety)]
             elif regime == "accelerated":
                 # The product cap alone does not imply the per-iteration
@@ -293,8 +297,7 @@ def cmd_steps(args: argparse.Namespace) -> int:
                 tau0_max, _sig_tau = bound_accelerated(c)
                 tau0 = (bounded("tau0_max", tau0_max, "--tau0")
                         if args.tau0 is None else args.tau0)
-                sigma = bounded("sigma_max", bound_constant(c)[1](tau0),
-                                "a positive --rk or --lambda-y")
+                sigma = bounded("sigma_max", bound_constant(c)[1](tau0), dual_hint)
                 schedule = AcceleratedRule(tau0, sigma, c.gtg)
                 lines += [("tau0_max", tau0_max)]
             else:

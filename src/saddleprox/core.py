@@ -275,19 +275,20 @@ def solve(
     and the one where ``step_tol`` stops the run.
 
     A reference given as an iteration index R is iterate R of this same
-    run.  Kept iterates before R are copied as (x, y) pairs and get
-    their distance once iterate R exists; if the log ends before R, its
-    last state is copied and the run goes on to R.  The returned state
-    is still the one that ends the log.  If the min(max_iters, R) //
-    log_stride + 3 pairs this keeps would pass 64 MiB (``_COPY_BUDGET``),
-    R quiet iterations from (x0, y0) make the reference pair first, with
-    the same bits: R + max_iters steps instead of max(R, max_iters).
+    run.  Kept iterates before R are copied as (x, y) pairs; a log that
+    ends before R keeps its last state and the run goes on to R without
+    a record.  The copied pairs get their distance after the log, once
+    iterate R exists.  The returned state is still the one that ends
+    the log.  If the min(max_iters, R) // log_stride + 3 pairs this
+    keeps would pass 64 MiB (``_COPY_BUDGET``), R quiet iterations from
+    (x0, y0) make the reference pair first, with the same bits:
+    R + max_iters steps instead of max(R, max_iters).
     The loop recycles two sets of iterate arrays, so ``x0`` and ``y0``
     are copied first; the returned state and reference belong to the caller.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
-        # Pairs before R, the reference or the log's end, and a scratch pair.
+        # Pairs before R, the reference or the log's end, and one pair of headroom.
         copies = min(options.max_iters, ref) // options.log_stride + 3
         if copies * 8 * (problem.primal_dim + problem.dual_dim) > _COPY_BUDGET:
             pair, _ = solve(problem, schedule, x0, y0,
@@ -304,43 +305,36 @@ def solve(
 
     records: list[IterationRecord] = []
     pending = []  # (record, x, y) of the kept iterations before iteration ref_at
-    final = None  # the state that ends the log, once the run goes on past it
-    spare = None  # the state of two iterations back, overwritten by the next step
-    for i in range(max(options.max_iters, ref_at or 0)):
+    spare = None  # after each step, the state one step back, which the next overwrites
+    for i in range(options.max_iters):
         trip = schedule.triple(i)
-        prev = state
-        state = step(problem, trip, state, out=spare)
-        spare = prev
+        state, spare = step(problem, trip, state, out=spare), state
         if state.iteration == ref_at:
-            ref = state.x, state.y
-            if final is None and ref_at < options.max_iters:
-                ref = state.x.copy(), state.y.copy()  # the log goes on in these arrays
-            # prev still holds the step norm's other end, so these get their own scratch.
-            scratch = PrimalDualState(np.empty_like(ref[0]), np.empty_like(ref[1]), None)
-            for rec, x, y in pending:
-                rec.dist_to_ref = _distance(problem, x, y, *ref, scratch)
-        if final is not None:
-            if ref is not None:
-                break
-            continue
+            ref = state.x.copy(), state.y.copy()  # later steps write over these arrays
         kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
         if not (kept or options.step_tol > 0):
             continue
-        # prev's arrays, which the next step overwrites, take the differences.
-        step_norm = _distance(problem, state.x, state.y, prev.x, prev.y, prev)
+        # spare's arrays, which the next step overwrites, take the differences.
+        step_norm = _distance(problem, state.x, state.y, spare.x, spare.y, spare)
         stop = options.step_tol > 0 and step_norm <= options.step_tol
         if kept or stop:
             dist = None
             if ref is not None:
-                dist = _distance(problem, state.x, state.y, *ref, prev)
+                dist = _distance(problem, state.x, state.y, *ref, spare)
             obj = problem.primal_objective(state.x) if options.record_objective else None
             records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
                                            trip.omega, step_norm, dist, obj))
             if ref is None and ref_at is not None:
                 pending.append((records[-1], state.x.copy(), state.y.copy()))
-        if stop or i + 1 == options.max_iters:
-            if ref is not None or ref_at is None:
-                break
-            final = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),
-                                    state.iteration)
-    return SolveResult(state if final is None else final, records, ref)
+        if stop:
+            break
+    if ref is None and ref_at is not None:
+        # The log ended before iterate R: keep its end and go on to R.
+        end = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),
+                              state.iteration)
+        for i in range(state.iteration, ref_at):
+            state, spare = step(problem, schedule.triple(i), state, out=spare), state
+        ref, state = (state.x, state.y), end
+    for rec, x, y in pending:
+        rec.dist_to_ref = _distance(problem, x, y, *ref, spare)
+    return SolveResult(state, records, ref)

@@ -82,19 +82,17 @@ def sine_transform(w: np.ndarray, overwrite: bool = False) -> np.ndarray:
 
 
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve A w = rhs with the 5-point Dirichlet Laplacian A on ``grid``.
-
-    The spectral data is cached per grid size, so repeated solves on the
-    same grid reuse it.
+    """Solve A w = rhs with the 5-point Dirichlet Laplacian A on ``grid``:
+    the solve of :class:`PoissonSolver` between two sine transforms.
     """
     rhs = _on_grid(grid, rhs, "rhs")
-    lam = _laplacian_eigenvalues(grid.n)
-    return sine_transform(sine_transform(rhs) / lam, overwrite=True)
+    return sine_transform(PoissonSolver(grid).solve(sine_transform(rhs)), overwrite=True)
 
 
 class PoissonSolver:
     """Counted Poisson solves on a fixed grid, in sine coefficients:
-    ``solve(sine_transform(rhs))`` is ``sine_transform(poisson_solve(grid, rhs))``."""
+    ``solve`` divides the coefficients of a right-hand side by the
+    Laplacian's eigenvalues, which are cached per grid size."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -323,10 +321,6 @@ def default_profile() -> Profile:
 def manufacture(
     n: int,
     profile: Optional[Profile] = None,
-    a: float = -0.5,
-    b: float = 0.5,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
 ) -> tuple[NashConfig, np.ndarray, np.ndarray]:
     """Build problem data with a known equilibrium.
 
@@ -335,7 +329,8 @@ def manufacture(
     chooses the source f = A ys - B1 u*_1 - B2 u*_2 and the targets
     z_k = ys - A p_k so that both coupling gradients vanish at
     (u*, u*).  Returns (config, x_star, y_star) with x_star = y_star the
-    stacked equilibrium pair.
+    stacked equilibrium pair.  The control box [a, b] and the costs
+    alpha_k are the defaults of :class:`NashConfig`.
 
     The profile must keep max |w_k| <= 0.8 * min(|a|, b) so the box
     constraints stay inactive at the equilibrium.
@@ -348,7 +343,7 @@ def manufacture(
     w2 = np.asarray(profile.w2(xx, yy), dtype=float)
     ys = np.asarray(profile.ys(xx, yy), dtype=float)
 
-    cap = 0.8 * min(abs(a), b)
+    cap = 0.8 * min(abs(NashConfig.a), NashConfig.b)
     worst = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
     if worst > cap:
         raise ConfigurationError(
@@ -359,14 +354,13 @@ def manufacture(
     mask1, mask2 = half_masks(grid)
     u1 = np.where(mask1, w1, 0.0)
     u2 = np.where(mask2, w2, 0.0)
-    p1 = -alpha1 * w1
-    p2 = -alpha2 * w2
+    p1 = -NashConfig.alpha1 * w1
+    p2 = -NashConfig.alpha2 * w2
 
     f = apply_laplacian(grid, ys) - u1 - u2
     z1 = ys - apply_laplacian(grid, p1)
     z2 = ys - apply_laplacian(grid, p2)
 
-    config = NashConfig(grid=grid, mask1=mask1, mask2=mask2, z1=z1, z2=z2,
-                        f=f, a=a, b=b, alpha1=alpha1, alpha2=alpha2)
+    config = NashConfig(grid=grid, mask1=mask1, mask2=mask2, z1=z1, z2=z2, f=f)
     x_star = np.concatenate([u1.ravel(), u2.ravel()])
     return config, x_star, x_star.copy()

@@ -460,7 +460,6 @@ def _worst(reports: Iterable[ConditionReport]) -> ConditionReport:
 def check_48(
     c: ProblemConstants,
     triples: Sequence[StepTriple],
-    omega_bounds: Optional[tuple[float, float]] = None,
 ) -> ScheduleCheckReport:
     """Verify a realized schedule against the general step conditions.
 
@@ -477,15 +476,12 @@ def check_48(
     * ``primal-convexity``: gamma_g >= gtg + xi_x and theta_y >= omega_high*rho_x;
     * ``dual-convexity``: gamma_f >= gtf + xi_y and theta_x >= rho_y/omega_low.
 
-    ``omega_bounds`` (omega_low, omega_high) defaults to the min/max of
-    the realized omegas.
+    omega_low and omega_high are the min and max of the realized omegas.
     """
     if len(triples) == 0:
         raise InfeasibleConstantsError("check_48 needs at least one step triple")
     n = len(triples)
-    if omega_bounds is None:
-        omega_bounds = (min(t.omega for t in triples), max(t.omega for t in triples))
-    omega_low, omega_high = omega_bounds
+    omega_low, omega_high = min(t.omega for t in triples), max(t.omega for t in triples)
 
     # Testing parameters.  psi[i] stores psi_{i+1}, phi[i] stores phi_i.
     psi_next = [1.0]  # psi_1

@@ -174,19 +174,18 @@ def kappa_small(x: np.ndarray, y: np.ndarray):
     return float(rho(rho_pair(x, y))[0]), rho_grad(x, y, y), rho_grad(x, y, x), gyx
 
 
-def c2_check(x_hat: np.ndarray, y_hat: np.ndarray,
-             tol: float = 1e-12) -> tuple[bool, float, float]:
+def c2_check(x_hat: np.ndarray, y_hat: np.ndarray) -> tuple[bool, float, float]:
     """Base-point admissibility for the scalar-product coupling.
 
     Forms M = I - gyx/2 = <x,y> I + x (x) y from the derivative gyx of
     :func:`kappa_small` and checks that the eigenvalues of its symmetric
-    part lie in [0, 2].  Returns (ok, eig_min, eig_max).
+    part lie in [0, 2], up to 1e-12.  Returns (ok, eig_min, eig_max).
     """
     gyx = kappa_small(x_hat, y_hat)[3]
     m = np.eye(gyx.shape[0]) - 0.5 * gyx
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     lo, hi = float(eigs[0]), float(eigs[-1])
-    return (lo >= -tol and hi <= 2.0 + tol), lo, hi
+    return (lo >= -1e-12 and hi <= 2.0 + 1e-12), lo, hi
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,13 @@ def three_point_sample(
     c: KappaConstants,
     n_samples: int = 10_000,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> ThreePointReport:
     """Monte-Carlo check of the two three-point growth conditions for the
     scalar-product coupling on B(x_hat, rho_x) x B(y_hat, rho_y).
 
     Draws (x, x', y, y') uniformly from the balls and evaluates both
     conditions literally (no algebraic simplification), counting
-    violations below -tol and recording the worst margins
+    violations below -1e-12 and recording the worst margins
     (left side minus right side; negative means violated).
     """
     x_hat = np.asarray(x_hat, dtype=float).ravel()
@@ -313,8 +311,8 @@ def three_point_sample(
     margins_a, margins_b = _three_point_margins(x_hat, y_hat, c, xs, xps, ys, yps)
     return ThreePointReport(
         n_samples=n_samples,
-        violations_a=int(np.sum(margins_a < -tol)),
-        violations_b=int(np.sum(margins_b < -tol)),
+        violations_a=int(np.sum(margins_a < -1e-12)),
+        violations_b=int(np.sum(margins_b < -1e-12)),
         worst_margin_a=float(np.min(margins_a)),
         worst_margin_b=float(np.min(margins_b)),
     )
@@ -326,11 +324,10 @@ def shrink_rho(
     c: KappaConstants,
     n_samples: int = 10_000,
     seed: int = 0,
-    max_halvings: int = 60,
 ) -> tuple[float, float]:
     """Halve (rho_x, rho_y) from the supplied radii until sample batches
     show no violation of either three-point condition; returns the radii
-    found.  Raises if ``max_halvings`` is exhausted.
+    found.  Raises if 60 halvings find none.
 
     A radius scale that barely survives one batch sits on the sampled
     edge of the admissible region, where a fresh (or larger) batch may
@@ -342,7 +339,7 @@ def shrink_rho(
     if not (rho_x > 0 and rho_y > 0):
         raise InfeasibleConstantsError("shrink_rho needs positive starting radii")
     previous_passed = False
-    for k in range(max_halvings + 1):
+    for k in range(61):  # the supplied radii, then 60 halvings
         rep = three_point_sample(
             x_hat, y_hat, replace(c, rho_x=rho_x, rho_y=rho_y),
             n_samples=n_samples, seed=seed + k,
@@ -353,7 +350,7 @@ def shrink_rho(
         rho_x *= 0.5
         rho_y *= 0.5
     raise InfeasibleConstantsError(
-        "no admissible radii found after %d halvings" % max_halvings
+        "no admissible radii found after 60 halvings"
     )
 
 

@@ -585,6 +585,10 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["steps", "accelerated", "--rk", "1e300", "--gtilde-g", "1"], None, "--rk"),
     (["steps", "linear", "--rk", "1", "--lambda-y", "1e300", "--gtilde-g", "1",
       "--gtilde-f", "1"], None, "--lambda-y"),
+    (["steps", "constant", "--rk", "1e-200", "--tau", "1"], None, "--rk 1e-200"),
+    (["steps", "accelerated", "--rk", "1e-200", "--gtilde-g", "1", "--tau0", "1"], None,
+     "--rk 1e-200"),
+    (["steps", "constant", "--rk", "1e-160", "--tau", "1"], None, "--rk 1e-160"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -602,7 +606,9 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-accelerated-tau0-unbounded", "steps-constant-sigma-unbounded",
         "potts-dynamic-range-1e300", "steps-dynamic-range-1e77",
         "steps-linear-rk-1e300", "steps-constant-rk-1e300",
-        "steps-accelerated-rk-1e300", "steps-linear-lambda-y-1e300"])
+        "steps-accelerated-rk-1e300", "steps-linear-lambda-y-1e300",
+        "steps-constant-rk-1e-200", "steps-accelerated-rk-1e-200",
+        "steps-constant-rk-1e-160"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:
@@ -615,6 +621,43 @@ def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
     assert rc == 2
     assert needle in err.splitlines()[-1]
     assert not list(tmp_path.glob("run_*"))
+
+
+SWEEP_BASES = {
+    "potts": ["potts", "--synthetic", "4", "4", "0", "--iters", "2"],
+    "nash": ["nash", "--sizes", "3", "--iters", "1"],
+    "steps": ["steps", "potts"],
+    "verify": ["verify", "--only", "adjoint"],
+    "gen-image": ["gen-image", "--n1", "4", "--n2", "4"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:constants outside the standard range")
+def test_no_single_flag_value_ends_in_a_traceback(tmp_path, monkeypatch, capsys):
+    # Each flag of each subcommand, given each of these values, exits 0, 1
+    # or 2, and exit 2 ends in the subcommand's one-line message.
+    monkeypatch.chdir(tmp_path)
+    values = ["0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "",
+              str(tmp_path / "b\u00e9zier-\u03c0.pgm")]
+    _, commands = cli.build_parser()
+    assert sorted(commands) == sorted(SWEEP_BASES)
+    failures = []
+    for name, command in commands.items():
+        for flag, action in command.flags.items():
+            if flag in ("-h", "--help"):
+                continue
+            for value in values:
+                argv = SWEEP_BASES[name] + [flag] + [value] * (action.nargs or 1)
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                _, err = capsys.readouterr()
+                lines = err.splitlines()
+                if (rc not in (0, 1, 2) or "Traceback" in err or rc == 2 and not (
+                        lines and lines[-1].startswith("saddleprox %s:" % name))):
+                    failures.append((argv, rc, err))
+    assert not failures
 
 
 @pytest.mark.parametrize("write", [
