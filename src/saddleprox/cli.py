@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, SolveOptions, solve
+from .core import ConfigurationError, DivergenceError, SolveOptions, solve
 from .schedules import (
     POTTS_PRESETS,
     AcceleratedRule,
@@ -171,7 +171,7 @@ def cmd_potts(args: argparse.Namespace) -> int:
     else:
         raise ConfigurationError("either --input or --synthetic is required")
 
-    if args.preset:
+    if args.preset is not None:
         if args.preset not in POTTS_PRESETS:
             raise ConfigurationError("unknown preset %r (have %s)"
                                      % (args.preset, ", ".join(sorted(POTTS_PRESETS))))
@@ -333,7 +333,7 @@ def cmd_steps(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = verify.standard_suite(seed=args.seed)
-    if args.only:
+    if args.only is not None:
         checks = [c for c in checks if c.name == args.only]
         if not checks:
             raise ConfigurationError("no check named %r" % args.only)
@@ -418,7 +418,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
 
     A default of None marks a value that is optional or derived from
     the others: mu from delta, the leftover moduli gtilde-g/gtilde-f by
-    the calculator, tau and tau0 from the admissible bounds.
+    the calculator, tau and tau0 from the admissible bounds; --preset and
+    --only are None when not given, so an empty value is an error.
     """
     parser = argparse.ArgumentParser(
         prog="saddleprox",
@@ -437,12 +438,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
     def add_calculator(sub):
         """Flags of the Potts step calculator, shared by ``potts`` and ``steps``.
 
-        The bounds divide by 1 - mu, so delta and mu must lie below 1.
+        The bounds divide by 1 - mu, so delta and mu must lie below 1;
+        the leftover moduli gtilde-g/gtilde-f are >= 0.
         """
         add_floats(sub, POTTS_MODEL_FLAGS, positive)
         add_floats(sub, {"delta": 0.1}, finite_float(0.0, strict=True, below=1.0))
         add_floats(sub, {"mu": None}, finite_float(0.0, below=1.0))
-        add_floats(sub, {"gtilde-g": None, "gtilde-f": None})
+        add_floats(sub, {"gtilde-g": None, "gtilde-f": None}, finite_float(0.0))
 
     def add_command(name, func, help):
         sub = subs.add_parser(name, help=help)
@@ -489,7 +491,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
 
     sv = add_command("verify", cmd_verify, "numerical oracle suite")
     sv.add_argument("--seed", type=int_at_least(0), default=0)
-    sv.add_argument("--only", default="", help="run a single named check")
+    sv.add_argument("--only", help="run a single named check")
 
     sg = add_command("gen-image", cmd_gen_image, "write a synthetic PGM test image")
     sg.add_argument("--out", default="synthetic.pgm")
@@ -502,7 +504,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; exit 2 on invalid input, 1 on infeasible constants.
+    """Run one subcommand; exit 2 on invalid input, 1 on infeasible constants
+    or a diverging iteration.
 
     A ``--config`` file is spliced in as flags right after the subcommand
     name, so the user's own flags, coming later, override it.
@@ -521,6 +524,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InfeasibleConstantsError as exc:
         print("saddleprox %s: infeasible step constants: %s" % (args.command, exc),
+              file=sys.stderr)
+        return 1
+    except DivergenceError as exc:
+        print("saddleprox %s: the iteration diverged: %s" % (args.command, exc),
               file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -299,57 +299,29 @@ class NashProblem(SaddleProblem):
     inner_dual = inner_primal
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Smooth shape functions on the unit square for manufactured data:
-    per-player control profiles w1, w2 and the target state ys, all
-    vanishing on the boundary."""
-
-    w1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    w2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ys: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def default_profile() -> Profile:
-    return Profile(
-        w1=lambda x, y: 0.4 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * y),
-        w2=lambda x, y: 0.4 * np.sin(2.0 * np.pi * x) * np.sin(np.pi * y),
-        ys=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-    )
-
-
-def manufacture(
-    n: int,
-    profile: Optional[Profile] = None,
-) -> tuple[NashConfig, np.ndarray, np.ndarray]:
+def manufacture(n: int) -> tuple[NashConfig, np.ndarray, np.ndarray]:
     """Build problem data with a known equilibrium.
 
-    Samples the profile on the grid, sets the equilibrium controls
+    Samples the control profiles and the target state on the grid,
+
+        w1 = 0.4 sin(pi x) sin(2 pi y),   w2 = 0.4 sin(2 pi x) sin(pi y),
+        ys = sin(pi x) sin(pi y),
+
+    all vanishing on the boundary, sets the equilibrium controls
     u*_k = mask_k(w_k) and the adjoint fields p_k = -alpha_k * w_k, then
     chooses the source f = A ys - B1 u*_1 - B2 u*_2 and the targets
     z_k = ys - A p_k so that both coupling gradients vanish at
     (u*, u*).  Returns (config, x_star, y_star) with x_star = y_star the
     stacked equilibrium pair.  The control box [a, b] and the costs
-    alpha_k are the defaults of :class:`NashConfig`.
-
-    The profile must keep max |w_k| <= 0.8 * min(|a|, b) so the box
-    constraints stay inactive at the equilibrium.
+    alpha_k are the defaults of :class:`NashConfig`; since
+    max |w_k| <= 0.4 = 0.8 * min(|a|, b), the box constraints stay
+    inactive at the equilibrium.
     """
     grid = Grid(n)
-    if profile is None:
-        profile = default_profile()
     xx, yy = grid.coords()
-    w1 = np.asarray(profile.w1(xx, yy), dtype=float)
-    w2 = np.asarray(profile.w2(xx, yy), dtype=float)
-    ys = np.asarray(profile.ys(xx, yy), dtype=float)
-
-    cap = 0.8 * min(abs(NashConfig.a), NashConfig.b)
-    worst = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
-    if worst > cap:
-        raise ConfigurationError(
-            "profile max |w| = %g exceeds interiority cap 0.8*min(|a|,b) = %g"
-            % (worst, cap)
-        )
+    w1 = 0.4 * np.sin(np.pi * xx) * np.sin(2.0 * np.pi * yy)
+    w2 = 0.4 * np.sin(2.0 * np.pi * xx) * np.sin(np.pi * yy)
+    ys = np.sin(np.pi * xx) * np.sin(np.pi * yy)
 
     mask1, mask2 = half_masks(grid)
     u1 = np.where(mask1, w1, 0.0)

@@ -220,8 +220,7 @@ def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
 
 
-def dual_from_primal(p: float, x: np.ndarray, gamma: float,
-                     h: float = 1.0) -> np.ndarray:
+def dual_from_primal(p: float, x: np.ndarray, gamma: float) -> np.ndarray:
     """Dual field maximizing the coupling at a fixed image: 2z/(2|z|^2 + gamma).
 
     For p = 1 the magnitude is taken per component, for p = inf per
@@ -229,7 +228,7 @@ def dual_from_primal(p: float, x: np.ndarray, gamma: float,
     """
     _check_p(p)
     _check_positive("gamma", gamma)
-    z = dh(x, h)
+    z = dh(x)
     zr = _rows(p, z)[0]
     return (2.0 * zr / (2.0 * rho_pair(zr, zr) + gamma)).reshape(z.shape)
 
@@ -237,17 +236,16 @@ def dual_from_primal(p: float, x: np.ndarray, gamma: float,
 @dataclass
 class PottsConfig:
     """Denoising problem parameters: data weight alpha, penalty smoothing
-    gamma, penalty flavour p (1 or inf), mesh width h."""
+    gamma, penalty flavour p (1 or inf).  The grid has unit mesh width,
+    which the step calculator ``schedules.potts_steps`` assumes."""
 
     alpha: float
     gamma: float
     p: float
-    h: float = 1.0
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha)
         _check_positive("gamma", self.gamma)
-        _check_positive("h", self.h)
         _check_p(self.p)
 
 
@@ -310,10 +308,10 @@ class PottsProblem(SaddleProblem):
         rows, scratch = self._blocks(2)
         for a in range(0, n1, rows):
             lo, hi = max(a - 1, 0), min(a + rows + 1, n1)
-            z = dh(img[lo:hi], c.h, out=scratch[:hi - lo])
+            z = dh(img[lo:hi], out=scratch[:hi - lo])
             kappa_z(c.p, z, field[lo:hi], out=z)
             kept = res[lo:a].copy()
-            dht(z, c.h, out=res[lo:hi])
+            dht(z, out=res[lo:hi])
             res[lo:a] = kept
         return out
 
@@ -326,7 +324,7 @@ class PottsProblem(SaddleProblem):
         rows, scratch = self._blocks(1)
         for a in range(0, n1, rows):
             b, hi = min(a + rows, n1), min(a + rows + 1, n1)
-            z = dh(img[a:hi], c.h, out=scratch[:hi - a])
+            z = dh(img[a:hi], out=scratch[:hi - a])
             kappa_y(c.p, z[:b - a], field[a:b], out=res[a:b])
         return out
 
@@ -345,18 +343,17 @@ class PottsProblem(SaddleProblem):
                          out=out_buffer(out, (self.dual_dim,)))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        c = self.config
-        return kappa_val(c.p, dh(self._img(x), c.h), self._field(y))
+        return kappa_val(self.config.p, dh(self._img(x)), self._field(y))
 
     def primal_objective(self, x: np.ndarray) -> float:
         c = self.config
         img = self._img(x)
         data = float(np.sum((img - self.noisy) ** 2)) / (2.0 * c.alpha)
-        return data + huber_value(c.p, dh(img, c.h), c.gamma)
+        return data + huber_value(c.p, dh(img), c.gamma)
 
     def dual_from_primal(self, x: np.ndarray) -> np.ndarray:
         c = self.config
-        return dual_from_primal(c.p, self._img(x), c.gamma, c.h).ravel()
+        return dual_from_primal(c.p, self._img(x), c.gamma).ravel()
 
 
 def gen_synthetic(

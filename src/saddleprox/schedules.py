@@ -287,6 +287,9 @@ POTTS_PRESETS: dict[str, StepTriple] = {
 #: Relative safety margin applied to strict inequalities in potts_steps.
 POTTS_MARGIN = 1e-6
 
+#: Bound for ||D||^2, D the forward-difference gradient at unit mesh width.
+POTTS_D_NORM_SQ = 8.0
+
 
 def potts_jump_bounds(p: float, dynamic_range: float,
                       gamma_bar: float) -> tuple[float, float]:
@@ -319,14 +322,13 @@ def potts_steps(
     mu: Optional[float] = None,
     gtg: Optional[float] = None,
     gtf: Optional[float] = None,
-    l_op: float = math.sqrt(8.0),
 ) -> tuple[StepTriple, ProblemConstants]:
     """Linear-rate step sizes for the discontinuity-penalized denoising problem.
 
     ``alpha`` is the data weight, ``gamma`` the penalty smoothing, ``p``
-    the penalty flavour (1 or inf), ``l_op`` an upper bound for the
-    discrete gradient norm (sqrt(8) at unit mesh width).  Leftover
-    moduli default to gtg = 1/(10*alpha) and gtf = gamma/10, so that
+    the penalty flavour (1 or inf).  The grid has unit mesh width, where
+    l_op = sqrt(POTTS_D_NORM_SQ) bounds the discrete gradient norm.
+    Leftover moduli default to gtg = 1/(10*alpha) and gtf = gamma/10, so that
     sigma/tau = gtg/gtf = 100/(alpha*gamma) matches the ratio sigma/tau
     = 1000 of the published reference step sizes at alpha=1, gamma=1e-3
     (see ``POTTS_PRESETS``); ``mu`` defaults to ``delta``, the weakest
@@ -351,8 +353,6 @@ def potts_steps(
         raise InfeasibleConstantsError("dynamic_range must be positive")
     if not gamma_bar > 0:
         raise InfeasibleConstantsError("gamma_bar must be positive")
-    if not l_op > 0:
-        raise InfeasibleConstantsError("l_op must be positive")
     if mu is None:
         mu = delta
     if gtg is None:
@@ -371,6 +371,7 @@ def potts_steps(
     try:
         m_x, m_y = potts_jump_bounds(p, dynamic_range, gamma_bar)
         e = POTTS_MARGIN
+        l_op = math.sqrt(POTTS_D_NORM_SQ)
         xi_x = 1.0 / alpha - gtg
         xi_y = gamma - gtf
         gap = xi_x - 2.0 * l_op * m_y**2
@@ -399,8 +400,8 @@ def potts_steps(
         tau = (1.0 - e) * bound_linear(c)
     except OverflowError:
         # lambda_y**2 in bound_linear overflows first, from dynamic_range ~ 1e77 on.
-        raise OverflowError("the step bounds overflow: dynamic_range %r (or l_op %r) "
-                            "is too large" % (dynamic_range, l_op)) from None
+        raise OverflowError("the step bounds overflow: dynamic_range %r is too large"
+                            % (dynamic_range,)) from None
     return LinearRateRule(tau=tau, gtg=gtg, gtf=gtf).triple(0), c
 
 

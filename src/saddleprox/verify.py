@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import PrimalDualState, SaddleProblem, step
 from .potts import (PottsConfig, PottsProblem, dh, dht, gen_synthetic, rho, rho_grad,
                     rho_mixed, rho_pair)
-from .schedules import InfeasibleConstantsError, StepTriple
+from .schedules import POTTS_D_NORM_SQ, InfeasibleConstantsError, StepTriple
 
 
 def fd_grad_check(
@@ -103,7 +103,7 @@ class _BilinearProblem(SaddleProblem):
 
 
 def bilinear_reduction_check(
-    a: Union[np.ndarray, tuple[Callable, Callable]],
+    a: tuple[Callable, Callable],
     prox_g: Callable[[float, np.ndarray], np.ndarray],
     prox_fstar: Callable[[float, np.ndarray], np.ndarray],
     triple: StepTriple,
@@ -114,16 +114,12 @@ def bilinear_reduction_check(
     """Max relative iterate difference between the generic engine and a
     hand-coded classical primal-dual loop on a bilinear coupling.
 
-    ``a`` is either a dense matrix or a pair (forward, adjoint) of
+    ``a`` is the pair (forward, adjoint) of the linear map, as
     callables.  On a bilinear coupling the generic iteration must
     reproduce the classical method exactly, because the dual coupling
     gradient is evaluated at the over-relaxed primal point.
     """
-    if isinstance(a, np.ndarray):
-        a_fwd = lambda v: a @ v
-        a_adj = lambda w: a.T @ w
-    else:
-        a_fwd, a_adj = a
+    a_fwd, a_adj = a
     x0 = np.asarray(x0, dtype=float).ravel()
     y0 = np.asarray(y0, dtype=float).ravel()
 
@@ -519,7 +515,7 @@ def _check_bilinear(seed: int) -> CheckResult:
     def a_adj(w):
         return dht(w.reshape(f.shape + (2,))).ravel()
 
-    triple = StepTriple(tau=0.1, sigma=0.9 / (8.0 * 0.1), omega=1.0)
+    triple = StepTriple(tau=0.1, sigma=0.9 / (POTTS_D_NORM_SQ * 0.1), omega=1.0)
     worst = bilinear_reduction_check(
         (a_fwd, a_adj), potts.prox_primal, potts.prox_dual, triple, 100,
         f.ravel(), np.zeros(f.size * 2))
@@ -577,7 +573,7 @@ def _check_gradnorm_bound(seed: int) -> CheckResult:
         w = dht(dh(v))
         est = float(np.linalg.norm(w))
         v = w / est
-    bound = 8.0 + 1e-9
+    bound = POTTS_D_NORM_SQ + 1e-9
     return CheckResult(est <= bound, (bound - est) / bound,
                        "norm_sq_estimate=%r" % est)
 

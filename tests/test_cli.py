@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -316,6 +317,19 @@ def test_potts_infeasible_flags_exit_one(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys):
+    # At --dynamic-range 0.1 the calculator's steps assume image gradients
+    # far below the synthetic image's, and the iterates overflow.
+    rc, _, err = run_cli([
+        "potts", "--synthetic", "16", "16", "0", "--iters", "200",
+        "--dynamic-range", "0.1", "--out-prefix", str(tmp_path / "run"),
+    ], capsys)
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("saddleprox potts: the iteration diverged")
+    assert not list(tmp_path.glob("run_*"))
+
+
 def test_potts_reads_pgm_input(tmp_path, capsys):
     src = str(tmp_path / "in.pgm")
     rc, _, _ = run_cli(["gen-image", "--n1", "6", "--n2", "9", "--seed", "3",
@@ -589,6 +603,11 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["steps", "accelerated", "--rk", "1e-200", "--gtilde-g", "1", "--tau0", "1"], None,
      "--rk 1e-200"),
     (["steps", "constant", "--rk", "1e-160", "--tau", "1"], None, "--rk 1e-160"),
+    (["verify", "--only", ""], None, "no check named ''"),
+    (POTTS_4X4 + ["--preset", ""], None, "unknown preset ''"),
+    (["steps", "constant", "--gtilde-f", "-10", "--gtilde-g", "-10", "--lambda-x", "1",
+      "--check-48", "3"], None, "--gtilde-f"),
+    (["steps", "potts", "--gtilde-g", "-1"], None, "--gtilde-g"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -608,7 +627,8 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-linear-rk-1e300", "steps-constant-rk-1e300",
         "steps-accelerated-rk-1e300", "steps-linear-lambda-y-1e300",
         "steps-constant-rk-1e-200", "steps-accelerated-rk-1e-200",
-        "steps-constant-rk-1e-160"])
+        "steps-constant-rk-1e-160", "verify-only-empty", "potts-preset-empty",
+        "steps-gtilde-f-neg", "steps-gtilde-g-neg"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:
@@ -632,32 +652,69 @@ SWEEP_BASES = {
 }
 
 
+def _sweep_failures(argvs, capsys):
+    """The (argv, exit code, stderr) of each argv that exits outside
+    {0, 1, 2}, prints a traceback, or exits 2 without ending in the
+    subcommand's one-line message."""
+    failures = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        _, err = capsys.readouterr()
+        lines = err.splitlines()
+        if (rc not in (0, 1, 2) or "Traceback" in err or rc == 2 and not (
+                lines and lines[-1].startswith("saddleprox %s:" % argv[0]))):
+            failures.append((argv, rc, err))
+    return failures
+
+
+SWEEP_VALUES = ["0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "",
+                "b\u00e9zier-\u03c0.pgm"]
+
+
 @pytest.mark.filterwarnings("ignore:constants outside the standard range")
 def test_no_single_flag_value_ends_in_a_traceback(tmp_path, monkeypatch, capsys):
     # Each flag of each subcommand, given each of these values, exits 0, 1
     # or 2, and exit 2 ends in the subcommand's one-line message.
     monkeypatch.chdir(tmp_path)
-    values = ["0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "",
-              str(tmp_path / "b\u00e9zier-\u03c0.pgm")]
     _, commands = cli.build_parser()
     assert sorted(commands) == sorted(SWEEP_BASES)
-    failures = []
-    for name, command in commands.items():
-        for flag, action in command.flags.items():
-            if flag in ("-h", "--help"):
-                continue
-            for value in values:
-                argv = SWEEP_BASES[name] + [flag] + [value] * (action.nargs or 1)
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:
-                    rc = exc.code
-                _, err = capsys.readouterr()
-                lines = err.splitlines()
-                if (rc not in (0, 1, 2) or "Traceback" in err or rc == 2 and not (
-                        lines and lines[-1].startswith("saddleprox %s:" % name))):
-                    failures.append((argv, rc, err))
-    assert not failures
+    argvs = [SWEEP_BASES[name] + [flag] + [value] * (action.nargs or 1)
+             for name, command in commands.items()
+             for flag, action in command.flags.items() if flag not in ("-h", "--help")
+             for value in SWEEP_VALUES]
+    assert not _sweep_failures(argvs, capsys)
+
+
+# Flags that take a size or a count get small integers in the sweep below.
+SMALL_INT_FLAGS = ("--iters", "--reference-iters", "--check-48", "--synthetic")
+
+
+@pytest.mark.filterwarnings("ignore:constants outside the standard range")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_several_flag_values_end_in_a_traceback(tmp_path, monkeypatch, capsys):
+    # 300 seeded argv, each giving 2-4 distinct flags of one subcommand at
+    # once, hold to the same exit rules as single flags.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(0)
+    _, commands = cli.build_parser()
+    values = SWEEP_VALUES + ["1", "0.5"]
+    argvs = []
+    for _ in range(300):
+        name = rng.choice(sorted(commands))
+        command = commands[name]
+        base = (["steps", rng.choice(["constant", "accelerated", "linear", "potts"])]
+                if name == "steps" else SWEEP_BASES[name])
+        flags = sorted(set(command.flags) - {"-h", "--help", "--config"})
+        argv = list(base)
+        for flag in rng.sample(flags, rng.randint(2, min(4, len(flags)))):
+            pool = ["0", "1", "2", "8"] if flag in SMALL_INT_FLAGS else values
+            nargs = command.flags[flag].nargs or 1
+            argv += [flag] + [rng.choice(pool) for _ in range(nargs)]
+        argvs.append(argv)
+    assert not _sweep_failures(argvs, capsys)
 
 
 @pytest.mark.parametrize("write", [

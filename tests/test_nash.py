@@ -14,9 +14,7 @@ from saddleprox.nash import (
     NashConfig,
     NashProblem,
     PoissonSolver,
-    Profile,
     apply_laplacian,
-    default_profile,
     half_masks,
     manufacture,
     poisson_solve,
@@ -157,16 +155,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         NashConfig(grid=grid, mask1=mask, mask2=mask, z1=ones, z2=ones,
                    f=ones, alpha1=0.0)
-
-
-def test_manufacture_rejects_profile_hitting_the_box():
-    big = Profile(
-        w1=lambda x, y: np.ones_like(x),
-        w2=lambda x, y: np.zeros_like(x),
-        ys=lambda x, y: np.zeros_like(x),
-    )
-    with pytest.raises(ConfigurationError):
-        manufacture(15, profile=big)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +473,5 @@ def test_prox_is_firmly_nonexpansive(n, seed, scale):
 
 
 def test_default_profile_respects_interiority():
-    prof = default_profile()
-    grid = Grid(31)
-    xx, yy = grid.coords()
-    assert float(np.max(np.abs(prof.w1(xx, yy)))) <= 0.4
-    assert float(np.max(np.abs(prof.w2(xx, yy)))) <= 0.4
+    _, x_star, _ = manufacture(31)
+    assert float(np.max(np.abs(x_star))) <= 0.8 * min(abs(NashConfig.a), NashConfig.b)

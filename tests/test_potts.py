@@ -173,7 +173,7 @@ def test_kernels_are_bit_identical_to_plain_expressions(shape, h, p, entries):
     x, v = draw(shape), draw(shape).ravel()
     z, y = draw(shape + (2,)), draw(shape + (2,))
     v_before = v.copy()
-    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=h), x)
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p), x)
     with np.errstate(all="ignore"):
         assert _same_bits(dh(x, h), _dh_plain(x, h))
         assert _same_bits(dht(z, h), _dht_plain(z, h))
@@ -201,7 +201,7 @@ def test_kernels_fill_out_with_the_bits_they_return(shape, p, entries):
 
     x, v = draw(shape), draw(shape).ravel()
     z, y, w = draw(shape + (2,)), draw(shape + (2,)), draw(shape + (2,)).ravel()
-    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=0.5), x)
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p), x)
     field, image = np.empty(shape + (2,)), np.empty(shape)
     with np.errstate(all="ignore"):
         for fresh, into, out in [
@@ -293,11 +293,10 @@ def _rows_per_block(monkeypatch, n2, rows):
 @pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
                                          ((9, 1), 4), ((1, 9), 1), ((2, 2), 1)],
                          ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
-@pytest.mark.parametrize("h", [1.0, 0.5])
 @BOTH_P
 @pytest.mark.parametrize("entries", ["normal", "special"])
 def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
-        monkeypatch, shape, rows, h, p, entries):
+        monkeypatch, shape, rows, p, entries):
     # Several blocks, the last of them one row (33 = 8*4 + 1, 9 = 4*2 + 1),
     # must give the bits of the kernels applied to the whole image, up to
     # the sign of a NaN: numpy's contiguous add and multiply loops return
@@ -312,10 +311,10 @@ def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
         return rng.choice(SPECIAL_ENTRIES, size=size)
 
     x, y = draw(shape), draw(shape + (2,))
-    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p, h=h), x)
+    prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p), x)
     with np.errstate(all="ignore"):
-        want_x = dht(kappa_z(p, dh(x, h), y), h).ravel()
-        want_y = kappa_y(p, dh(x, h), y).ravel()
+        want_x = dht(kappa_z(p, dh(x), y)).ravel()
+        want_y = kappa_y(p, dh(x), y).ravel()
         _rows_per_block(monkeypatch, shape[1], rows)
         got_x, got_y = prob.grad_x(x.ravel(), y.ravel()), prob.grad_y(x.ravel(), y.ravel())
     for got, want in ((got_x, want_x), (got_y, want_y)):
@@ -540,13 +539,9 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         PottsConfig(alpha=1.0, gamma=1e-3, p=2)
     with pytest.raises(ConfigurationError):
-        PottsConfig(alpha=1.0, gamma=1e-3, p=1, h=0.0)
-    with pytest.raises(ConfigurationError):
         PottsConfig(alpha=math.nan, gamma=1e-3, p=1)
     with pytest.raises(ConfigurationError):
         PottsConfig(alpha=1.0, gamma=math.nan, p=1)
-    with pytest.raises(ConfigurationError):
-        PottsConfig(alpha=1.0, gamma=1e-3, p=1, h=math.nan)
     with pytest.raises(ConfigurationError):
         PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), np.zeros(4))
 

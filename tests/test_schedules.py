@@ -307,7 +307,7 @@ def test_potts_steps_moduli_bounds_enforced():
         potts_steps(1.0, 1e-3, 1, gtf=1e-3)  # needs gtf < gamma
     with pytest.raises(InfeasibleConstantsError):
         potts_steps(-1.0, 1e-3, 1)
-    for name in ("dynamic_range", "gamma_bar", "l_op"):
+    for name in ("dynamic_range", "gamma_bar"):
         with pytest.raises(InfeasibleConstantsError, match=name):
             potts_steps(1.0, 1e-3, 1, **{name: math.nan})
     with pytest.raises(InfeasibleConstantsError):

@@ -131,7 +131,8 @@ def test_bilinear_reduction_dense_matrix():
     prox_g = lambda tau, v: v / (1.0 + tau)
     prox_fstar = lambda sigma, w: w / (1.0 + 0.5 * sigma)
     worst = bilinear_reduction_check(
-        a, prox_g, prox_fstar, StepTriple(0.2, 0.3, 1.0), 50,
+        (lambda v: a @ v, lambda w: a.T @ w), prox_g, prox_fstar,
+        StepTriple(0.2, 0.3, 1.0), 50,
         rng.normal(size=4), rng.normal(size=5))
     assert worst <= 1e-13
 
