@@ -317,12 +317,14 @@ def test_potts_infeasible_flags_exit_one(tmp_path, capsys):
     assert "infeasible" in err
 
 
-def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys):
-    # At --dynamic-range 0.1 the calculator's steps assume image gradients
-    # far below the synthetic image's, and the iterates overflow.
+@pytest.mark.parametrize("dynamic_range", ["0.1", "1e-300"])
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys, p, dynamic_range):
+    # At a small --dynamic-range the calculator's steps assume image
+    # gradients far below the synthetic image's, and the iterates overflow.
     rc, _, err = run_cli([
-        "potts", "--synthetic", "16", "16", "0", "--iters", "200",
-        "--dynamic-range", "0.1", "--out-prefix", str(tmp_path / "run"),
+        "potts", "--synthetic", "16", "16", "0", "--iters", "200", "--p", p,
+        "--dynamic-range", dynamic_range, "--out-prefix", str(tmp_path / "run"),
     ], capsys)
     assert rc == 1
     assert "Traceback" not in err
@@ -608,6 +610,11 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["steps", "constant", "--gtilde-f", "-10", "--gtilde-g", "-10", "--lambda-x", "1",
       "--check-48", "3"], None, "--gtilde-f"),
     (["steps", "potts", "--gtilde-g", "-1"], None, "--gtilde-g"),
+    (["steps", "potts", "--gtilde-f", "-1"], None, "--gtilde-f"),
+    (["steps", "accelerated", "--gtilde-g", "-1"], None, "--gtilde-g"),
+    (["steps", "linear", "--gtilde-f", "-1", "--gtilde-g", "1"], None, "--gtilde-f"),
+    (POTTS_4X4 + ["--gtilde-g", "-1"], None, "--gtilde-g"),
+    (POTTS_4X4 + ["--gtilde-f", "-1"], None, "--gtilde-f"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -628,7 +635,9 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-accelerated-rk-1e300", "steps-linear-lambda-y-1e300",
         "steps-constant-rk-1e-200", "steps-accelerated-rk-1e-200",
         "steps-constant-rk-1e-160", "verify-only-empty", "potts-preset-empty",
-        "steps-gtilde-f-neg", "steps-gtilde-g-neg"])
+        "steps-gtilde-f-neg", "steps-gtilde-g-neg", "steps-potts-gtilde-f-neg",
+        "steps-accelerated-gtilde-g-neg", "steps-linear-gtilde-f-neg",
+        "potts-gtilde-g-neg", "potts-gtilde-f-neg"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

@@ -293,16 +293,18 @@ def _rows_per_block(monkeypatch, n2, rows):
 @pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
                                          ((9, 1), 4), ((1, 9), 1), ((2, 2), 1)],
                          ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("into", ["new", "nan-filled-out"])
 @BOTH_P
 @pytest.mark.parametrize("entries", ["normal", "special"])
 def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
-        monkeypatch, shape, rows, p, entries):
+        monkeypatch, shape, rows, into, p, entries):
     # Several blocks, the last of them one row (33 = 8*4 + 1, 9 = 4*2 + 1),
     # must give the bits of the kernels applied to the whole image, up to
     # the sign of a NaN: numpy's contiguous add and multiply loops return
     # one operand's NaN in their vector body and the other's in the
     # remainder, so a NaN met by a NaN takes a sign that depends on the
-    # entry's place in the loop, which a block moves.
+    # entry's place in the loop, which a block moves.  A NaN-filled ``out``
+    # shows any entry that no block writes, or that a halo row leaves stale.
     rng = np.random.default_rng(sum(shape) + rows)
 
     def draw(size):
@@ -316,7 +318,10 @@ def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
         want_x = dht(kappa_z(p, dh(x), y)).ravel()
         want_y = kappa_y(p, dh(x), y).ravel()
         _rows_per_block(monkeypatch, shape[1], rows)
-        got_x, got_y = prob.grad_x(x.ravel(), y.ravel()), prob.grad_y(x.ravel(), y.ravel())
+        outs = ((np.full(x.size, np.nan), np.full(y.size, np.nan))
+                if into == "nan-filled-out" else (None, None))
+        got_x = prob.grad_x(x.ravel(), y.ravel(), out=outs[0])
+        got_y = prob.grad_y(x.ravel(), y.ravel(), out=outs[1])
     for got, want in ((got_x, want_x), (got_y, want_y)):
         assert _same_bits(*(np.where(np.isnan(a), np.nan, a) for a in (got, want)))
 
