@@ -94,13 +94,14 @@ def config_tokens(command: CommandParser, path: str) -> list[str]:
     Each ``key = value`` becomes ``--key=value``, or ``--key`` followed by
     the whitespace-separated words of the value for flags taking several
     arguments (``--synthetic``), so argparse checks file values exactly
-    like flags.  A key must spell a flag of ``command`` in full.
+    like flags.  A key must spell a flag of ``command`` in full, other
+    than ``--config``: a file names no other file.
     """
     tokens: list[str] = []
     for key, value in parse_config_file(path).items():
         flag = "--" + key.replace("_", "-")
         action = command.flags.get(flag)
-        if action is None:
+        if action is None or flag == "--config":
             command.error("unknown configuration key %r in %s" % (key, path))
         tokens += [flag] + value.split() if action.nargs else [flag + "=" + value]
     return tokens

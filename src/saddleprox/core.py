@@ -128,14 +128,13 @@ class IterationRecord:
 
 @dataclass
 class SolveOptions:
-    """Options of :func:`solve`.  ``reference`` is a pair (x, y), or the
-    index R of an iteration of the run itself: the run then goes on to
-    that iteration if it is past the log, and measures the logged
+    """Options of :func:`solve`.  ``reference`` is None, a pair (x, y),
+    or the index R of an iteration of the run itself: the run then goes
+    on to that iteration if it is past the log, and measures the logged
     iterates against it, in one pass unless the copies that takes would
     pass 64 MiB (``_COPY_BUDGET``)."""
 
     max_iters: int = 100
-    step_tol: float = 0.0
     log_stride: int = 1
     reference: Union[tuple[np.ndarray, np.ndarray], int, None] = None
     record_objective: bool = False
@@ -145,12 +144,11 @@ class SolveOptions:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ConfigurationError("%s must be an integer >= 1, got %r" % (name, value))
-        if isinstance(self.reference, bool) or (is_int(self.reference)
-                                                and self.reference < 1):
-            raise ConfigurationError("a reference index must be an integer >= 1, got %r"
-                                     % (self.reference,))
-        if not self.step_tol >= 0:  # also rejects NaN
-            raise ConfigurationError("step_tol must be >= 0, got %r" % (self.step_tol,))
+        ref = self.reference
+        if not (ref is None or (is_int(ref) and ref >= 1)
+                or (isinstance(ref, (tuple, list)) and len(ref) == 2)):
+            raise ConfigurationError("reference must be an integer >= 1 or a pair "
+                                     "(x, y), got %r" % (ref,))
 
 
 def is_int(value) -> bool:
@@ -266,13 +264,11 @@ def solve(
 
     ``schedule`` supplies the step triple for iteration i via
     ``schedule.triple(i)`` (a fixed ``StepTriple`` works, it returns
-    itself).  Stops after ``max_iters`` iterations, or earlier once the
-    joint step norm ||(x,y)_new - (x,y)_old|| drops to ``step_tol``
-    (when positive).  Step norms and reference distances are measured
-    in the problem's ``inner_primal``/``inner_dual``.  Returns the final
-    state and the log as a :class:`SolveResult`.  Only kept iterations
-    are recorded: every ``log_stride``-th one, the last of ``max_iters``
-    and the one where ``step_tol`` stops the run.
+    itself).  Makes ``max_iters`` iterations and records only the kept
+    ones: every ``log_stride``-th and the last.  Their step norms
+    ||(x,y)_new - (x,y)_old|| and reference distances are measured in
+    the problem's ``inner_primal``/``inner_dual``.  Returns the final
+    state and the log as a :class:`SolveResult`.
 
     A reference given as an iteration index R is iterate R of this same
     run.  Kept iterates before R are copied as (x, y) pairs; a log that
@@ -311,23 +307,18 @@ def solve(
         state, spare = step(problem, trip, state, out=spare), state
         if state.iteration == ref_at:
             ref = state.x.copy(), state.y.copy()  # later steps write over these arrays
-        kept = state.iteration % options.log_stride == 0 or i + 1 == options.max_iters
-        if not (kept or options.step_tol > 0):
+        if state.iteration % options.log_stride and i + 1 < options.max_iters:
             continue
         # spare's arrays, which the next step overwrites, take the differences.
         step_norm = _distance(problem, state.x, state.y, spare.x, spare.y, spare)
-        stop = options.step_tol > 0 and step_norm <= options.step_tol
-        if kept or stop:
-            dist = None
-            if ref is not None:
-                dist = _distance(problem, state.x, state.y, *ref, spare)
-            obj = problem.primal_objective(state.x) if options.record_objective else None
-            records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
-                                           trip.omega, step_norm, dist, obj))
-            if ref is None and ref_at is not None:
-                pending.append((records[-1], state.x.copy(), state.y.copy()))
-        if stop:
-            break
+        dist = None
+        if ref is not None:
+            dist = _distance(problem, state.x, state.y, *ref, spare)
+        obj = problem.primal_objective(state.x) if options.record_objective else None
+        records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
+                                       trip.omega, step_norm, dist, obj))
+        if ref is None and ref_at is not None:
+            pending.append((records[-1], state.x.copy(), state.y.copy()))
     if ref is None and ref_at is not None:
         # The log ended before iterate R: keep its end and go on to R.
         end = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),

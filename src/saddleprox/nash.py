@@ -33,6 +33,11 @@ import numpy as np
 
 from .core import ConfigurationError, SaddleProblem, is_int, out_buffer
 
+# The box [a, b] that holds each control on its player's half, and the
+# cost alpha_1 = alpha_2 of a control.
+CONTROL_BOX = (-0.5, 0.5)
+CONTROL_COST = 1.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -135,7 +140,8 @@ def proj_box(u: np.ndarray, mask: np.ndarray, a: float, b: float) -> np.ndarray:
 
 @dataclass
 class NashConfig:
-    """Problem data for the two-player control game."""
+    """Problem data for the two-player control game.  The control box and
+    the control costs are the module's ``CONTROL_BOX`` and ``CONTROL_COST``."""
 
     grid: Grid
     mask1: np.ndarray
@@ -143,10 +149,6 @@ class NashConfig:
     z1: np.ndarray
     z2: np.ndarray
     f: np.ndarray
-    a: float = -0.5
-    b: float = 0.5
-    alpha1: float = 1.0
-    alpha2: float = 1.0
 
     def __post_init__(self):
         n = self.grid.n
@@ -155,10 +157,6 @@ class NashConfig:
             if arr.shape != (n, n):
                 raise ConfigurationError("%s has shape %s, expected (%d, %d)"
                                          % (name, arr.shape, n, n))
-        if not (self.a < 0 < self.b):
-            raise ConfigurationError("control box must contain 0: a < 0 < b")
-        if not (self.alpha1 > 0 and self.alpha2 > 0):  # also rejects NaN
-            raise ConfigurationError("control costs alpha_k must be positive")
 
 
 class NashProblem(SaddleProblem):
@@ -210,9 +208,8 @@ class NashProblem(SaddleProblem):
         """half = combine(adjoint, alpha_k * ctrl) on player k's mask, +0 off
         it: the bits of ``np.where``, where a float mask would leave -0."""
         c = self.config
-        mask, off, alpha = ((c.mask1, self._off1, c.alpha1) if k == 1
-                            else (c.mask2, self._off2, c.alpha2))
-        np.multiply(ctrl, alpha, out=half, where=mask)
+        mask, off = (c.mask1, self._off1) if k == 1 else (c.mask2, self._off2)
+        np.multiply(ctrl, CONTROL_COST, out=half, where=mask)
         combine(adjoint, half, out=half, where=mask)
         np.copyto(half, 0.0, where=off)
 
@@ -229,9 +226,9 @@ class NashProblem(SaddleProblem):
     def _payout(self, k: int, s: np.ndarray, u: np.ndarray) -> float:
         """Player k's cost with state ``s`` and own control ``u``."""
         c = self.config
-        z, mask, alpha = (c.z1, c.mask1, c.alpha1) if k == 1 else (c.z2, c.mask2, c.alpha2)
+        z, mask = (c.z1, c.mask1) if k == 1 else (c.z2, c.mask2)
         track = s - z
-        ctrl = alpha * np.sum(np.where(mask, u, 0.0) ** 2)
+        ctrl = CONTROL_COST * np.sum(np.where(mask, u, 0.0) ** 2)
         return 0.5 * c.grid.h**2 * (float(np.sum(track**2)) + float(ctrl))
 
     def psi(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -283,11 +280,11 @@ class NashProblem(SaddleProblem):
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Clamp to [a, b] on each player's mask, +0 off it (``proj_box``)."""
-        c = self.config
+        """Clamp to ``CONTROL_BOX`` on each player's mask, +0 off it
+        (``proj_box``)."""
         out = _out(out, self.primal_dim, v)
         for u, half, off in zip(self._split(v), self._split(out), (self._off1, self._off2)):
-            np.clip(u, c.a, c.b, out=half)
+            np.clip(u, *CONTROL_BOX, out=half)
             np.copyto(half, 0.0, where=off)
         return out
 
@@ -312,10 +309,9 @@ def manufacture(n: int) -> tuple[NashConfig, np.ndarray, np.ndarray]:
     chooses the source f = A ys - B1 u*_1 - B2 u*_2 and the targets
     z_k = ys - A p_k so that both coupling gradients vanish at
     (u*, u*).  Returns (config, x_star, y_star) with x_star = y_star the
-    stacked equilibrium pair.  The control box [a, b] and the costs
-    alpha_k are the defaults of :class:`NashConfig`; since
-    max |w_k| <= 0.4 = 0.8 * min(|a|, b), the box constraints stay
-    inactive at the equilibrium.
+    stacked equilibrium pair.  The costs alpha_k are ``CONTROL_COST``;
+    since max |w_k| <= 0.4 = 0.8 * min(|a|, b) for the box [a, b] =
+    ``CONTROL_BOX``, the box constraints stay inactive at the equilibrium.
     """
     grid = Grid(n)
     xx, yy = grid.coords()
@@ -326,8 +322,8 @@ def manufacture(n: int) -> tuple[NashConfig, np.ndarray, np.ndarray]:
     mask1, mask2 = half_masks(grid)
     u1 = np.where(mask1, w1, 0.0)
     u2 = np.where(mask2, w2, 0.0)
-    p1 = -NashConfig.alpha1 * w1
-    p2 = -NashConfig.alpha2 * w2
+    p1 = -CONTROL_COST * w1
+    p2 = -CONTROL_COST * w2
 
     f = apply_laplacian(grid, ys) - u1 - u2
     z1 = ys - apply_laplacian(grid, p1)

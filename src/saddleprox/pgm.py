@@ -1,4 +1,5 @@
-"""Reading and writing portable graymap (PGM) images, ASCII and binary.
+"""Reading portable graymap (PGM) images, ASCII (P2) and binary (P5),
+and writing them as P5.
 
 Images are exchanged with the rest of the package as float arrays
 normalized to [0, 1]; files store integer samples up to a maxval of
@@ -109,10 +110,9 @@ def write_pgm(
     path: Union[str, Path],
     image: np.ndarray,
     maxval: int = 65535,
-    binary: bool = True,
     comments: Optional[Iterable[str]] = None,
 ) -> None:
-    """Write a [0, 1] float image as a P5 (or P2) graymap.
+    """Write a [0, 1] float image as a P5 graymap.
 
     Values are clipped to [0, 1] and rounded to maxval levels; reading
     the file back reproduces the quantized samples exactly.
@@ -124,7 +124,7 @@ def write_pgm(
         raise ConfigurationError("maxval out of range (1..65535): %d" % maxval)
 
     samples = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.int64)
-    header_lines = ["P5" if binary else "P2"]
+    header_lines = ["P5"]
     for c in comments or ():
         for line in str(c).splitlines() or [""]:
             header_lines.append("# " + line)
@@ -132,12 +132,6 @@ def write_pgm(
     header_lines.append("%d" % maxval)
     header = ("\n".join(header_lines) + "\n").encode("ascii")
 
-    if binary:
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        raster = samples.astype(dtype).tobytes()
-    else:
-        body = "\n".join(
-            " ".join(str(v) for v in row) for row in samples
-        )
-        raster = body.encode("ascii") + b"\n"
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    raster = samples.astype(dtype).tobytes()
     write_file(path, header + raster)

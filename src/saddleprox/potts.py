@@ -351,10 +351,6 @@ class PottsProblem(SaddleProblem):
         data = float(np.sum((img - self.noisy) ** 2)) / (2.0 * c.alpha)
         return data + huber_value(c.p, dh(img), c.gamma)
 
-    def dual_from_primal(self, x: np.ndarray) -> np.ndarray:
-        c = self.config
-        return dual_from_primal(c.p, self._img(x), c.gamma).ravel()
-
 
 def gen_synthetic(
     n1: int,

@@ -466,8 +466,8 @@ class NamedCheck:
     run: Callable[[], CheckResult]
 
 
-def _tol_result(value: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(value <= tol, (tol - value) / tol, detail)
+def _tol_result(value: float, tol: float) -> CheckResult:
+    return CheckResult(value <= tol, (tol - value) / tol)
 
 
 def _check_adjoint(seed: int) -> CheckResult:

@@ -615,6 +615,7 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (["steps", "linear", "--gtilde-f", "-1", "--gtilde-g", "1"], None, "--gtilde-f"),
     (POTTS_4X4 + ["--gtilde-g", "-1"], None, "--gtilde-g"),
     (POTTS_4X4 + ["--gtilde-f", "-1"], None, "--gtilde-f"),
+    (WITH_CONFIG, "config = nope.cfg\n", "'config'"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -637,7 +638,7 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-constant-rk-1e-160", "verify-only-empty", "potts-preset-empty",
         "steps-gtilde-f-neg", "steps-gtilde-g-neg", "steps-potts-gtilde-f-neg",
         "steps-accelerated-gtilde-g-neg", "steps-linear-gtilde-f-neg",
-        "potts-gtilde-g-neg", "potts-gtilde-f-neg"])
+        "potts-gtilde-g-neg", "potts-gtilde-f-neg", "cfg-config"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:
@@ -661,17 +662,23 @@ SWEEP_BASES = {
 }
 
 
-def _sweep_failures(argvs, capsys):
-    """The (argv, exit code, stderr) of each argv that exits outside
-    {0, 1, 2}, prints a traceback, or exits 2 without ending in the
-    subcommand's one-line message."""
-    failures = []
+def _run_sweep(argvs, capsys):
+    """The (argv, exit code, stderr) of each argv."""
+    runs = []
     for argv in argvs:
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
-        _, err = capsys.readouterr()
+        runs.append((argv, rc, capsys.readouterr()[1]))
+    return runs
+
+
+def _sweep_failures(runs):
+    """The runs that exit outside {0, 1, 2}, print a traceback, or exit 2
+    without ending in the subcommand's one-line message."""
+    failures = []
+    for argv, rc, err in runs:
         lines = err.splitlines()
         if (rc not in (0, 1, 2) or "Traceback" in err or rc == 2 and not (
                 lines and lines[-1].startswith("saddleprox %s:" % argv[0]))):
@@ -694,7 +701,7 @@ def test_no_single_flag_value_ends_in_a_traceback(tmp_path, monkeypatch, capsys)
              for name, command in commands.items()
              for flag, action in command.flags.items() if flag not in ("-h", "--help")
              for value in SWEEP_VALUES]
-    assert not _sweep_failures(argvs, capsys)
+    assert not _sweep_failures(_run_sweep(argvs, capsys))
 
 
 # Flags that take a size or a count get small integers in the sweep below.
@@ -723,14 +730,80 @@ def test_no_several_flag_values_end_in_a_traceback(tmp_path, monkeypatch, capsys
             nargs = command.flags[flag].nargs or 1
             argv += [flag] + [rng.choice(pool) for _ in range(nargs)]
         argvs.append(argv)
-    assert not _sweep_failures(argvs, capsys)
+    assert not _sweep_failures(_run_sweep(argvs, capsys))
+
+
+# Valid values for the sweep below: for each flag without a default or
+# whose default makes a large run, and a few more.  Any other flag draws
+# its default, or 0.5 if that is a float.
+SWEEP_VALID = {
+    "--synthetic": ["4 4 0", "5 3 2"], "--input": ["in.pgm"], "--p": ["1", "inf"],
+    "--iters": ["1", "3"], "--reference-iters": ["0", "4"], "--log-stride": ["1", "2"],
+    "--check-48": ["0", "2"], "--sizes": ["3", "4"], "--n1": ["3"], "--n2": ["5"],
+    "--seed": ["0", "3"], "--maxval": ["255", "65535"], "--mu": ["0.1"],
+    "--gtilde-g": ["0", "1"], "--gtilde-f": ["0", "1"], "--tau": ["0.1"],
+    "--tau0": ["0.1"], "--preset": ["paper-p1", "paper-pinf"],
+    "--only": ["grad-potts-pinf", "three-point-m1", "poisson-roundtrip"],
+}
+# Each steps regime with the flags it needs to run.
+STEPS_BASES = {
+    "constant": ["--tau", "0.1"],
+    "accelerated": ["--gtilde-g", "1", "--tau0", "0.1"],
+    "linear": ["--gtilde-g", "1", "--gtilde-f", "1", "--lambda-y", "1", "--mu", "0.1"],
+    "potts": [],
+}
+
+
+def _mostly_valid_argvs(rng, commands, count):
+    """``count`` argv of 2-4 flags of one subcommand with valid values, at
+    most one of which draws from the values of the sweeps above instead."""
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(sorted(commands))
+        command = commands[name]
+        base = SWEEP_BASES[name]
+        if name == "steps":
+            regime = rng.choice(sorted(STEPS_BASES))
+            base = ["steps", regime] + STEPS_BASES[regime]
+        flags = sorted(set(command.flags) - {"-h", "--help", "--config"})
+        chosen = rng.sample(flags, rng.randint(2, min(4, len(flags))))
+        if "--input" in chosen:  # the base's --synthetic would exclude it
+            base = ["potts", "--iters", "2"]
+        bad = rng.randrange(3 * len(chosen))
+        argv = list(base)
+        for i, flag in enumerate(chosen):
+            action = command.flags[flag]
+            if i == bad:
+                argv += [flag] + [rng.choice(SWEEP_VALUES + ["1", "0.5"])
+                                  for _ in range(action.nargs or 1)]
+                continue
+            pool = SWEEP_VALID.get(flag) or (
+                [repr(action.default), "0.5"] if isinstance(action.default, float)
+                else [str(action.default)])
+            argv += [flag] + rng.choice(pool).split()
+        argvs.append(argv)
+    return argvs
+
+
+@pytest.mark.filterwarnings("ignore:constants outside the standard range")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mostly_valid_several_flag_values_reach_the_command(tmp_path, monkeypatch,
+                                                            capsys):
+    # Most of these argv get past the parser and into the command, where
+    # the same exit rules hold.
+    monkeypatch.chdir(tmp_path)
+    cli.write_pgm("in.pgm", np.full((5, 4), 0.5))
+    _, commands = cli.build_parser()
+    runs = _run_sweep(_mostly_valid_argvs(random.Random(1), commands, 300), capsys)
+    assert not _sweep_failures(runs)
+    assert sum(rc in (0, 1) for _, rc, _ in runs) >= len(runs) / 2
 
 
 @pytest.mark.parametrize("write", [
     lambda path: cli.write_csv(path, ["cfg"], ["a", "b"], [[1, 0.5], [2, 0.25]]),
-    lambda path: cli.write_pgm(path, np.eye(3), maxval=255, binary=False),
+    lambda path: cli.write_pgm(path, np.eye(3), maxval=255),
     lambda path: cli.write_pgm(path, np.eye(3), maxval=65535),
-], ids=["csv", "pgm-p2", "pgm-p5"])
+], ids=["csv", "pgm-8bit", "pgm-16bit"])
 def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, write):
     path = tmp_path / "out"
     write(path)

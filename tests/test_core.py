@@ -103,23 +103,6 @@ def test_extrapolation_uses_omega():
     assert out.y[0] == pytest.approx(1.0 + 0.25 * out.x_bar[0], rel=1e-15)
 
 
-def test_solve_early_stop_at_exact_fixpoint():
-    final, records = solve(
-        ScalarBilinear(),
-        UNIT,
-        np.array([1.0]),
-        np.array([0.0]),
-        SolveOptions(max_iters=50, step_tol=1e-15),
-    )
-    # (0, 0) is reached at iteration 2 and repeated at 3, where the step
-    # norm vanishes and the loop stops.
-    assert final.iteration == 3
-    assert [r.iteration for r in records] == [1, 2, 3]
-    assert records[0].step_norm == pytest.approx(1.0, abs=0)
-    assert records[1].step_norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert records[2].step_norm == 0.0
-
-
 def test_solve_log_stride_plus_final():
     final, records = solve(
         ScalarBilinear(), UNIT, np.array([1.0]), np.array([0.0]),
@@ -150,8 +133,6 @@ def every_iteration_then_thin(problem, triple, x0, y0, options):
         every.append(IterationRecord(new.iteration, triple.tau, triple.sigma,
                                      triple.omega, step_norm, dist))
         state = new
-        if options.step_tol > 0 and step_norm <= options.step_tol:
-            break
     kept = [r for r in every[:-1] if r.iteration % options.log_stride == 0]
     return state, kept + every[-1:]
 
@@ -160,17 +141,15 @@ def every_iteration_then_thin(problem, triple, x0, y0, options):
 @given(
     max_iters=st.integers(1, 40),
     log_stride=st.integers(1, 12),
-    step_tol=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
     x0=st.floats(-1.0, 1.0),
     y0=st.floats(-1.0, 1.0),
     tau=st.floats(0.1, 1.0),
     sigma=st.floats(0.1, 1.0),
 )
 def test_solve_keeps_stride_hits_and_last_of_every_iteration(
-        max_iters, log_stride, step_tol, x0, y0, tau, sigma):
+        max_iters, log_stride, x0, y0, tau, sigma):
     triple = StepTriple(tau, sigma, 1.0)
     options = SolveOptions(max_iters=max_iters, log_stride=log_stride,
-                           step_tol=step_tol,
                            reference=(np.array([0.25]), np.array([-0.5])))
     start = (np.array([x0]), np.array([y0]))
     final, records = solve(ScalarBilinear(), triple, *start, options)
@@ -187,13 +166,12 @@ def test_solve_keeps_stride_hits_and_last_of_every_iteration(
     max_iters=st.integers(1, 30),
     log_stride=st.integers(1, 12),
     ref_at=st.integers(1, 40),
-    step_tol=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
     x0=st.floats(-1.0, 1.0),
     tau=st.floats(0.1, 1.0),
 )
 @pytest.mark.parametrize("budget", ["default", 0])
 def test_reference_index_matches_a_separate_reference_run(
-        budget, max_iters, log_stride, ref_at, step_tol, x0, tau):
+        budget, max_iters, log_stride, ref_at, x0, tau):
     # Iterate ref_at of the run itself is the final state of a run of
     # ref_at iterations from the same start, and the log is as with that
     # pair given as the reference.  Past the copy budget solve makes
@@ -204,7 +182,7 @@ def test_reference_index_matches_a_separate_reference_run(
     pair = (ref_state.x, ref_state.y)
     want_final, want = solve(prob, triple, *start,
                              SolveOptions(max_iters=max_iters, log_stride=log_stride,
-                                          step_tol=step_tol, reference=pair))
+                                          reference=pair))
     calls = []
 
     def counted(*args, **kwargs):
@@ -217,7 +195,7 @@ def test_reference_index_matches_a_separate_reference_run(
             mp.setattr(core, "_COPY_BUDGET", budget)
         result = solve(prob, triple, *start,
                        SolveOptions(max_iters=max_iters, log_stride=log_stride,
-                                    step_tol=step_tol, reference=ref_at))
+                                    reference=ref_at))
     final, records = result
     assert records == want
     assert _bits(final) == _bits(want_final)
@@ -334,9 +312,11 @@ def test_divergence_error_carries_iteration():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(max_iters=0), dict(max_iters=-3), dict(log_stride=0), dict(step_tol=-1.0),
-     dict(step_tol=math.nan), dict(max_iters=2.5), dict(log_stride=1.5),
-     dict(max_iters=True), dict(log_stride=True), dict(max_iters=np.bool_(True))],
+    [dict(max_iters=0), dict(max_iters=-3), dict(log_stride=0), dict(max_iters=2.5),
+     dict(log_stride=1.5), dict(max_iters=True), dict(log_stride=True),
+     dict(max_iters=np.bool_(True)), dict(reference=2.5), dict(reference=0.0),
+     dict(reference=np.float64(3.0)), dict(reference=(np.zeros(1),)),
+     dict(reference="abc")],
 )
 def test_solve_options_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -410,8 +390,7 @@ def test_recycled_step_and_solve_match_allocating_step_bit_for_bit(case):
     ref = (want[4].x + 0.25, want[4].y - 0.5)
     ref_bits = ref[0].tobytes(), ref[1].tobytes()
     final, records = solve(problem, triple, x0, y0,
-                           SolveOptions(max_iters=12, log_stride=5, step_tol=1e-300,
-                                        reference=ref))
+                           SolveOptions(max_iters=12, log_stride=5, reference=ref))
     assert _bits(final) == _bits(want[-1])
     assert (ref[0].tobytes(), ref[1].tobytes()) == ref_bits
     assert [r.iteration for r in records] == [5, 10, 12]
@@ -465,12 +444,11 @@ def test_solve_measures_norms_in_recycled_arrays():
     prob = OutRecorder()
     ref = (np.ones(3), np.ones(3))
     _, records = solve(prob, StepTriple(0.5, 0.5, 1.0), np.arange(1.0, 4.0), np.zeros(3),
-                       SolveOptions(max_iters=6, log_stride=2, step_tol=1e-300,
-                                    reference=ref))
-    assert [r.iteration for r in records] == [2, 4, 6]
+                       SolveOptions(max_iters=6, log_stride=1, reference=ref))
+    assert [r.iteration for r in records] == [1, 2, 3, 4, 5, 6]
     assert all(r.dist_to_ref is not None for r in records)
     recycled = {out.ctypes.data for out in prob.outs}
-    assert len(prob.inner) == 6 * 4 + 3 * 4
+    assert len(prob.inner) == 6 * 4 + 6 * 4
     assert {v.ctypes.data for v in prob.inner} <= recycled
 
 

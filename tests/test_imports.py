@@ -1,5 +1,6 @@
 """Import hygiene: every top-level import in the package is used, and
-importing the command line does not load scipy."""
+importing the command line does not load scipy.  Every setting of the
+package has a caller."""
 
 import ast
 import subprocess
@@ -37,3 +38,62 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# Acceptance test 10 calls dh(v, 0.5): the finite-difference pair keeps
+# its mesh width although every caller in the package uses unit width.
+SETTINGS_WITHOUT_CALLER_ALLOWED = {("dh", "h"), ("dht", "h")}
+
+
+def settings_without_a_caller(sources, callers):
+    """The (function, name) of each defaulted parameter and each
+    defaulted dataclass field in the files ``sources`` that no call in
+    the files ``callers`` passes, by position, by keyword or through
+    ``*args``/``**kwargs``.  Calls are matched to functions by name; a
+    dataclass field may also be passed by keyword to ``replace``."""
+    def nodes(paths):
+        return [node for path in paths
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+
+    defs = nodes(sources)
+    owner = {f: c for c in defs if isinstance(c, ast.ClassDef) for f in c.body}
+    settings = []  # ({callee: index among its positional arguments}, setting)
+    for node in defs:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            settings += [({node.name: i, "replace": None}, s.target.id)
+                         for i, s in enumerate(fields) if s.value is not None]
+        elif isinstance(node, ast.FunctionDef):
+            cls = owner.get(node)
+            bound = cls is not None and "staticmethod" not in map(ast.unparse,
+                                                                  node.decorator_list)
+            name = cls.name if cls is not None and node.name == "__init__" else node.name
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            settings += [({name: i - bound}, a.arg) for i, a in enumerate(args) if i >= first]
+            settings += [({name: None}, a.arg) for a, d in
+                         zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+
+    def passes(call, callees, arg):
+        func = call.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name not in callees:
+            return False
+        index, keywords = callees[name], {k.arg for k in call.keywords}
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return (arg in keywords or None in keywords or index is not None
+                and (len(call.args) > index or starred))
+
+    calls = [node for node in nodes(callers) if isinstance(node, ast.Call)]
+    return sorted((min(callees), arg) for callees, arg in settings
+                  if not any(passes(call, callees, arg) for call in calls))
+
+
+def test_every_setting_has_a_caller():
+    # A setting that only tests set is a constant: it doubles what the
+    # tests must cover and serves no caller.
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted(root.glob("src/saddleprox/*.py"))
+    found = settings_without_a_caller(sources, sources + sorted(root.glob("bench/*.py")))
+    assert sorted(set(found) - SETTINGS_WITHOUT_CALLER_ALLOWED) == []

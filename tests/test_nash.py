@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from saddleprox import nash
 from saddleprox.core import ConfigurationError, PrimalDualState, SolveOptions, solve, step
 from saddleprox.nash import (
+    CONTROL_BOX,
+    CONTROL_COST,
     Grid,
     NashConfig,
     NashProblem,
@@ -149,12 +151,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         NashConfig(grid=grid, mask1=mask, mask2=mask, z1=np.ones((3, 4)),
                    z2=ones, f=ones)
-    with pytest.raises(ConfigurationError):
-        NashConfig(grid=grid, mask1=mask, mask2=mask, z1=ones, z2=ones,
-                   f=ones, a=0.1, b=0.5)
-    with pytest.raises(ConfigurationError):
-        NashConfig(grid=grid, mask1=mask, mask2=mask, z1=ones, z2=ones,
-                   f=ones, alpha1=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +218,10 @@ def test_payout_matches_dense_recomputation():
     assert np.allclose(prob.state(u1, u2), s, rtol=1e-9, atol=1e-11)
     h2 = config.grid.h**2
     j1 = 0.5 * h2 * (np.sum((s - config.z1) ** 2)
-                     + config.alpha1 * np.sum(np.where(config.mask1, u1, 0.0) ** 2))
+                     + CONTROL_COST * np.sum(np.where(config.mask1, u1, 0.0) ** 2))
     assert prob.payout(1, u1, u2) == pytest.approx(j1, rel=1e-9)
     j2 = 0.5 * h2 * (np.sum((s - config.z2) ** 2)
-                     + config.alpha2 * np.sum(np.where(config.mask2, u2, 0.0) ** 2))
+                     + CONTROL_COST * np.sum(np.where(config.mask2, u2, 0.0) ** 2))
     assert prob.payout(2, u1, u2) == pytest.approx(j2, rel=1e-9)
     with pytest.raises(ConfigurationError):
         prob.payout(3, u1, u2)
@@ -281,8 +277,8 @@ def _physical_grad_x(prob, x, y):
     s_uu = _physical_state(prob, u1, u2)
     p1 = poisson_solve(c.grid, 2.0 * s_uu - _physical_state(prob, u1, v2) - c.z1)
     p2 = poisson_solve(c.grid, 2.0 * s_uu - _physical_state(prob, v1, u2) - c.z2)
-    g1 = np.where(c.mask1, p1, 0.0) + c.alpha1 * np.where(c.mask1, u1, 0.0)
-    g2 = np.where(c.mask2, p2, 0.0) + c.alpha2 * np.where(c.mask2, u2, 0.0)
+    g1 = np.where(c.mask1, p1, 0.0) + CONTROL_COST * np.where(c.mask1, u1, 0.0)
+    g2 = np.where(c.mask2, p2, 0.0) + CONTROL_COST * np.where(c.mask2, u2, 0.0)
     return np.concatenate([g1.ravel(), g2.ravel()])
 
 
@@ -293,8 +289,8 @@ def _physical_grad_y(prob, x, y):
     v1, v2 = prob._split(y)
     q1 = poisson_solve(c.grid, c.z1 - _physical_state(prob, v1, u2))
     q2 = poisson_solve(c.grid, c.z2 - _physical_state(prob, u1, v2))
-    g1 = np.where(c.mask1, q1, 0.0) - c.alpha1 * np.where(c.mask1, v1, 0.0)
-    g2 = np.where(c.mask2, q2, 0.0) - c.alpha2 * np.where(c.mask2, v2, 0.0)
+    g1 = np.where(c.mask1, q1, 0.0) - CONTROL_COST * np.where(c.mask1, v1, 0.0)
+    g2 = np.where(c.mask2, q2, 0.0) - CONTROL_COST * np.where(c.mask2, v2, 0.0)
     return np.concatenate([g1.ravel(), g2.ravel()])
 
 
@@ -372,8 +368,8 @@ def test_nash_prox_is_proj_box_on_each_half():
     x[:4] = [-0.0, np.nan, -np.inf, np.inf]
     c = prob.config
     u1, u2 = prob._split(x)
-    want = np.concatenate([proj_box(u1, c.mask1, c.a, c.b).ravel(),
-                           proj_box(u2, c.mask2, c.a, c.b).ravel()]).tobytes()
+    want = np.concatenate([proj_box(u1, c.mask1, *CONTROL_BOX).ravel(),
+                           proj_box(u2, c.mask2, *CONTROL_BOX).ravel()]).tobytes()
     assert prob.prox_primal(0.5, x).tobytes() == want
     assert prob.prox_dual(0.5, x, out=x).tobytes() == want
 
@@ -439,9 +435,8 @@ def test_solve_norms_are_h_weighted_and_mesh_independent():
         prob = NashProblem(config)
         h = config.grid.h
         x0, y0 = np.zeros(prob.primal_dim), np.zeros(prob.dual_dim)
-        final, records = solve(prob, GAME_TRIPLE, x0, y0,
-                               SolveOptions(max_iters=12, step_tol=1e-6,
-                                            reference=(x_star, y_star)))
+        _, records = solve(prob, GAME_TRIPLE, x0, y0,
+                           SolveOptions(max_iters=12, reference=(x_star, y_star)))
         state = PrimalDualState.initial(x0, y0)
         for rec in records:
             new = step(prob, GAME_TRIPLE, state)
@@ -452,8 +447,8 @@ def test_solve_norms_are_h_weighted_and_mesh_independent():
             assert rec.step_norm == pytest.approx(h * euclid_step, rel=1e-12)
             assert rec.dist_to_ref == pytest.approx(h * euclid_dist, rel=1e-12)
             state = new
-        stops.append(final.iteration)
-    # The same step_tol stops both meshes at the same iteration.
+        stops.append(next(r.iteration for r in records if r.step_norm <= 1e-6))
+    # The step norm falls to 1e-6 at the same iteration on both meshes.
     assert stops[0] == stops[1] < 12
 
 
@@ -474,4 +469,4 @@ def test_prox_is_firmly_nonexpansive(n, seed, scale):
 
 def test_default_profile_respects_interiority():
     _, x_star, _ = manufacture(31)
-    assert float(np.max(np.abs(x_star))) <= 0.8 * min(abs(NashConfig.a), NashConfig.b)
+    assert float(np.max(np.abs(x_star))) <= 0.8 * min(abs(CONTROL_BOX[0]), CONTROL_BOX[1])

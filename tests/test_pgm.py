@@ -13,12 +13,11 @@ from saddleprox.pgm import read_pgm, write_file, write_pgm
 from saddleprox.potts import gen_synthetic
 
 
-@pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("maxval", [255, 65535])
-def test_roundtrip_is_lossless_after_quantization(tmp_path, binary, maxval):
+def test_roundtrip_is_lossless_after_quantization(tmp_path, maxval):
     img = gen_synthetic(13, 17, seed=2, noise_sigma=0.1)
     path = tmp_path / "img.pgm"
-    write_pgm(path, img, maxval=maxval, binary=binary)
+    write_pgm(path, img, maxval=maxval)
     back, mv = read_pgm(path)
     assert mv == maxval
     assert back.shape == img.shape
@@ -26,7 +25,7 @@ def test_roundtrip_is_lossless_after_quantization(tmp_path, binary, maxval):
     assert np.array_equal(back, quantized)
     # Writing the read-back image again reproduces it bit for bit.
     path2 = tmp_path / "img2.pgm"
-    write_pgm(path2, back, maxval=maxval, binary=binary)
+    write_pgm(path2, back, maxval=maxval)
     again, _ = read_pgm(path2)
     assert np.array_equal(again, back)
 
@@ -146,20 +145,19 @@ def test_reader_rejects_empty_image(tmp_path, raw):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n1=st.integers(1, 9), n2=st.integers(1, 9), seed=st.integers(0, 1000),
-       maxval=st.sampled_from([255, 65535]), binary=st.booleans())
-def test_roundtrip_over_a_larger_existing_file(tmp_path, n1, n2, seed, maxval,
-                                               binary):
+       maxval=st.sampled_from([255, 65535]))
+def test_roundtrip_over_a_larger_existing_file(tmp_path, n1, n2, seed, maxval):
     img = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(n1, n2))
     path = tmp_path / "img.pgm"
     path.unlink(missing_ok=True)  # truncating an existing file forces writeback on ext4
     path.write_bytes(b"\xff" * 4096)
-    write_pgm(path, img, maxval=maxval, binary=binary, comments=["seed = %d" % seed])
+    write_pgm(path, img, maxval=maxval, comments=["seed = %d" % seed])
     back, mv = read_pgm(path)
     assert mv == maxval
     assert np.array_equal(back, np.rint(np.clip(img, 0.0, 1.0) * maxval) / maxval)
     fresh = tmp_path / "fresh.pgm"
     fresh.unlink(missing_ok=True)
-    write_pgm(fresh, img, maxval=maxval, binary=binary, comments=["seed = %d" % seed])
+    write_pgm(fresh, img, maxval=maxval, comments=["seed = %d" % seed])
     assert path.read_bytes() == fresh.read_bytes()
 
 

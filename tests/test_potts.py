@@ -528,14 +528,6 @@ def test_gradients_pass_directional_check(p):
     assert fd_grad_check(prob, x, y, h=1e-5, n_dirs=20, seed=1) <= 1e-6
 
 
-def test_problem_dual_from_primal_matches_free_function():
-    prob, f = _small_problem(math.inf)
-    rng = np.random.default_rng(9)
-    x = f.ravel() + 0.05 * rng.normal(size=prob.primal_dim)
-    direct = dual_from_primal(math.inf, x.reshape(f.shape), 1e-3).ravel()
-    assert np.array_equal(prob.dual_from_primal(x), direct)
-
-
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         PottsConfig(alpha=0.0, gamma=1e-3, p=1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleprox.core import ConfigurationError
-from saddleprox.nash import Grid, manufacture
+from saddleprox.nash import Grid
 from saddleprox.schedules import (
     POTTS_PRESETS,
     AcceleratedRule,
@@ -592,8 +592,6 @@ NAN_CASES = {
     "shrink_rho-rho_x": lambda: shrink_rho(np.array([0.6]), np.array([0.2]),
                                            _kappa_constants(rho_x=nan), n_samples=10),
     "lift-a_norm": lambda: lift_constants(nan, *[1.0] * 11),
-    "nash-alpha1": lambda: dataclasses.replace(manufacture(7)[0], alpha1=nan),
-    "nash-alpha2": lambda: dataclasses.replace(manufacture(7)[0], alpha2=nan),
     "grid-2.5": lambda: Grid(2.5),
     "grid-7.0": lambda: Grid(7.0),
     "check_52-l_x_at_yhat": lambda: _check_52_with(nan, 1.0),
