@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -335,15 +336,15 @@ def cmd_steps(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = verify.standard_suite(seed=args.seed)
     if args.only is not None:
-        checks = [c for c in checks if c.name == args.only]
-        if not checks:
+        if args.only not in checks:
             raise ConfigurationError("no check named %r" % args.only)
+        checks = {args.only: checks[args.only]}
     all_pass = True
-    for chk in checks:
-        result = chk.run()
-        all_pass &= result.passed
-        print("%s,%s,%r" % (chk.name, "pass" if result.passed else "fail",
-                            result.margin))
+    for run in checks.values():
+        report = run()
+        all_pass &= report.passed
+        print("%s,%s,%r" % (report.name, "pass" if report.passed else "fail",
+                            report.margin))
     return 0 if all_pass else 1
 
 
@@ -414,6 +415,7 @@ POTTS_MODEL_FLAGS = {"alpha": 1.0, "gamma": 1e-3, "dynamic-range": 1.0,
                      "gamma-bar": 10.0}
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
     """The ``saddleprox`` parser and its subcommand parsers by name.
 
@@ -421,6 +423,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
     the others: mu from delta, the leftover moduli gtilde-g/gtilde-f by
     the calculator, tau and tau0 from the admissible bounds; --preset and
     --only are None when not given, so an empty value is an error.
+
+    Built once per process; ``set_defaults(func=...)`` binds the command
+    functions at that first call, so a ``cmd_*`` replaced later never runs.
     """
     parser = argparse.ArgumentParser(
         prog="saddleprox",

@@ -133,11 +133,6 @@ def _out(out: Optional[np.ndarray], dim: int, *inputs: np.ndarray) -> np.ndarray
     return out_buffer(out, (dim,), *(a for a in inputs if a is not out))
 
 
-def proj_box(u: np.ndarray, mask: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Clamp to [a, b] on the mask, zero elsewhere."""
-    return np.where(mask, np.clip(u, a, b), 0.0)
-
-
 @dataclass
 class NashConfig:
     """Problem data for the two-player control game.  The control box and
@@ -280,8 +275,7 @@ class NashProblem(SaddleProblem):
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Clamp to ``CONTROL_BOX`` on each player's mask, +0 off it
-        (``proj_box``)."""
+        """Clamp to ``CONTROL_BOX`` on each player's mask, +0 off it."""
         out = _out(out, self.primal_dim, v)
         for u, half, off in zip(self._split(v), self._split(out), (self._off1, self._off2)):
             np.clip(u, *CONTROL_BOX, out=half)

@@ -413,21 +413,11 @@ EQUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TestingState:
-    """Testing parameters at one iteration index: phi_i, psi_i, eta_i.
-
-    Produced by :func:`check_48` for indices i >= 1 where both the
-    primal and dual parameters are defined; there eta = phi*tau_i =
-    psi*sigma_i up to accumulated rounding.
-    """
-
-    phi: float
-    psi: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class ConditionReport:
+    """Outcome of one named check of ``check_48``, ``check_52`` or :mod:`verify`.
+    ``margin`` is its slack, negative when violated; for ``coupling-omega``
+    it is the relative deviation that must stay within ``EQUALITY_TOL``."""
+
     name: str
     passed: bool
     margin: float
@@ -437,7 +427,6 @@ class ConditionReport:
 @dataclass(frozen=True)
 class ScheduleCheckReport:
     conditions: tuple[ConditionReport, ...]
-    testing: tuple[TestingState, ...]
 
     @property
     def passed(self) -> bool:
@@ -513,11 +502,6 @@ def check_48(
         "max relative deviation of testing-parameter coupling",
     )
 
-    testing = tuple(
-        TestingState(phi=phi[i], psi=psi_next[i - 1], eta=eta_primal[i])
-        for i in range(1, n)
-    )
-
     # Dual step condition.  sigma_i is triples[i-1].sigma; at i = 0 the
     # algorithm never uses sigma_0, take sigma_1 as surrogate (exact for
     # constant-sigma schedules).
@@ -545,7 +529,7 @@ def check_48(
         _worst((conv_g1, conv_g2)),
         _worst((conv_f1, conv_f2)),
     )
-    return ScheduleCheckReport(conditions=conditions, testing=testing)
+    return ScheduleCheckReport(conditions)
 
 
 @dataclass(frozen=True)
@@ -622,4 +606,4 @@ def check_52(
         premise = _ineq("Assumption 5.2", required, budget.r_y,
                         "r_y >= r_max*sqrt(nu*(1-delta)*delta/(mu-delta))")
 
-    return ScheduleCheckReport(conditions=(tau_rep, sig_rep, premise), testing=())
+    return ScheduleCheckReport((tau_rep, sig_rep, premise))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from .core import PrimalDualState, SaddleProblem, step
 from .potts import (PottsConfig, PottsProblem, dh, dht, gen_synthetic, rho, rho_grad,
                     rho_mixed, rho_pair)
-from .schedules import POTTS_D_NORM_SQ, InfeasibleConstantsError, StepTriple
+from .schedules import (POTTS_D_NORM_SQ, ConditionReport, InfeasibleConstantsError,
+                        ProblemConstants, StepTriple)
 
 
 def fd_grad_check(
@@ -350,23 +352,6 @@ def shrink_rho(
     )
 
 
-@dataclass(frozen=True)
-class LiftedConstants:
-    """Three-point constants of a coupling composed with a linear map."""
-
-    r_k: float
-    rho_x: float
-    rho_y: float
-    xi_x: float
-    xi_y: float
-    lambda_x: float
-    lambda_y: float
-    theta_x: float
-    theta_y: float
-    l_x: float
-    l_yx: float
-
-
 def lift_constants(
     a_norm: float,
     r_k: float,
@@ -380,7 +365,7 @@ def lift_constants(
     theta_y: float,
     l_z: float,
     l_yz: float,
-) -> LiftedConstants:
+) -> tuple[ProblemConstants, float]:
     """Transport three-point constants through x -> kappa(A x, y).
 
     With ||A|| = a_norm, constants established for the inner coupling on
@@ -388,11 +373,12 @@ def lift_constants(
     r_k' = r_k*||A||, rho_x = rho_z/||A||, xi_x = ||A||*xi_z,
     lambda_x = ||A||*lambda_z, theta_x = theta_z,
     theta_y' = theta_y/||A||, l_x = ||A||^2*l_z, l_yx = ||A||^2*l_yz;
-    the dual-side constants are unchanged.
+    the dual-side constants are unchanged.  Returns (ProblemConstants, l_x),
+    its other fields at their defaults; ``check_52`` takes l_x as ``l_x_at_yhat``.
     """
     if not a_norm > 0:
         raise InfeasibleConstantsError("operator norm must be positive")
-    return LiftedConstants(
+    return ProblemConstants(
         r_k=r_k * a_norm,
         rho_x=rho_z / a_norm,
         rho_y=rho_y,
@@ -402,9 +388,8 @@ def lift_constants(
         lambda_y=lambda_y,
         theta_x=theta_z,
         theta_y=theta_y / a_norm,
-        l_x=a_norm**2 * l_z,
         l_yx=a_norm**2 * l_yz,
-    )
+    ), a_norm**2 * l_z
 
 
 @dataclass(frozen=True)
@@ -446,31 +431,12 @@ def rate_fit(errors: Sequence[float], window: tuple[int, int]) -> RateFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one named check: pass/fail plus a slack margin.
-
-    The margin is positive when the check passes with room to spare
-    (relative slack against the tolerance, or the worst sampled slack
-    for the growth-condition checks) and negative when violated.
-    """
-
-    passed: bool
-    margin: float
-    detail: str = ""
+def _tol_result(name: str, value: float, tol: float) -> ConditionReport:
+    """Report for ``value <= tol``, its margin the slack relative to ``tol``."""
+    return ConditionReport(name, value <= tol, (tol - value) / tol)
 
 
-@dataclass(frozen=True)
-class NamedCheck:
-    name: str
-    run: Callable[[], CheckResult]
-
-
-def _tol_result(value: float, tol: float) -> CheckResult:
-    return CheckResult(value <= tol, (tol - value) / tol)
-
-
-def _check_adjoint(seed: int) -> CheckResult:
+def _check_adjoint(name: str, seed: int) -> ConditionReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
@@ -480,20 +446,20 @@ def _check_adjoint(seed: int) -> CheckResult:
         rhs = float(np.sum(u * dht(g)))
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
-    return _tol_result(worst, 1e-12)
+    return _tol_result(name, worst, 1e-12)
 
 
-def _check_grad_potts(seed: int, p: float) -> CheckResult:
+def _check_grad_potts(name: str, seed: int, p: float) -> ConditionReport:
     f = gen_synthetic(8, 8, seed + 1, n_shapes=3, noise_sigma=0.05)
     problem = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
     rng = np.random.default_rng(seed)
     x = f.ravel() + 0.05 * rng.standard_normal(problem.primal_dim)
     y = 0.3 * rng.standard_normal(problem.dual_dim)
     worst = fd_grad_check(problem, x, y, h=1e-5, n_dirs=30, seed=seed)
-    return _tol_result(worst, 1e-6)
+    return _tol_result(name, worst, 1e-6)
 
 
-def _check_grad_nash(seed: int) -> CheckResult:
+def _check_grad_nash(name: str, seed: int) -> ConditionReport:
     from .nash import NashProblem, manufacture
 
     config, x_star, y_star = manufacture(15)
@@ -502,10 +468,10 @@ def _check_grad_nash(seed: int) -> CheckResult:
     x = x_star + 0.05 * rng.standard_normal(problem.primal_dim)
     y = y_star + 0.05 * rng.standard_normal(problem.dual_dim)
     worst = fd_grad_check(problem, x, y, h=1e-5, n_dirs=15, seed=seed)
-    return _tol_result(worst, 1e-6)
+    return _tol_result(name, worst, 1e-6)
 
 
-def _check_bilinear(seed: int) -> CheckResult:
+def _check_bilinear(name: str, seed: int) -> ConditionReport:
     f = gen_synthetic(16, 16, seed + 2, n_shapes=3, noise_sigma=0.05)
     potts = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-2, p=1), f)
 
@@ -519,10 +485,10 @@ def _check_bilinear(seed: int) -> CheckResult:
     worst = bilinear_reduction_check(
         (a_fwd, a_adj), potts.prox_primal, potts.prox_dual, triple, 100,
         f.ravel(), np.zeros(f.size * 2))
-    return _tol_result(worst, 1e-12)
+    return _tol_result(name, worst, 1e-12)
 
 
-def _check_three_point(seed: int, m: int) -> CheckResult:
+def _check_three_point(name: str, seed: int, m: int) -> ConditionReport:
     if m == 1:
         x_hat = np.array([0.6])
         y_hat = np.array([0.2])
@@ -535,11 +501,11 @@ def _check_three_point(seed: int, m: int) -> CheckResult:
     rep = three_point_sample(x_hat, y_hat, replace(c, rho_x=rho_x, rho_y=rho_y),
                              n_samples=5000, seed=seed + 101)
     margin = min(rep.worst_margin_a, rep.worst_margin_b)
-    return CheckResult(rep.passed, margin,
-                       "rho_x=%g rho_y=%g" % (rho_x, rho_y))
+    return ConditionReport(name, rep.passed, margin,
+                           "rho_x=%g rho_y=%g" % (rho_x, rho_y))
 
 
-def _check_poisson_eigenpair(seed: int) -> CheckResult:
+def _check_poisson_eigenpair(name: str, seed: int) -> ConditionReport:
     from .nash import Grid, apply_laplacian
 
     grid = Grid(63)
@@ -550,10 +516,10 @@ def _check_poisson_eigenpair(seed: int) -> CheckResult:
     lam = (2.0 - 2.0 * math.cos(k * math.pi * h)) / h**2 \
         + (2.0 - 2.0 * math.cos(l * math.pi * h)) / h**2
     resid = np.linalg.norm(apply_laplacian(grid, v) - lam * v) / (lam * np.linalg.norm(v))
-    return _tol_result(float(resid), 1e-12)
+    return _tol_result(name, float(resid), 1e-12)
 
 
-def _check_poisson_roundtrip(seed: int) -> CheckResult:
+def _check_poisson_roundtrip(name: str, seed: int) -> ConditionReport:
     from .nash import Grid, apply_laplacian, poisson_solve
 
     grid = Grid(63)
@@ -561,10 +527,10 @@ def _check_poisson_roundtrip(seed: int) -> CheckResult:
     w = rng.standard_normal((grid.n, grid.n))
     back = poisson_solve(grid, apply_laplacian(grid, w))
     resid = np.linalg.norm(back - w) / np.linalg.norm(w)
-    return _tol_result(float(resid), 1e-12)
+    return _tol_result(name, float(resid), 1e-12)
 
 
-def _check_gradnorm_bound(seed: int) -> CheckResult:
+def _check_gradnorm_bound(name: str, seed: int) -> ConditionReport:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((32, 32))
     v /= np.linalg.norm(v)
@@ -574,21 +540,22 @@ def _check_gradnorm_bound(seed: int) -> CheckResult:
         est = float(np.linalg.norm(w))
         v = w / est
     bound = POTTS_D_NORM_SQ + 1e-9
-    return CheckResult(est <= bound, (bound - est) / bound,
-                       "norm_sq_estimate=%r" % est)
+    return ConditionReport(name, est <= bound, (bound - est) / bound,
+                           "norm_sq_estimate=%r" % est)
 
 
-def standard_suite(seed: int = 0) -> list[NamedCheck]:
-    """The named oracle checks run by the ``verify`` command."""
-    return [
-        NamedCheck("adjoint", lambda: _check_adjoint(seed)),
-        NamedCheck("grad-potts-p1", lambda: _check_grad_potts(seed, 1.0)),
-        NamedCheck("grad-potts-pinf", lambda: _check_grad_potts(seed, math.inf)),
-        NamedCheck("grad-nash", lambda: _check_grad_nash(seed)),
-        NamedCheck("bilinear-reduction", lambda: _check_bilinear(seed)),
-        NamedCheck("three-point-m1", lambda: _check_three_point(seed, 1)),
-        NamedCheck("three-point-m2", lambda: _check_three_point(seed, 2)),
-        NamedCheck("poisson-eigenpair", lambda: _check_poisson_eigenpair(seed)),
-        NamedCheck("poisson-roundtrip", lambda: _check_poisson_roundtrip(seed)),
-        NamedCheck("gradnorm-bound", lambda: _check_gradnorm_bound(seed)),
-    ]
+def standard_suite(seed: int = 0) -> dict[str, Callable[[], ConditionReport]]:
+    """The named oracle checks run by the ``verify`` command, in order:
+    each name maps to a call that returns the check's report."""
+    return {name: partial(check, name, seed, *args) for name, check, args in (
+        ("adjoint", _check_adjoint, ()),
+        ("grad-potts-p1", _check_grad_potts, (1.0,)),
+        ("grad-potts-pinf", _check_grad_potts, (math.inf,)),
+        ("grad-nash", _check_grad_nash, ()),
+        ("bilinear-reduction", _check_bilinear, ()),
+        ("three-point-m1", _check_three_point, (1,)),
+        ("three-point-m2", _check_three_point, (2,)),
+        ("poisson-eigenpair", _check_poisson_eigenpair, ()),
+        ("poisson-roundtrip", _check_poisson_roundtrip, ()),
+        ("gradnorm-bound", _check_gradnorm_bound, ()),
+    )}

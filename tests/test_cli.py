@@ -527,6 +527,26 @@ def test_config_synthetic_matches_flag(tmp_path, capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_a_config_run_leaves_no_state_in_the_shared_parser(tmp_path, capsys,
+                                                            monkeypatch):
+    # main shares one parser per process: a --config run in between must
+    # not change what a run of the default flags prints or writes.
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("alpha = 2.0\np = inf\niters = 7\nlog-stride = 2\nsynthetic = 5 4 1\n")
+    argv_a = ["potts", "--synthetic", "6", "6", "0", "--iters", "3", "--out-prefix", "run"]
+    argv_b = ["potts", "--config", str(cfg), "--out-prefix", "run"]
+    runs = []
+    for name, argv in (("a1", argv_a), ("b", argv_b), ("a2", argv_a)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        rc, out, err = run_cli(argv, capsys)
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        runs.append((rc, out, err, files))
+    assert runs[0][0] == 0 and runs[1][0] == 0
+    assert runs[1][3] != runs[0][3]
+    assert runs[2] == runs[0]
+
+
 POTTS_4X4 = ["potts", "--synthetic", "4", "4", "0", "--out-prefix", "{tmp}/run"]
 NASH_7 = ["nash", "--sizes", "7", "--iters", "1", "--out", "{tmp}/run_nash.csv"]
 WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]

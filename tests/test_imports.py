@@ -1,20 +1,32 @@
 """Import hygiene: every top-level import in the package is used, and
-importing the command line does not load scipy.  Every setting of the
-package has a caller."""
+importing the command line does not load scipy.  Every setting and every
+function of the package has a caller."""
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
 
 import saddleprox
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def parsed_modules():
+    """The modules of src/saddleprox, and those together with bench's, each
+    as {path: syntax tree}, parsed once for the tests of this file."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(ROOT.glob("src/saddleprox/*.py"))
+             + sorted(ROOT.glob("bench/*.py"))}
+    package = {path: tree for path, tree in trees.items() if path.parent.name != "bench"}
+    return package, trees
+
 
 def test_no_unused_top_level_imports():
-    package = Path(saddleprox.__file__).parent
     unused = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in parsed_modules()[0].items():
         imported = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -47,13 +59,13 @@ SETTINGS_WITHOUT_CALLER_ALLOWED = {("dh", "h"), ("dht", "h")}
 
 def settings_without_a_caller(sources, callers):
     """The (function, name) of each defaulted parameter and each
-    defaulted dataclass field in the files ``sources`` that no call in
-    the files ``callers`` passes, by position, by keyword or through
+    defaulted dataclass field in the modules ``sources`` that no call in
+    the modules ``callers`` passes, by position, by keyword or through
     ``*args``/``**kwargs``.  Calls are matched to functions by name; a
-    dataclass field may also be passed by keyword to ``replace``."""
-    def nodes(paths):
-        return [node for path in paths
-                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+    dataclass field may also be passed by keyword to ``replace``.  Both
+    arguments map paths to syntax trees."""
+    def nodes(trees):
+        return [node for tree in trees.values() for node in ast.walk(tree)]
 
     defs = nodes(sources)
     owner = {f: c for c in defs if isinstance(c, ast.ClassDef) for f in c.body}
@@ -93,7 +105,54 @@ def settings_without_a_caller(sources, callers):
 def test_every_setting_has_a_caller():
     # A setting that only tests set is a constant: it doubles what the
     # tests must cover and serves no caller.
-    root = Path(__file__).resolve().parents[1]
-    sources = sorted(root.glob("src/saddleprox/*.py"))
-    found = settings_without_a_caller(sources, sources + sorted(root.glob("bench/*.py")))
+    package, trees = parsed_modules()
+    found = settings_without_a_caller(package, trees)
     assert sorted(set(found) - SETTINGS_WITHOUT_CALLER_ALLOWED) == []
+
+
+# Functions whose callers are still to come; each entry names the
+# ROADMAP item that gives it one, and the list must end empty.
+FUNCTIONS_AWAITING_A_CALLER = {
+    "dual_from_primal",  # item 6: y-hat from the reference x-hat of a potts run
+    "r_max_initial",  # item 6: r_max from a run's initial distance
+    "lift_constants",  # item 11: the Potts l_x, lifted through ||D||
+    "derive_theta_lambda_primal",  # item 11: theta_x and lambda_x of Potts
+    "derive_theta_lambda_dual",  # item 11: theta_y and lambda_y of Potts
+}
+
+
+def functions_without_a_caller(sources, callers):
+    """The names of the top-level functions and classes of the modules
+    ``sources`` that no name or attribute in the modules ``callers``
+    references outside the definition itself.  Both arguments map paths
+    to syntax trees; names are matched across modules."""
+    sites = {}  # referenced name -> {(path, enclosing top-level definition)}
+    for path, tree in callers.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    sites.setdefault(name, set()).add((path, getattr(top, "name", None)))
+    return sorted(node.name for path, tree in sources.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not sites.get(node.name, set()) - {(path, node.name)})
+
+
+def acceptance_imports():
+    """The package names that tests/test_acceptance.py imports."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("saddleprox")
+            for alias in node.names}
+
+
+def test_every_function_has_a_caller():
+    # A function that only tests call is code that the package does not
+    # run.  The acceptance tests and the public names fix their own
+    # callers, so what they import is exempt.
+    package, trees = parsed_modules()
+    found = set(functions_without_a_caller(package, trees))
+    exempt = acceptance_imports() | set(saddleprox.__all__) | FUNCTIONS_AWAITING_A_CALLER
+    assert sorted(found - exempt) == []
+    assert sorted(FUNCTIONS_AWAITING_A_CALLER - found) == []  # gained a caller: drop it

@@ -20,13 +20,17 @@ from saddleprox.nash import (
     half_masks,
     manufacture,
     poisson_solve,
-    proj_box,
     sine_transform,
 )
 from saddleprox.schedules import StepTriple
 from saddleprox.verify import fd_grad_check
 
 GAME_TRIPLE = StepTriple(0.99, 1.0, 1.0)
+
+
+def proj_box(u: np.ndarray, mask: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Oracle of the Nash prox: clamp to [a, b] on the mask, zero elsewhere."""
+    return np.where(mask, np.clip(u, a, b), 0.0)
 
 
 def dense_laplacian(n: int) -> np.ndarray:

@@ -389,21 +389,14 @@ def test_check_48_flags_inconsistent_omega():
     assert not by_name["coupling-omega"].passed
 
 
-def test_check_48_testing_parameters_linear_regime():
+def test_check_48_coupling_omega_linear_regime():
+    # eta = phi_i tau_i = psi_i sigma_i stays in lockstep, and omega is
+    # the ratio eta_i / eta_{i+1}, up to rounding.
     trip, c = potts_steps(alpha=1.0, gamma=1e-3, p=1)
-    n = 8
-    report = check_48(c, [trip] * n)
+    report = check_48(c, [trip] * 8)
     assert report.passed
-    assert len(report.testing) == n - 1
-    # phi grows by (1 + 2 tau gtg), psi by (1 + 2 sigma gtf), and the
-    # products eta = phi_i tau_i = psi_i sigma_i stay in lockstep.
-    growth = 1.0 + 2.0 * trip.tau * c.gtg
-    for k in range(1, len(report.testing)):
-        assert report.testing[k].phi / report.testing[k - 1].phi == pytest.approx(
-            growth, rel=1e-12)
-    for state in report.testing:
-        assert state.eta == pytest.approx(state.phi * trip.tau, rel=1e-12)
-        assert state.eta == pytest.approx(state.psi * trip.sigma, rel=1e-10)
+    by_name = {cond.name: cond for cond in report.conditions}
+    assert by_name["coupling-omega"].margin <= 1e-12
 
 
 def test_check_48_accelerated_regime_passes():

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddleprox.nash import NashProblem, manufacture
 from saddleprox.potts import PottsConfig, PottsProblem, dh, dht, gen_synthetic
-from saddleprox.schedules import InfeasibleConstantsError, StepTriple
+from saddleprox.schedules import (ConditionReport, InfeasibleConstantsError, StepTriple,
+                                  check_48)
 from saddleprox.verify import (
-    CheckResult,
     KappaConstants,
     ThreePointReport,
     _three_point_margins,
@@ -198,11 +198,13 @@ def test_c2_check_boundary_and_failure():
 
 def _outer_c2_check(x_hat, y_hat, tol=1e-12):
     # c2_check with M = <x,y> I + x (x) y written out, as before it was
-    # formed from kappa_small: the reference for parity.
+    # formed from kappa_small: the reference for parity.  It takes the
+    # spectrum from eigh: for the @example pair below, eigvalsh of this
+    # matrix returns +-1.1186 on OpenBLAS 0.3.31 instead of +-sqrt(1.25).
     x = np.asarray(x_hat, dtype=float).ravel()
     y = np.asarray(y_hat, dtype=float).ravel()
     m = float(np.dot(x, y)) * np.eye(x.size) + np.outer(x, y)
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    eigs = np.linalg.eigh(0.5 * (m + m.T))[0]
     lo, hi = float(eigs[0]), float(eigs[-1])
     return (lo >= -tol and hi <= 2.0 + tol), lo, hi
 
@@ -214,6 +216,7 @@ _entries = st.floats(-2.0, 2.0, allow_nan=False)
 @given(st.integers(1, 4).flatmap(
     lambda m: st.tuples(st.lists(_entries, min_size=m, max_size=m),
                         st.lists(_entries, min_size=m, max_size=m))))
+@example(([0.0, 1.0, 2.0], [1.0, 5.560336875834926e-161, 0.0]))
 def test_c2_check_matches_outer_product_form(pair):
     x, y = (np.array(v) for v in pair)
     ok, lo, hi = c2_check(x, y)
@@ -222,6 +225,15 @@ def test_c2_check_matches_outer_product_form(pair):
     assert abs(lo - lo_ref) <= 1e-14 * scale and abs(hi - hi_ref) <= 1e-14 * scale
     if min(abs(lo_ref + 1e-12), abs(hi_ref - 2.0 - 1e-12)) > 1e-13 * scale:
         assert ok == ok_ref
+
+
+def test_c2_check_near_zero_entry_gives_exact_spectrum():
+    # The symmetric part has eigenvalues 0 and +-sqrt(1.25); eigvalsh of
+    # the outer-product form of this pair returns +-1.1186 on OpenBLAS 0.3.31.
+    ok, lo, hi = c2_check(np.array([0.0, 1.0, 2.0]),
+                          np.array([1.0, 5.560336875834926e-161, 0.0]))
+    assert abs(lo + math.sqrt(1.25)) <= 1e-15 and abs(hi - math.sqrt(1.25)) <= 1e-15
+    assert not ok
 
 
 def test_kappa_constants_validation():
@@ -344,20 +356,26 @@ def test_shrink_rho_needs_positive_start():
 
 
 def test_lift_constants_frozen_example():
-    out = lift_constants(a_norm=2.0, r_k=1.0, rho_z=1.0, rho_y=0.5,
-                         xi_z=0.3, xi_y=0.4, lambda_z=0.7, lambda_y=1.1,
-                         theta_z=0.2, theta_y=0.6, l_z=0.9, l_yz=1.3)
-    assert out.r_k == pytest.approx(2.0, rel=1e-15)
-    assert out.rho_x == pytest.approx(0.5, rel=1e-15)
-    assert out.rho_y == 0.5
-    assert out.xi_x == pytest.approx(0.6, rel=1e-15)
-    assert out.xi_y == 0.4
-    assert out.lambda_x == pytest.approx(1.4, rel=1e-15)
-    assert out.lambda_y == 1.1
-    assert out.theta_x == 0.2
-    assert out.theta_y == pytest.approx(0.3, rel=1e-15)
-    assert out.l_x == pytest.approx(3.6, rel=1e-15)
-    assert out.l_yx == pytest.approx(5.2, rel=1e-15)
+    c, l_x = lift_constants(a_norm=2.0, r_k=1.0, rho_z=1.0, rho_y=0.5,
+                            xi_z=0.3, xi_y=0.4, lambda_z=0.7, lambda_y=1.1,
+                            theta_z=0.2, theta_y=0.6, l_z=0.9, l_yz=1.3)
+    assert c.r_k == pytest.approx(2.0, rel=1e-15)
+    assert c.rho_x == pytest.approx(0.5, rel=1e-15)
+    assert c.rho_y == 0.5
+    assert c.xi_x == pytest.approx(0.6, rel=1e-15)
+    assert c.xi_y == 0.4
+    assert c.lambda_x == pytest.approx(1.4, rel=1e-15)
+    assert c.lambda_y == 1.1
+    assert c.theta_x == 0.2
+    assert c.theta_y == pytest.approx(0.3, rel=1e-15)
+    assert l_x == pytest.approx(3.6, rel=1e-15)
+    assert c.l_yx == pytest.approx(5.2, rel=1e-15)
+    # The lifted constants feed check_48 as they are: the primal cap is
+    # delta / (lambda_x + 3*l_yx*rho_y) = 0.1 / 9.2 at omega = 1.
+    tau = 0.5 * 0.1 / 9.2
+    report = check_48(c, [StepTriple(tau, 0.1, 1.0)] * 3)
+    by_name = {cond.name: cond for cond in report.conditions}
+    assert by_name["primal-step"].margin == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(InfeasibleConstantsError):
         lift_constants(0.0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 
@@ -401,19 +419,18 @@ def test_rate_fit_window_validation():
 
 
 def test_standard_suite_composition():
-    suite = standard_suite(seed=0)
-    names = [chk.name for chk in suite]
-    assert len(names) >= 8
-    assert len(set(names)) == len(names)
+    names = list(standard_suite(seed=0))
+    assert len(names) == 10  # a repeated name would drop a check from the map
     for expected in ("adjoint", "grad-potts-p1", "grad-potts-pinf", "grad-nash",
                      "bilinear-reduction", "poisson-roundtrip", "gradnorm-bound"):
         assert expected in names
 
 
 def test_standard_suite_passes():
-    for chk in standard_suite(seed=0):
-        result = chk.run()
-        assert isinstance(result, CheckResult)
-        assert result.passed, "%s failed: margin %g %s" % (
-            chk.name, result.margin, result.detail)
-        assert result.margin >= 0.0
+    for name, run in standard_suite(seed=0).items():
+        report = run()
+        assert isinstance(report, ConditionReport)
+        assert report.name == name
+        assert report.passed, "%s failed: margin %g %s" % (
+            name, report.margin, report.detail)
+        assert report.margin >= 0.0
