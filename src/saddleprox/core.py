@@ -35,8 +35,8 @@ _COPY_BUDGET = 64 << 20
 class DivergenceError(RuntimeError):
     """Iterates left the representable range (NaN or infinity)."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
+    def __init__(self, iteration: int):
+        super().__init__("non-finite iterate at iteration %d" % iteration)
         self.iteration = iteration
 
 
@@ -75,6 +75,18 @@ class SaddleProblem:
     def grad_y(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
+
+    def fused_step(self, triple, state: "PrimalDualState",
+                   out: "PrimalDualState") -> bool:
+        """Optional: the iteration of :func:`step` in one pass of the
+        problem's own.  Returns False (the default) to leave it to the
+        generic update, or writes the new x, x_bar and y into ``out`` with
+        the update's bits and returns True.  :func:`step` calls it after
+        its checks, with ``out.iteration`` already the new count.  A new
+        non-finite entry raises ``DivergenceError(out.iteration)``; ``out``
+        may then be partly written.
+        """
+        return False
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Coupling value K(x, y).  Optional; used by verification oracles."""
@@ -199,7 +211,8 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     ``out=None`` they go into new arrays.  Each array of ``out`` must
     pass :func:`out_buffer` against ``state.x``, ``state.y`` and the
     arrays before it.  The arithmetic is the plain update with every
-    operand order kept, so both forms give the same bits.  Raises
+    operand order kept, so both forms give the same bits, and so does a
+    problem's :meth:`SaddleProblem.fused_step`, tried first.  Raises
     :class:`DivergenceError` if the new iterates contain non-finite
     entries, carrying the 1-based iteration index.
     """
@@ -210,6 +223,9 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     out.x = out_buffer(out.x, n, x, y)
     out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
     out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
+    out.iteration = it = state.iteration + 1
+    if problem.fused_step(triple, state, out):
+        return out
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
 
     # x_bar holds x - tau * grad_x(x, y) until x_new is known.
@@ -224,11 +240,8 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     np.multiply(sigma, w, out=w)
     np.add(y, w, out=w)
     y_new = problem.prox_dual(sigma, w, out=w)
-
-    it = state.iteration + 1
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
-        raise DivergenceError("non-finite iterate at iteration %d" % it, iteration=it)
-    out.iteration = it
+        raise DivergenceError(it)
     return out
 
 

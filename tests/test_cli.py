@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from saddleprox import __version__
-from saddleprox import cli, core
+from saddleprox import cli, core, potts
 from saddleprox.cli import main, parse_config_file
 from saddleprox.pgm import read_pgm
 from saddleprox.schedules import potts_steps
@@ -842,6 +842,22 @@ def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, write):
     assert path.read_bytes() == fresh
 
 
+@pytest.mark.parametrize("p", ["inf", "1"])
+def test_potts_outputs_are_byte_identical_with_the_fused_step_off(tmp_path, monkeypatch,
+                                                                 capsys, p):
+    def run(tag):
+        prefix = str(tmp_path / tag)
+        assert main(["potts", "--synthetic", "32", "32", "3", "--p", p,
+                     "--reference-iters", "60", "--iters", "40", "--log-stride", "5",
+                     "--out-prefix", prefix]) == 0
+        return [Path(prefix + suffix).read_bytes()
+                for suffix in ("_log.csv", "_denoised.pgm", "_reference.pgm")]
+
+    fused = run("fused")
+    monkeypatch.setattr(potts.PottsProblem, "fused_step", lambda self, *args: False)
+    assert run("generic") == fused
+
+
 def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypatch,
                                                              capsys):
     # bench/tracing.py wraps methods in their class bodies; a method moved
@@ -862,10 +878,14 @@ def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypa
             rcs = [cli.main(["potts", "--synthetic", "8", "8", "0", "--reference-iters",
                              "2", "--iters", "3", "--out-prefix", str(tmp_path / "run")]),
                    cli.main(["nash", "--sizes", "7", "--iters", "2",
-                             "--out", str(tmp_path / "nash.csv")])]
+                             "--out", str(tmp_path / "nash.csv")]),
+                   # A potts run takes the fused step, which calls none of the
+                   # four Potts maps; these two checks call all four.
+                   cli.main(["verify", "--only", "grad-potts-p1"]),
+                   cli.main(["verify", "--only", "bilinear-reduction"])]
     finally:
         tracer.uninstall()
-    assert rcs == [0, 0]
+    assert rcs == [0, 0, 0, 0]
     assert {t[2] for t in tracing.targets()} <= {span[0] for span in tracer.spans}
     assert all(a is b for a, b in zip(before, attrs()))
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleprox import potts
-from saddleprox.core import ConfigurationError, PrimalDualState, step
+from saddleprox.core import ConfigurationError, DivergenceError, PrimalDualState, step
 from saddleprox.potts import (
     PottsConfig,
     PottsProblem,
@@ -22,7 +23,7 @@ from saddleprox.potts import (
     kappa_y,
     kappa_z,
 )
-from saddleprox.schedules import StepTriple
+from saddleprox.schedules import StepTriple, potts_steps
 from saddleprox.verify import fd_grad_check
 
 BOTH_P = pytest.mark.parametrize("p", [1, math.inf])
@@ -285,9 +286,11 @@ def test_step_with_out_allocates_at_most_one_field():
                                   f.nbytes) <= 2.1
 
 
-def _rows_per_block(monkeypatch, n2, rows):
-    """Set the gradients' block budget to ``rows`` rows of an n2-wide field."""
-    monkeypatch.setattr(potts, "_BLOCK_BYTES", 16 * max(n2, 1) * rows)
+def _rows_per_block(monkeypatch, n2, rows, fields=1):
+    """Set the block budget to ``rows`` rows of ``fields`` n2-wide fields:
+    one for the gradients' blocks, ``potts._WALK_FIELDS`` for the fused
+    step's."""
+    monkeypatch.setattr(potts, "_BLOCK_BYTES", 16 * fields * max(n2, 1) * rows)
 
 
 @pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
@@ -339,6 +342,133 @@ def test_blocked_gradients_hold_one_block_of_field(monkeypatch, p):
     block_field = 18 * 128 * 2 * 8
     for call in (lambda: prob.grad_x(x, y, out=gx), lambda: prob.grad_y(x, y, out=gy)):
         assert _traced_peak_in_images(call, block_field) <= 1.75
+
+
+# ---------------------------------------------------------------------------
+# The fused step against the generic one.
+# ---------------------------------------------------------------------------
+
+
+def _generic_only(monkeypatch):
+    """Make core.step take its generic path through the four maps."""
+    monkeypatch.setattr(PottsProblem, "fused_step", lambda self, triple, state, out: False)
+
+
+def _step_bits(prob, trip, state, steps, into):
+    got = []
+    for _ in range(steps):
+        out = None
+        if into == "nan-filled-out":
+            out = PrimalDualState(*(np.full(v.size, np.nan)
+                                    for v in (state.x, state.y, state.x_bar)))
+        state = step(prob, trip, state, out=out)
+        got.append((state.iteration, state.x.tobytes(), state.y.tobytes(),
+                    state.x_bar.tobytes()))
+    return got
+
+
+def _fused_and_generic(monkeypatch, p, f, steps, into):
+    """x, y and x_bar bits of ``steps`` fused steps and of as many generic
+    ones, from f and a random dual field."""
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    y0 = 0.3 * np.random.default_rng(f.size).normal(size=prob.dual_dim)
+    state = PrimalDualState.initial(f.ravel(), y0)
+    fused = _step_bits(prob, trip, state, steps, into)
+    with monkeypatch.context() as m:
+        _generic_only(m)
+        return fused, _step_bits(prob, trip, state, steps, into)
+
+
+@pytest.mark.parametrize("n, p, steps", [(64, 1, 5), (64, math.inf, 5),
+                                         (257, math.inf, 5), (300, math.inf, 5),
+                                         (1024, 1, 3)])
+@pytest.mark.parametrize("into", ["new", "nan-filled-out"])
+def test_fused_step_is_bit_identical_to_generic_step(monkeypatch, n, p, steps, into):
+    f = gen_synthetic(n, n, 3, n_shapes=3, noise_sigma=0.05)
+    fused, generic = _fused_and_generic(monkeypatch, p, f, steps, into)
+    assert fused == generic
+
+
+@pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
+                                         ((9, 1), 4), ((1, 9), 1), ((2, 2), 1),
+                                         ((65, 64), 4), ((65, 64), 64)],
+                         ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("into", ["new", "nan-filled-out"])
+@BOTH_P
+def test_fused_step_in_blocks_is_bit_identical_to_generic_step(
+        monkeypatch, shape, rows, into, p):
+    # Several blocks of the walk, the last of them one row (33 = 8*4 + 1,
+    # 9 = 4*2 + 1, 65 = 16*4 + 1 = 64 + 1); the dual rows trail one row
+    # behind each block.  A NaN-filled ``out`` shows an entry no block writes.
+    _rows_per_block(monkeypatch, shape[1], rows, potts._WALK_FIELDS)
+    f = np.random.default_rng(rows).uniform(size=shape)
+    fused, generic = _fused_and_generic(monkeypatch, p, f, 5, into)
+    assert fused == generic
+
+
+@pytest.mark.parametrize("vector, row, value", [("x", 0, np.nan), ("x", 8, np.nan),
+                                                ("y", 0, np.inf), ("y", 8, -np.inf),
+                                                ("y", 4, np.nan)])
+@BOTH_P
+def test_fused_and_generic_step_diverge_at_the_same_iteration(monkeypatch, vector, row,
+                                                              value, p):
+    _rows_per_block(monkeypatch, 9, 2, potts._WALK_FIELDS)
+    rng = np.random.default_rng(row)
+    f = rng.uniform(size=(9, 9))
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    state = PrimalDualState(f.ravel().copy(), 0.3 * rng.normal(size=prob.dual_dim),
+                            f.ravel().copy(), iteration=6)
+    v = state.x if vector == "x" else state.y
+    v[v.size // 9 * row + 3] = value
+    errors = []
+    for generic in (False, True):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            if generic:
+                _generic_only(m)
+            with pytest.raises(DivergenceError) as exc:
+                step(prob, trip, state)
+        errors.append((exc.value.iteration, str(exc.value)))
+    assert errors == [(7, "non-finite iterate at iteration 7")] * 2
+
+
+@BOTH_P
+def test_fused_step_keeps_finite_iterates_whose_squares_overflow(monkeypatch, p):
+    # Every entry is finite, but x.x and y.y overflow to inf: a finiteness
+    # check through a sum or a norm would warn, or raise, where the generic
+    # step does neither.
+    f = np.random.default_rng(5).uniform(-1e155, 1e155, size=(9, 9))
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    state = PrimalDualState.initial(f.ravel(), np.zeros(prob.dual_dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fused = _step_bits(prob, trip, state, 1, "new")
+    with monkeypatch.context() as m, np.errstate(over="ignore"):
+        _generic_only(m)
+        assert _step_bits(prob, trip, state, 1, "new") == fused
+        new = step(prob, trip, state)
+        assert not math.isfinite(np.dot(new.x, new.x) + np.dot(new.y, new.y))
+
+
+@BOTH_P
+def test_fused_step_calls_none_of_the_four_maps(monkeypatch, p):
+    # The generic path's bits come from the maps; with the maps made to
+    # raise, the step must still give them, so it cannot fall back.
+    prob, f = _small_problem(p)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    state = PrimalDualState.initial(f.ravel(), np.zeros(prob.dual_dim))
+    with monkeypatch.context() as m:
+        _generic_only(m)
+        want = _step_bits(prob, trip, state, 3, "new")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fused step called a map")
+
+    for name in ("grad_x", "grad_y", "prox_primal", "prox_dual"):
+        monkeypatch.setattr(PottsProblem, name, refuse)
+    assert _step_bits(prob, trip, state, 3, "new") == want
 
 
 # ---------------------------------------------------------------------------
