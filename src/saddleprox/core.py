@@ -18,6 +18,7 @@ primal- or dual-size vector per iteration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -76,17 +77,20 @@ class SaddleProblem:
                out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def fused_step(self, triple, state: "PrimalDualState",
-                   out: "PrimalDualState") -> bool:
-        """Optional: the iteration of :func:`step` in one pass of the
-        problem's own.  Returns False (the default) to leave it to the
-        generic update, or writes the new x, x_bar and y into ``out`` with
-        the update's bits and returns True.  :func:`step` calls it after
-        its checks, with ``out.iteration`` already the new count.  A new
-        non-finite entry raises ``DivergenceError(out.iteration)``; ``out``
-        may then be partly written.
+    def step_plan(self, state: "PrimalDualState", out: "PrimalDualState", like=None):
+        """Optional: the iteration of :func:`step` from the arrays of
+        ``state`` into those of ``out``, laid out once and run for many
+        iterations.  Returns None (the default) to leave it to the generic
+        update, or a plan: ``plan.arrays`` is the tuple (x, y, new x, new
+        x_bar, new y) of the arrays it reads and writes, and
+        ``plan(triple, iteration)`` writes the update's bits into the last
+        three.  ``like`` is None or a plan of this problem that is never
+        run at the same time as the new one, whose scratch the new one may
+        share.  :func:`step` builds a plan after its checks.  A new
+        non-finite entry raises ``DivergenceError(iteration)``; ``out`` may
+        then be partly written.
         """
-        return False
+        return None
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Coupling value K(x, y).  Optional; used by verification oracles."""
@@ -201,8 +205,23 @@ def out_buffer(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> 
     return out
 
 
+def plan_step(problem: SaddleProblem, state: PrimalDualState,
+              out: Optional[PrimalDualState] = None, like=None):
+    """The checks of :func:`step`: returns ``out`` with its arrays, new
+    ones for ``out=None``, and the problem's plan from ``state`` into
+    them (sharing scratch with the plan ``like``), or None."""
+    _check_dims(problem, state.x, state.y)
+    x, y = state.x, state.y
+    n, m = (problem.primal_dim,), (problem.dual_dim,)
+    out = PrimalDualState(None, None, None) if out is None else out
+    out.x = out_buffer(out.x, n, x, y)
+    out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
+    out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
+    return out, problem.step_plan(state, out, like)
+
+
 def step(problem: SaddleProblem, triple, state: PrimalDualState,
-         out: Optional[PrimalDualState] = None) -> PrimalDualState:
+         out: Optional[PrimalDualState] = None, plan=None) -> PrimalDualState:
     """One primal-dual iteration with the step triple (tau, sigma, omega).
 
     ``triple`` is anything with ``tau``, ``sigma`` and ``omega``
@@ -212,20 +231,21 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     pass :func:`out_buffer` against ``state.x``, ``state.y`` and the
     arrays before it.  The arithmetic is the plain update with every
     operand order kept, so both forms give the same bits, and so does a
-    problem's :meth:`SaddleProblem.fused_step`, tried first.  Raises
-    :class:`DivergenceError` if the new iterates contain non-finite
-    entries, carrying the 1-based iteration index.
+    problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
+    :func:`plan_step` is run without the checks if it is bound to exactly
+    the arrays of ``state`` and ``out``; otherwise the checks run and a
+    plan is built for this call.  Raises :class:`DivergenceError` if the
+    new iterates contain non-finite entries, carrying the 1-based
+    iteration index.
     """
-    _check_dims(problem, state.x, state.y)
-    x, y = state.x, state.y
-    n, m = (problem.primal_dim,), (problem.dual_dim,)
-    out = PrimalDualState(None, None, None) if out is None else out
-    out.x = out_buffer(out.x, n, x, y)
-    out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
-    out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
+    if plan is None or out is None or not all(map(
+            operator.is_, plan.arrays, (state.x, state.y, out.x, out.x_bar, out.y))):
+        out, plan = plan_step(problem, state, out)
     out.iteration = it = state.iteration + 1
-    if problem.fused_step(triple, state, out):
+    if plan is not None:
+        plan(triple, it)
         return out
+    x, y = state.x, state.y
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
 
     # x_bar holds x - tau * grad_x(x, y) until x_new is known.
@@ -292,8 +312,10 @@ def solve(
     keeps would pass 64 MiB (``_COPY_BUDGET``), R quiet iterations from
     (x0, y0) make the reference pair first, with the same bits:
     R + max_iters steps instead of max(R, max_iters).
-    The loop recycles two sets of iterate arrays, so ``x0`` and ``y0``
-    are copied first; the returned state and reference belong to the caller.
+    The loop recycles two sets of iterate arrays, with the problem's
+    :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
+    and ``y0`` are copied first; the returned state and reference belong
+    to the caller, and hold no plan.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
@@ -305,8 +327,14 @@ def solve(
             return solve(problem, schedule, x0, y0,
                          replace(options, reference=(pair.x, pair.y)))
         ref, ref_at = None, ref
-    state = PrimalDualState.initial(x0, y0)
-    _check_dims(problem, state.x, state.y)
+    x0 = _flat(x0)
+    # x_bar starts empty: the first step writes it before anything reads it.
+    state = PrimalDualState(x0.copy(), _flat(y0).copy(), np.empty(x0.size))
+    # spare: after each step, the state one step back, which the next
+    # overwrites.  plan is the step from state into spare, back the other;
+    # they run in turn, so they share scratch.
+    spare, plan = plan_step(problem, state)
+    _, back = plan_step(problem, spare, state, like=plan)
     if ref is not None:
         # Flat views, not copies: the reference is only read.
         ref = _flat(ref[0]), _flat(ref[1])
@@ -314,10 +342,10 @@ def solve(
 
     records: list[IterationRecord] = []
     pending = []  # (record, x, y) of the kept iterations before iteration ref_at
-    spare = None  # after each step, the state one step back, which the next overwrites
     for i in range(options.max_iters):
         trip = schedule.triple(i)
-        state, spare = step(problem, trip, state, out=spare), state
+        state, spare = step(problem, trip, state, spare, plan), state
+        plan, back = back, plan
         if state.iteration == ref_at:
             ref = state.x.copy(), state.y.copy()  # later steps write over these arrays
         if state.iteration % options.log_stride and i + 1 < options.max_iters:
@@ -337,7 +365,8 @@ def solve(
         end = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),
                               state.iteration)
         for i in range(state.iteration, ref_at):
-            state, spare = step(problem, schedule.triple(i), state, out=spare), state
+            state, spare = step(problem, schedule.triple(i), state, spare, plan), state
+            plan, back = back, plan
         ref, state = (state.x, state.y), end
     for rec, x, y in pending:
         rec.dist_to_ref = _distance(problem, x, y, *ref, spare)

@@ -308,10 +308,13 @@ def manufacture(n: int) -> tuple[NashConfig, np.ndarray, np.ndarray]:
     ``CONTROL_BOX``, the box constraints stay inactive at the equilibrium.
     """
     grid = Grid(n)
-    xx, yy = grid.coords()
-    w1 = 0.4 * np.sin(np.pi * xx) * np.sin(2.0 * np.pi * yy)
-    w2 = 0.4 * np.sin(2.0 * np.pi * xx) * np.sin(np.pi * yy)
-    ys = np.sin(np.pi * xx) * np.sin(np.pi * yy)
+    # Outer products of sines on the grid's 1-D coordinates: the bits of
+    # the same products over the n x n mesh, with 2n sines instead of 2n^2.
+    t = np.arange(1, n + 1) * grid.h
+    s1, s2 = np.sin(np.pi * t), np.sin(2.0 * np.pi * t)
+    w1 = (0.4 * s1)[:, None] * s2[None, :]
+    w2 = (0.4 * s2)[:, None] * s1[None, :]
+    ys = s1[:, None] * s1[None, :]
 
     mask1, mask2 = half_masks(grid)
     u1 = np.where(mask1, w1, 0.0)

@@ -253,62 +253,128 @@ class PottsConfig:
 # the image in row blocks of at most this many bytes of field, so that a
 # block's D x stays in cache between the kernels applied to it.
 _BLOCK_BYTES = 1 << 20
-# fused_step touches about this many fields' worth of a row (y, new y,
-# planes, x, x_bar, new x, noisy image), so its blocks have this many times
-# fewer rows: at 1024^2 on a 2-vCPU Intel host, 16 rows beat 4, 8, 32 and 64.
+# The step plan's walk touches about this many fields' worth of a row (y,
+# new y, planes, x, x_bar, new x, noisy image), so its blocks have this many
+# times fewer rows: at 1024^2 on a 2-vCPU Intel host, 16 rows beat 4, 8, 32 and 64.
 _WALK_FIELDS = 4
 
 
-# Unchecked kernels of fused_step on (rows, n2) planes, one per field
-# component, with the per-entry operations of dh, dht and rho_grad.
+# Kernels of the step plan on (rows, n2) planes, one per field component,
+# with the per-entry operations of dh, dht and rho_grad.  Each returns its
+# ufunc calls as (function, arguments) pairs, to be made in order.
 
-def _d_plane(img: np.ndarray, a: int, b: int, axis: int, out: np.ndarray) -> None:
-    """Rows [a, b) of component ``axis`` of dh(img) into ``out``."""
+def _d_planes(img: np.ndarray, a: int, b: int, g: np.ndarray) -> list:
+    """Rows [a, b) of dh(img), horizontal into g[0] and vertical into g[1]."""
     n1, n2 = img.shape
-    if axis == 0:
-        flat = img.reshape(-1)
-        np.subtract(flat[a * n2 + 1:b * n2], flat[a * n2:b * n2 - 1],
-                    out=out.reshape(-1)[:-1])
-        out[:, -1:] = 0.0
-    else:
-        m = min(b, n1 - 1) - a
-        np.subtract(img[a + 1:a + 1 + m], img[a:a + m], out=out[:m])
-        out[m:] = 0.0
+    flat, m = img.reshape(-1), min(b, n1 - 1) - a
+    return [(np.subtract, (flat[a * n2 + 1:b * n2], flat[a * n2:b * n2 - 1],
+                           g[0].reshape(-1)[:-1])),
+            (np.copyto, (g[0, :, -1:], 0.0)),
+            (np.subtract, (img[a + 1:a + 1 + m], img[a:a + m], g[1, :m])),
+            (np.copyto, (g[1, m:], 0.0))]
 
 
-def _dt_rows(gh: np.ndarray, gv: np.ndarray, a: int, n1: int, out: np.ndarray) -> None:
+def _dt_rows(gh: np.ndarray, gv: np.ndarray, a: int, n1: int, out: np.ndarray) -> list:
     """Rows [a, a + len(out)) of dht into ``out`` from gh on the same rows
     and gv on those and, for a > 0, row a - 1."""
     rows, n2 = out.shape
     flat, gflat = out.reshape(-1), gh.reshape(-1)
-    np.subtract(0.0, gflat, out=flat)
-    out[:, -1:] = 0.0
+    ops = [(np.subtract, (0.0, gflat, flat)), (np.copyto, (out[:, -1:], 0.0))]
     if n2 > 1:
-        np.add(flat[1:], gflat[:-1], out=flat[1:])
-        np.subtract(0.0, gh[:, :1], out=out[:, :1])
+        tail = flat[1:]
+        ops += [(np.add, (tail, gflat[:-1], tail)),
+                (np.subtract, (0.0, gh[:, :1], out[:, :1]))]
     k, m = min(a, 1), min(a + rows, n1 - 1) - a
-    np.subtract(out[:m], gv[k:k + m], out=out[:m])
-    np.add(out[1 - k:], gv[:rows - 1 + k], out=out[1 - k:])
+    top, bottom = out[:m], out[1 - k:]
+    return ops + [(np.subtract, (top, gv[k:k + m], top)),
+                  (np.add, (bottom, gv[:rows - 1 + k], bottom))]
 
 
 def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
-                     out: np.ndarray, t: np.ndarray) -> None:
+                     out: np.ndarray, t: np.ndarray) -> list:
     """rho_grad on (2, rows, n2) views, one component each: out = 2(1 - t) w.
     The products z y go into out first; they are t at p = 1, and at p = inf
     t is their sum, in the plane ``t``.  out may be z, not w."""
-    np.multiply(z, y, out=out)
+    ops = [(np.multiply, (z, y, out))]
     if p == 1:
         t = out
     else:
-        np.add(out[0], out[1], out=t)
-    np.subtract(1.0, t, out=t)
-    np.multiply(2.0, t, out=t)
-    np.multiply(t, w, out=out)
+        ops.append((np.add, (out[0], out[1], t)))
+    return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t)),
+                  (np.multiply, (t, w, out))]
 
 
-def _finite(v: np.ndarray, scratch: np.ndarray) -> bool:
-    """Whether every entry of v is finite; the mask goes into scratch's bytes."""
-    return bool(np.isfinite(v.reshape(-1), out=scratch.reshape(-1).view(bool)[:v.size]).all())
+class _WalkPlan:
+    """PottsProblem's step plan: one walk over row blocks from the arrays
+    of ``state`` into those of ``out``, every view laid out at build.
+    Per block of rows [a, b): D x on rows [a - 1, b), kappa_z, dht, the
+    primal update; then the dual rows, one row behind (D x_bar reads
+    row b).  The planar scratch is the plan's own or, given, that of a
+    plan run in turn with this one; the isfinite masks go into the bytes
+    of its first plane."""
+
+    def __init__(self, problem: "PottsProblem", state, out, planes=None):
+        c, (n1, n2) = problem.config, problem.shape
+        x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
+        self.arrays = x, y, out.x, out.x_bar, out.y
+        self.alpha, self.gamma = c.alpha, c.gamma
+        img, field = problem._img(x), problem._field(y)
+        x_new, x_bar = problem._img(out.x), problem._img(out.x_bar)
+        y_new = problem._field(out.y)
+        rows = max(1, _BLOCK_BYTES // (16 * _WALK_FIELDS * max(n2, 1)))
+        shape = (2 if c.p == 1 else 3, min(rows + 1, n1), n2)
+        if planes is None or planes.shape != shape:
+            planes = np.empty(shape)
+        self.planes, mask = planes, planes[0].reshape(-1).view(bool)
+        self.blocks, done = [], 0  # done: rows of out.y laid out
+        for a in range(0, n1, rows):
+            b, lo = min(a + rows, n1), max(a - 1, 0)
+            g, yb, v = planes[:, :b - lo], field[lo:b].transpose(2, 0, 1), x_bar[a:b]
+            g2 = g[:2]
+            ops = (_d_planes(img, lo, b, g) + _rho_grad_planes(c.p, g2, yb, yb, g2, g[-1])
+                   + _dt_rows(g[0, a - lo:], g[1], a, n1, v))
+            primal = (ops, v, x_new[a:b], img[a:b], problem.noisy[a:b],
+                      mask[:v.size].reshape(v.shape))
+            d, dual = b - 1 if b < n1 else n1, None
+            if d > done:
+                z, w = planes[:, :d - done], out.y[2 * done * n2:2 * d * n2]
+                z2 = z[:2]
+                ops = (_d_planes(x_bar, done, d, z)
+                       + _rho_grad_planes(c.p, z2, field[done:d].transpose(2, 0, 1),
+                                          z2, y_new[done:d].transpose(2, 0, 1), z[-1]))
+                dual = (ops, w, y[2 * done * n2:2 * d * n2], mask[:w.size])
+            self.blocks.append((primal, dual))
+            done = d
+
+    def __call__(self, triple, iteration: int) -> None:
+        tau, omega, sigma = triple.tau, triple.omega, triple.sigma
+        r = tau / self.alpha
+        primal_div, dual_div = 1.0 + r, 1.0 + self.gamma * sigma
+        for (ops, v, xn, xa, f, xmask), dual in self.blocks:
+            for fn, args in ops:
+                fn(*args)
+            # step's tau update, prox_primal and x_bar, in their operand order.
+            np.multiply(tau, v, out=v)
+            np.subtract(xa, v, out=v)
+            np.multiply(r, f, out=xn)
+            np.add(v, xn, out=xn)
+            np.divide(xn, primal_div, out=xn)
+            np.subtract(xn, xa, out=v)
+            np.multiply(omega, v, out=v)
+            np.add(xn, v, out=v)
+            if not np.isfinite(xn, out=xmask).all():
+                raise DivergenceError(iteration)
+            if dual is None:
+                continue
+            ops, w, ya, ymask = dual
+            for fn, args in ops:
+                fn(*args)
+            # step's sigma update and prox_dual.
+            np.multiply(sigma, w, out=w)
+            np.add(ya, w, out=w)
+            np.divide(w, dual_div, out=w)
+            if not np.isfinite(w, out=ymask).all():
+                raise DivergenceError(iteration)
 
 
 class PottsProblem(SaddleProblem):
@@ -328,8 +394,9 @@ class PottsProblem(SaddleProblem):
     (A field kept on the problem raised the peak RSS of a 1024^2 solve
     by 8%, through heap fragmentation.)
 
-    :meth:`fused_step` makes a whole iteration in one walk over row
-    blocks, with the same bits.  Its scratch is planar: D x of a block as
+    :meth:`step_plan` lays out a whole iteration as one walk over row
+    blocks, with the same bits, once for a pair of states; ``solve`` runs
+    it every other iteration.  Its scratch is planar: D x of a block as
     contiguous (rows, n2) planes, horizontal and vertical, and at p = inf
     a third for t; y and the new y keep their interleaved layout.
     """
@@ -389,52 +456,8 @@ class PottsProblem(SaddleProblem):
             kappa_y(c.p, z[:b - a], field[a:b], out=res[a:b])
         return out
 
-    def fused_step(self, triple, state, out) -> bool:
-        # Per block of rows [a, b): D x on rows [a - 1, b), kappa_z, dht, the
-        # primal update; then the dual rows, one row behind (D x_bar reads b).
-        c, (n1, n2) = self.config, self.shape
-        tau, omega, r = triple.tau, triple.omega, triple.tau / c.alpha
-        x = self._img(np.asarray(state.x, dtype=float))
-        y = self._field(np.asarray(state.y, dtype=float))
-        x_new, x_bar = self._img(out.x), self._img(out.x_bar)
-        rows = max(1, _BLOCK_BYTES // (16 * _WALK_FIELDS * max(n2, 1)))
-        planes = np.empty((2 if c.p == 1 else 3, min(rows + 1, n1), n2))
-        done = 0  # rows of out.y written
-        for a in range(0, n1, rows):
-            b, lo = min(a + rows, n1), max(a - 1, 0)
-            g, yb = planes[:, :b - lo], y[lo:b].transpose(2, 0, 1)
-            _d_plane(x, lo, b, 0, g[0])
-            _d_plane(x, lo, b, 1, g[1])
-            _rho_grad_planes(c.p, g[:2], yb, yb, g[:2], g[-1])
-            v, xn, xa = x_bar[a:b], x_new[a:b], x[a:b]
-            _dt_rows(g[0, a - lo:], g[1], a, n1, v)
-            np.multiply(tau, v, out=v)
-            np.subtract(xa, v, out=v)
-            np.multiply(r, self.noisy[a:b], out=xn)
-            np.add(v, xn, out=xn)
-            xn /= 1.0 + r
-            np.subtract(xn, xa, out=v)
-            np.multiply(omega, v, out=v)
-            np.add(xn, v, out=v)
-            d = b - 1 if b < n1 else n1
-            if not (_finite(xn, planes[0]) and (d == done or self._dual_rows(
-                    triple.sigma, x_bar, y, out.y, done, d, planes))):
-                raise DivergenceError(out.iteration)
-            done = d
-        return True
-
-    def _dual_rows(self, sigma, x_bar, y, y_new, a, b, planes) -> bool:
-        """Rows [a, b) of the dual update into y_new; whether they are finite."""
-        w, ya, n2 = self._field(y_new)[a:b], y[a:b], self.shape[1]
-        z = planes[:, :b - a]
-        _d_plane(x_bar, a, b, 0, z[0])
-        _d_plane(x_bar, a, b, 1, z[1])
-        _rho_grad_planes(self.config.p, z[:2], ya.transpose(2, 0, 1), z[:2],
-                         w.transpose(2, 0, 1), z[-1])
-        np.multiply(sigma, w, out=w)
-        np.add(ya, w, out=w)
-        np.divide(w, 1.0 + self.config.gamma * sigma, out=w)
-        return _finite(y_new[2 * a * n2:2 * b * n2], planes[0])
+    def step_plan(self, state, out, like=None) -> _WalkPlan:
+        return _WalkPlan(self, state, out, None if like is None else like.planes)
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:

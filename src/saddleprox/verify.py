@@ -181,7 +181,9 @@ def c2_check(x_hat: np.ndarray, y_hat: np.ndarray) -> tuple[bool, float, float]:
     """
     gyx = kappa_small(x_hat, y_hat)[3]
     m = np.eye(gyx.shape[0]) - 0.5 * gyx
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    # eigh, not eigvalsh: for x = (0, 1, 2), y = (1, 5.56e-161, 0) eigvalsh of
+    # the outer-product form returns +-1.1186 on OpenBLAS 0.3.31, not +-sqrt(1.25).
+    eigs = np.linalg.eigh(0.5 * (m + m.T))[0]
     lo, hi = float(eigs[0]), float(eigs[-1])
     return (lo >= -1e-12 and hi <= 2.0 + 1e-12), lo, hi
 

@@ -854,8 +854,16 @@ def test_potts_outputs_are_byte_identical_with_the_fused_step_off(tmp_path, monk
                 for suffix in ("_log.csv", "_denoised.pgm", "_reference.pgm")]
 
     fused = run("fused")
-    monkeypatch.setattr(potts.PottsProblem, "fused_step", lambda self, *args: False)
+    calls, grad_x = [], potts.PottsProblem.grad_x
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return grad_x(self, *args, **kwargs)
+
+    monkeypatch.setattr(potts.PottsProblem, "step_plan", lambda self, *args: None)
+    monkeypatch.setattr(potts.PottsProblem, "grad_x", counted)
     assert run("generic") == fused
+    assert len(calls) == 60  # every step of the run took the generic path
 
 
 def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypatch,

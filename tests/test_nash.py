@@ -175,6 +175,27 @@ def test_equilibrium_is_interior_and_stationary():
     assert prob.psi(x_star, y_star) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 63, 127, 255])
+def test_manufacture_has_the_bits_of_the_mesh_form(n):
+    # The sines over the n x n mesh, as manufacture built them before it
+    # took outer products of 1-D sines: every field keeps its bits.
+    grid = Grid(n)
+    xx, yy = grid.coords()
+    w1 = 0.4 * np.sin(np.pi * xx) * np.sin(2.0 * np.pi * yy)
+    w2 = 0.4 * np.sin(2.0 * np.pi * xx) * np.sin(np.pi * yy)
+    ys = np.sin(np.pi * xx) * np.sin(np.pi * yy)
+    mask1, mask2 = half_masks(grid)
+    u1, u2 = np.where(mask1, w1, 0.0), np.where(mask2, w2, 0.0)
+    want = [apply_laplacian(grid, ys) - u1 - u2,
+            ys - apply_laplacian(grid, -CONTROL_COST * w1),
+            ys - apply_laplacian(grid, -CONTROL_COST * w2),
+            np.concatenate([u1.ravel(), u2.ravel()])]
+    config, x_star, y_star = manufacture(n)
+    got = [config.f, config.z1, config.z2, x_star]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert y_star.tobytes() == x_star.tobytes()
+
+
 def test_equilibrium_is_a_fixed_point_of_the_iteration():
     config, x_star, y_star = manufacture(15)
     prob = NashProblem(config)

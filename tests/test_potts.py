@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleprox import potts
-from saddleprox.core import ConfigurationError, DivergenceError, PrimalDualState, step
+from saddleprox.core import (
+    ConfigurationError,
+    DivergenceError,
+    PrimalDualState,
+    SolveOptions,
+    plan_step,
+    solve,
+    step,
+)
 from saddleprox.potts import (
     PottsConfig,
     PottsProblem,
@@ -288,8 +298,8 @@ def test_step_with_out_allocates_at_most_one_field():
 
 def _rows_per_block(monkeypatch, n2, rows, fields=1):
     """Set the block budget to ``rows`` rows of ``fields`` n2-wide fields:
-    one for the gradients' blocks, ``potts._WALK_FIELDS`` for the fused
-    step's."""
+    one for the gradients' blocks, ``potts._WALK_FIELDS`` for the step
+    plan's."""
     monkeypatch.setattr(potts, "_BLOCK_BYTES", 16 * fields * max(n2, 1) * rows)
 
 
@@ -345,13 +355,23 @@ def test_blocked_gradients_hold_one_block_of_field(monkeypatch, p):
 
 
 # ---------------------------------------------------------------------------
-# The fused step against the generic one.
+# The fused step (the step plan's walk) against the generic one.
 # ---------------------------------------------------------------------------
 
 
 def _generic_only(monkeypatch):
-    """Make core.step take its generic path through the four maps."""
-    monkeypatch.setattr(PottsProblem, "fused_step", lambda self, triple, state, out: False)
+    """Make core.step take its generic path through the four maps: the
+    problem builds no step plan.  Returns the list that each ``grad_x``
+    call then appends to, so a test can show that the generic path ran."""
+    calls, grad_x = [], PottsProblem.grad_x
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return grad_x(self, *args, **kwargs)
+
+    monkeypatch.setattr(PottsProblem, "step_plan", lambda self, state, out, like=None: None)
+    monkeypatch.setattr(PottsProblem, "grad_x", counted)
+    return calls
 
 
 def _step_bits(prob, trip, state, steps, into):
@@ -376,8 +396,10 @@ def _fused_and_generic(monkeypatch, p, f, steps, into):
     state = PrimalDualState.initial(f.ravel(), y0)
     fused = _step_bits(prob, trip, state, steps, into)
     with monkeypatch.context() as m:
-        _generic_only(m)
-        return fused, _step_bits(prob, trip, state, steps, into)
+        calls = _generic_only(m)
+        generic = _step_bits(prob, trip, state, steps, into)
+    assert len(calls) == steps
+    return fused, generic
 
 
 @pytest.mark.parametrize("n, p, steps", [(64, 1, 5), (64, math.inf, 5),
@@ -422,15 +444,16 @@ def test_fused_and_generic_step_diverge_at_the_same_iteration(monkeypatch, vecto
                             f.ravel().copy(), iteration=6)
     v = state.x if vector == "x" else state.y
     v[v.size // 9 * row + 3] = value
-    errors = []
+    errors, calls = [], []
     for generic in (False, True):
         with monkeypatch.context() as m, np.errstate(all="ignore"):
             if generic:
-                _generic_only(m)
+                calls = _generic_only(m)
             with pytest.raises(DivergenceError) as exc:
                 step(prob, trip, state)
         errors.append((exc.value.iteration, str(exc.value)))
     assert errors == [(7, "non-finite iterate at iteration 7")] * 2
+    assert len(calls) == 1
 
 
 @BOTH_P
@@ -446,8 +469,9 @@ def test_fused_step_keeps_finite_iterates_whose_squares_overflow(monkeypatch, p)
         warnings.simplefilter("error")
         fused = _step_bits(prob, trip, state, 1, "new")
     with monkeypatch.context() as m, np.errstate(over="ignore"):
-        _generic_only(m)
+        calls = _generic_only(m)
         assert _step_bits(prob, trip, state, 1, "new") == fused
+        assert len(calls) == 1
         new = step(prob, trip, state)
         assert not math.isfinite(np.dot(new.x, new.x) + np.dot(new.y, new.y))
 
@@ -460,8 +484,9 @@ def test_fused_step_calls_none_of_the_four_maps(monkeypatch, p):
     trip, _ = potts_steps(1.0, 1e-3, p)
     state = PrimalDualState.initial(f.ravel(), np.zeros(prob.dual_dim))
     with monkeypatch.context() as m:
-        _generic_only(m)
+        calls = _generic_only(m)
         want = _step_bits(prob, trip, state, 3, "new")
+    assert len(calls) == 3
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fused step called a map")
@@ -469,6 +494,148 @@ def test_fused_step_calls_none_of_the_four_maps(monkeypatch, p):
     for name in ("grad_x", "grad_y", "prox_primal", "prox_dual"):
         monkeypatch.setattr(PottsProblem, name, refuse)
     assert _step_bits(prob, trip, state, 3, "new") == want
+
+
+# ---------------------------------------------------------------------------
+# Step plans in solve.
+# ---------------------------------------------------------------------------
+
+
+def _solve_bits(prob, schedule, f, y0, options):
+    """Bits of the final x, y and x_bar of a solve and of every record field."""
+    state, records = solve(prob, schedule, f.ravel(), y0, options)
+    fields = [tuple(None if v is None else float(v).hex() for v in vars(r).values())
+              for r in records]
+    return state.iteration, state.x.tobytes(), state.y.tobytes(), state.x_bar.tobytes(), fields
+
+
+def _planned_and_generic(monkeypatch, p, f, options):
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    y0 = 0.3 * np.random.default_rng(f.size).normal(size=prob.dual_dim)
+    planned = _solve_bits(prob, trip, f, y0, options)
+    with monkeypatch.context() as m:
+        calls = _generic_only(m)
+        generic = _solve_bits(prob, trip, f, y0, options)
+    assert calls
+    return planned, generic
+
+
+@pytest.mark.parametrize("n, p, iters", [(64, 1, 5), (64, math.inf, 5),
+                                         (257, math.inf, 5), (300, math.inf, 5),
+                                         (1024, 1, 3)])
+def test_solve_with_step_plans_is_bit_identical_to_generic_solve(monkeypatch, n, p, iters):
+    # The log ends before the reference iterate, so both plans also run
+    # after it; the objective and the distances read the planned iterates.
+    f = gen_synthetic(n, n, 3, n_shapes=3, noise_sigma=0.05)
+    options = SolveOptions(max_iters=iters, log_stride=2, reference=iters + 2,
+                           record_objective=True)
+    planned, generic = _planned_and_generic(monkeypatch, p, f, options)
+    assert planned == generic
+
+
+@pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
+                                         ((9, 1), 4), ((1, 9), 1), ((2, 2), 1),
+                                         ((65, 64), 4), ((65, 64), 64)],
+                         ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
+@BOTH_P
+def test_solve_with_step_plans_in_blocks_is_bit_identical_to_generic_solve(
+        monkeypatch, shape, rows, p):
+    _rows_per_block(monkeypatch, shape[1], rows, potts._WALK_FIELDS)
+    f = np.random.default_rng(rows).uniform(size=shape)
+    options = SolveOptions(max_iters=7, log_stride=3, reference=5, record_objective=True)
+    planned, generic = _planned_and_generic(monkeypatch, p, f, options)
+    assert planned == generic
+
+
+def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
+    # One plan from each set of arrays into the other, built at the start,
+    # the second sharing the first one's scratch; after the return only the
+    # returned state's arrays are alive.
+    plans, shares, arrays, build = [], [], [], PottsProblem.step_plan
+
+    def spy(self, state, out, like=None):
+        plan = build(self, state, out, like)
+        plans.append(weakref.ref(plan))
+        shares.append(like is not None and like.planes is plan.planes)
+        arrays.extend(weakref.ref(v) for s in (state, out) for v in (s.x, s.y, s.x_bar))
+        return plan
+
+    monkeypatch.setattr(PottsProblem, "step_plan", spy)
+    prob, f = _small_problem(math.inf)
+    trip, _ = potts_steps(1.0, 1e-3, math.inf)
+    result = solve(prob, trip, f.ravel(), np.zeros(prob.dual_dim),
+                   SolveOptions(max_iters=10, log_stride=3))
+    state = result[0]
+    assert len(plans) == 2 and all(ref() is None for ref in plans)
+    assert shares == [False, True]
+    alive = {id(ref()) for ref in arrays if ref() is not None}
+    assert alive == {id(state.x), id(state.y), id(state.x_bar)}
+    assert result.reference is None
+
+
+@pytest.mark.parametrize("into", ["new", "nan-filled-out"])
+@BOTH_P
+def test_step_ignores_a_plan_bound_to_other_arrays(monkeypatch, into, p):
+    # The plan writes into its own out arrays; a step into other arrays, or
+    # from another state, must check, plan anew and leave those untouched.
+    _rows_per_block(monkeypatch, 8, 2, potts._WALK_FIELDS)
+    prob, f = _small_problem(p)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    y0 = 0.3 * np.random.default_rng(4).normal(size=prob.dual_dim)
+    state = PrimalDualState.initial(f.ravel(), y0)
+    other = PrimalDualState.initial(f.ravel() + 0.25, -y0)
+    bound_out, plan = plan_step(prob, state)
+    kept = [v.copy() for v in (bound_out.x, bound_out.y, bound_out.x_bar)]
+    for source in (state, other):
+        want = _step_bits(prob, trip, source, 1, into)
+        out = None
+        if into == "nan-filled-out":
+            out = PrimalDualState(*(np.full(v.size, np.nan) for v in (f, y0, f)))
+        got = step(prob, trip, source, out=out, plan=plan)
+        assert [(got.iteration, got.x.tobytes(), got.y.tobytes(), got.x_bar.tobytes())] == want
+    assert all(np.array_equal(v, k, equal_nan=True)
+               for v, k in zip((bound_out.x, bound_out.y, bound_out.x_bar), kept))
+    with pytest.raises(ConfigurationError):  # out.y is state.y: the checks ran
+        step(prob, trip, state, out=PrimalDualState(bound_out.x, state.y, bound_out.x_bar),
+             plan=plan)
+
+
+class _NanAt:
+    """A schedule that gives the potts steps but a NaN ``name`` at index i."""
+
+    def __init__(self, p, name, i):
+        self.trip, _ = potts_steps(1.0, 1e-3, p)
+        self.name, self.i = name, i
+
+    def triple(self, i):
+        if i != self.i:
+            return self.trip
+        values = dict(tau=self.trip.tau, sigma=self.trip.sigma, omega=self.trip.omega)
+        values[self.name] = math.nan
+        return types.SimpleNamespace(**values)
+
+
+@pytest.mark.parametrize("name", ["tau", "sigma"])
+@pytest.mark.parametrize("i", [0, 1, 4])
+@BOTH_P
+def test_solve_with_step_plans_diverges_as_the_generic_solve(monkeypatch, name, i, p):
+    # A NaN step size at index i makes iterate i + 1 non-finite, through
+    # the plan from either set of arrays and through the generic step.
+    _rows_per_block(monkeypatch, 9, 2, potts._WALK_FIELDS)
+    f = np.random.default_rng(i).uniform(size=(9, 9))
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    errors, calls = [], []
+    for generic in (False, True):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            if generic:
+                calls = _generic_only(m)
+            with pytest.raises(DivergenceError) as exc:
+                solve(prob, _NanAt(p, name, i), f.ravel(), np.zeros(prob.dual_dim),
+                      SolveOptions(max_iters=8))
+        errors.append((exc.value.iteration, str(exc.value)))
+    assert errors == [(i + 1, "non-finite iterate at iteration %d" % (i + 1))] * 2
+    assert len(calls) == i + 1
 
 
 # ---------------------------------------------------------------------------
