@@ -38,27 +38,26 @@ def _check_positive(name: str, value: float) -> None:
         raise ConfigurationError("%s must be positive, got %r" % (name, value))
 
 
-def dh(x: np.ndarray, h: float = 1.0,
-       out: Optional[np.ndarray] = None) -> np.ndarray:
+def dh(x: np.ndarray, h: float = 1.0) -> np.ndarray:
     """Forward-difference gradient with zero rows/columns at the far edge.
 
     [dh x]_{ij0} = (x[i, j+1] - x[i, j]) / h for j < n2-1, else 0;
     [dh x]_{ij1} = (x[i+1, j] - x[i, j]) / h for i < n1-1, else 0.
 
-    Fills one result buffer in place (``out``, if given), with the same
-    subtraction and division per entry as the plain expression, so the
-    result is bit-identical to it.  The horizontal differences are taken
-    along the flattened image, which also writes a difference across
-    each row end into the far-edge column; that column is zeroed
-    afterwards.  A non-finite entry at a row end can make numpy warn
-    there (``dh([[0, inf], [inf, 0]])``: "invalid value encountered in
+    Fills one new (n1, n2, 2) field in place, with the same subtraction
+    and division per entry as the plain expression, so the result is
+    bit-identical to it.  The horizontal differences are taken along the
+    flattened image, which also writes a difference across each row end
+    into the far-edge column; that column is zeroed afterwards.  A
+    non-finite entry at a row end can make numpy warn there
+    (``dh([[0, inf], [inf, 0]])``: "invalid value encountered in
     subtract"); the result is right, and ``solve``'s iterates are finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ConfigurationError("image must be 2-d, got shape %s" % (x.shape,))
     _check_positive("mesh width h", h)
-    g = out_buffer(out, x.shape + (2,), x)
+    g = np.empty(x.shape + (2,))
     flat = x.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=g.reshape(-1, 2)[:-1, 0])
     np.subtract(x[1:, :], x[:-1, :], out=g[:-1, :, 1])
@@ -249,14 +248,12 @@ class PottsConfig:
         _check_p(self.p)
 
 
-# Dual field held as scratch by one gradient call.  The gradients walk
-# the image in row blocks of at most this many bytes of field, so that a
-# block's D x stays in cache between the kernels applied to it.
+# Bytes of a row block of the step plan's walk, counted as 64 bytes a
+# pixel: about four dual fields' worth of the arrays a row touches (y, new
+# y, planes, x, x_bar, new x, noisy image), so that a block's D x stays in
+# cache between the kernels applied to it.  At 1024^2 that is 16 rows; on a
+# 2-vCPU Intel host, 16 rows beat 4, 8, 32 and 64.
 _BLOCK_BYTES = 1 << 20
-# The step plan's walk touches about this many fields' worth of a row (y,
-# new y, planes, x, x_bar, new x, noisy image), so its blocks have this many
-# times fewer rows: at 1024^2 on a 2-vCPU Intel host, 16 rows beat 4, 8, 32 and 64.
-_WALK_FIELDS = 4
 
 
 # Kernels of the step plan on (rows, n2) planes, one per field component,
@@ -321,7 +318,7 @@ class _WalkPlan:
         img, field = problem._img(x), problem._field(y)
         x_new, x_bar = problem._img(out.x), problem._img(out.x_bar)
         y_new = problem._field(out.y)
-        rows = max(1, _BLOCK_BYTES // (16 * _WALK_FIELDS * max(n2, 1)))
+        rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
         shape = (2 if c.p == 1 else 3, min(rows + 1, n1), n2)
         if planes is None or planes.shape != shape:
             planes = np.empty(shape)
@@ -380,25 +377,20 @@ class _WalkPlan:
 class PottsProblem(SaddleProblem):
     """Saddle-point form of the discontinuity-penalized denoising problem.
 
-    The maps write into ``out`` as :class:`SaddleProblem` describes and
-    keep no workspace between calls.  Each gradient walks the image in
-    row blocks of at most ``_BLOCK_BYTES`` of field (an image of up to
-    65,536 pixels is one block) and builds D x of one block, with its
-    halo rows, in a field of its own: the scratch of a call is one
-    block's field, not a field of the whole image.  Every entry keeps
-    the operand order of the whole-image kernels, so the result has
-    their bits for any block size, up to the sign of a NaN met by a NaN
-    (numpy's add and multiply loops pick that operand by the entry's
-    place in the loop).  A block writes ``out`` while later blocks still
-    read x and y, so the gradients' ``out`` shares memory with neither.
-    (A field kept on the problem raised the peak RSS of a 1024^2 solve
-    by 8%, through heap fragmentation.)
+    The coupling is the composition kappa_p(D x, y), and the gradient maps
+    say so: ``grad_x`` is D^T kappa_z(D x, y) and ``grad_y`` is
+    kappa_y(D x, y), through the whole-image kernels.  A call builds D x
+    in one new field, which ``kappa_z`` then overwrites, and at p = inf
+    ``rho_pair`` adds its t, half a field.  The maps write into ``out`` as
+    :class:`SaddleProblem` describes; the gradients' ``out`` shares memory
+    with neither x nor y.
 
-    :meth:`step_plan` lays out a whole iteration as one walk over row
-    blocks, with the same bits, once for a pair of states; ``solve`` runs
-    it every other iteration.  Its scratch is planar: D x of a block as
-    contiguous (rows, n2) planes, horizontal and vertical, and at p = inf
-    a third for t; y and the new y keep their interleaved layout.
+    :meth:`step_plan` lays out a whole iteration, with the maps' bits, as
+    one walk over row blocks of at most ``_BLOCK_BYTES``, once for a pair
+    of states; ``solve`` runs its plans and calls none of the four maps.
+    The plan's scratch is planar: D x of a block as contiguous (rows, n2)
+    planes, horizontal and vertical, and at p = inf a third for t; y and
+    the new y keep their interleaved layout.
     """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
@@ -417,43 +409,18 @@ class PottsProblem(SaddleProblem):
     def _field(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(self.shape + (2,))
 
-    def _blocks(self, halo: int):
-        """The rows of a block, and scratch for one block's field with
-        ``halo`` extra rows."""
-        n1, n2 = self.shape
-        rows = max(1, _BLOCK_BYTES // (16 * max(n2, 1)))
-        return rows, np.empty((min(rows + halo, n1), n2, 2))
-
     def grad_x(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        # Rows [a, b) of D^T kappa_z(D x, y) read kappa_z on rows
-        # [a - 1, b), which reads x on rows [a - 1, b + 1).  dht writes
-        # the halo rows too: row a - 1, already final, is put back, and
-        # row b is written again by the next block.
-        c, n1 = self.config, self.shape[0]
         out = out_buffer(out, (self.primal_dim,), x, y)
-        img, field, res = self._img(x), self._field(y), self._img(out)
-        rows, scratch = self._blocks(2)
-        for a in range(0, n1, rows):
-            lo, hi = max(a - 1, 0), min(a + rows + 1, n1)
-            z = dh(img[lo:hi], out=scratch[:hi - lo])
-            kappa_z(c.p, z, field[lo:hi], out=z)
-            kept = res[lo:a].copy()
-            dht(z, out=res[lo:hi])
-            res[lo:a] = kept
+        z = dh(self._img(x))
+        kappa_z(self.config.p, z, self._field(y), out=z)
+        dht(z, out=self._img(out))
         return out
 
     def grad_y(self, x: np.ndarray, y: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        # Rows [a, b) of D x read x on rows [a, b + 1).
-        c, n1 = self.config, self.shape[0]
         out = out_buffer(out, (self.dual_dim,), x, y)
-        img, field, res = self._img(x), self._field(y), self._field(out)
-        rows, scratch = self._blocks(1)
-        for a in range(0, n1, rows):
-            b, hi = min(a + rows, n1), min(a + rows + 1, n1)
-            z = dh(img[a:hi], out=scratch[:hi - a])
-            kappa_y(c.p, z[:b - a], field[a:b], out=res[a:b])
+        kappa_y(self.config.p, dh(self._img(x)), self._field(y), out=self._field(out))
         return out
 
     def step_plan(self, state, out, like=None) -> _WalkPlan:

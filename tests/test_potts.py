@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddleprox import potts
+from saddleprox import cli, potts
 from saddleprox.core import (
     ConfigurationError,
     DivergenceError,
@@ -216,7 +216,6 @@ def test_kernels_fill_out_with_the_bits_they_return(shape, p, entries):
     field, image = np.empty(shape + (2,)), np.empty(shape)
     with np.errstate(all="ignore"):
         for fresh, into, out in [
-                (dh(x, 0.5), lambda o: dh(x, 0.5, out=o), field),
                 (dht(z, 0.5), lambda o: dht(z, 0.5, out=o), image),
                 (kappa_z(p, z, y), lambda o: kappa_z(p, z, y, out=o), field),
                 (kappa_z(p, z, y), lambda o: kappa_z(p, o, y, out=o), z.copy()),
@@ -238,15 +237,15 @@ def test_kernel_out_validation():
     z, y = np.zeros((4, 3, 2)), np.zeros((4, 3, 2))
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), x)
     buf = np.zeros(24)
-    bad = [lambda: dh(x, out=np.empty((4, 3))),                      # shape
-           lambda: dh(x, out=np.empty((4, 3, 2), dtype=np.float32)),  # dtype
-           lambda: dh(x, out=np.empty((4, 3, 4))[..., ::2]),          # strided
+    bad = [lambda: dht(z, out=np.empty((4, 3, 2))),                  # shape
+           lambda: dht(z, out=np.empty((4, 3), dtype=np.float32)),    # dtype
+           lambda: dht(z, out=np.empty((4, 6))[:, ::2]),              # strided
            lambda: dht(z, out=z.reshape(-1)[:12].reshape(4, 3)),      # overlaps g
            lambda: kappa_z(1, z, y, out=y),                           # overlaps y
            lambda: kappa_y(math.inf, z, y, out=z),                    # overlaps z
            lambda: prob.prox_primal(0.1, x.ravel(), out=x.ravel()),   # overlaps v
            lambda: prob.grad_x(x.ravel(), y.ravel(), out=np.empty((12, 2))[:, 0]),
-           # The gradients write out block by block while still reading x, y.
+           # The gradients' out shares memory with neither x nor y.
            lambda: prob.grad_x(x.ravel(), y.ravel(), out=y.reshape(-1)[:12]),
            lambda: prob.grad_y(x.ravel(), y.ravel(), out=y.reshape(-1)),
            lambda: prob.grad_y(buf[:12], y.ravel(), out=buf)]
@@ -267,26 +266,33 @@ def _traced_peak_in_images(call, image_bytes):
 def test_kernels_allocate_one_result_buffer():
     # Traced peak of one call, in units of one 128x128 image.  The plain
     # expressions peak at 4 (dh), 4 (kappa_z, p = 1) and 2 (prox_primal);
-    # a temporary brought back adds at least one image.
+    # a temporary brought back adds at least one image.  A gradient into
+    # ``out`` holds D x, one field (2 images), and at p = inf also
+    # rho_pair's t (1 image).
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(128, 128))
     z, y = rng.normal(size=(128, 128, 2)), rng.normal(size=(128, 128, 2))
     v = rng.normal(size=x.size)
-    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), x)
+    gx, gy = np.empty(x.size), np.empty(y.size)
+    prob, prob_inf = (PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), x)
+                      for p in (1, math.inf))
     limits = [("dh", lambda: dh(x), 2.1),
               ("dh h=0.5", lambda: dh(x, 0.5), 2.1),
               ("kappa_z", lambda: kappa_z(1, z, y), 2.1),
-              ("prox_primal", lambda: prob.prox_primal(0.1, v), 1.1)]
+              ("prox_primal", lambda: prob.prox_primal(0.1, v), 1.1),
+              ("grad_x p=1", lambda: prob.grad_x(x.ravel(), y.ravel(), out=gx), 2.1),
+              ("grad_y p=1", lambda: prob.grad_y(x.ravel(), y.ravel(), out=gy), 2.1),
+              ("grad_x p=inf", lambda: prob_inf.grad_x(x.ravel(), y.ravel(), out=gx), 3.1),
+              ("grad_y p=inf", lambda: prob_inf.grad_y(x.ravel(), y.ravel(), out=gy), 3.1)]
     for name, call, limit in limits:
         assert _traced_peak_in_images(call, x.nbytes) <= limit, name
 
 
 def test_step_with_out_allocates_at_most_one_field():
     # Traced peak of one engine step into recycled arrays, 128x128, p = 1,
-    # in images: each gradient builds D x of its one block (the whole
-    # image here) in a field of its own, 2 images.  dht runs along the
-    # flattened image, so no ufunc needs numpy's iterator buffers.
-    # Allocating every iterate and temporary peaks at 8.
+    # in images: the step plan's scratch holds D x of one block (the whole
+    # image here) in two planes, 2 images, and the walk writes everything
+    # else in place.  Allocating every iterate and temporary peaks at 8.
     f = gen_synthetic(128, 128, 5, n_shapes=3, noise_sigma=0.05)
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
     trip = StepTriple(0.01, 1.0, 0.99)
@@ -296,29 +302,23 @@ def test_step_with_out_allocates_at_most_one_field():
                                   f.nbytes) <= 2.1
 
 
-def _rows_per_block(monkeypatch, n2, rows, fields=1):
-    """Set the block budget to ``rows`` rows of ``fields`` n2-wide fields:
-    one for the gradients' blocks, ``potts._WALK_FIELDS`` for the step
-    plan's."""
-    monkeypatch.setattr(potts, "_BLOCK_BYTES", 16 * fields * max(n2, 1) * rows)
+def _rows_per_block(monkeypatch, n2, rows):
+    """Set the step plan's block budget to ``rows`` rows of an image n2 wide."""
+    monkeypatch.setattr(potts, "_BLOCK_BYTES", 64 * max(n2, 1) * rows)
 
 
-@pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
-                                         ((9, 1), 4), ((1, 9), 1), ((2, 2), 1)],
-                         ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
+@pytest.mark.parametrize("shape", [(33, 17), (9, 1), (1, 9), (2, 2), (1, 1), (65, 64),
+                                   (3, 0), (0, 3)],
+                         ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("into", ["new", "nan-filled-out"])
 @BOTH_P
 @pytest.mark.parametrize("entries", ["normal", "special"])
-def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
-        monkeypatch, shape, rows, into, p, entries):
-    # Several blocks, the last of them one row (33 = 8*4 + 1, 9 = 4*2 + 1),
-    # must give the bits of the kernels applied to the whole image, up to
-    # the sign of a NaN: numpy's contiguous add and multiply loops return
-    # one operand's NaN in their vector body and the other's in the
-    # remainder, so a NaN met by a NaN takes a sign that depends on the
-    # entry's place in the loop, which a block moves.  A NaN-filled ``out``
-    # shows any entry that no block writes, or that a halo row leaves stale.
-    rng = np.random.default_rng(sum(shape) + rows)
+def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(shape, into, p, entries):
+    # The gradient maps are the composition of the kernels: grad_x is
+    # dht(kappa_z(p, dh(x), y)) and grad_y is kappa_y(p, dh(x), y), bit
+    # for bit, NaN signs included.  A NaN-filled ``out`` shows any entry
+    # that a map leaves unwritten.
+    rng = np.random.default_rng(sum(shape))
 
     def draw(size):
         if entries == "normal":
@@ -330,28 +330,12 @@ def test_blocked_gradients_are_bit_identical_to_whole_image_kernels(
     with np.errstate(all="ignore"):
         want_x = dht(kappa_z(p, dh(x), y)).ravel()
         want_y = kappa_y(p, dh(x), y).ravel()
-        _rows_per_block(monkeypatch, shape[1], rows)
         outs = ((np.full(x.size, np.nan), np.full(y.size, np.nan))
                 if into == "nan-filled-out" else (None, None))
         got_x = prob.grad_x(x.ravel(), y.ravel(), out=outs[0])
         got_y = prob.grad_y(x.ravel(), y.ravel(), out=outs[1])
-    for got, want in ((got_x, want_x), (got_y, want_y)):
-        assert _same_bits(*(np.where(np.isnan(a), np.nan, a) for a in (got, want)))
-
-
-@BOTH_P
-def test_blocked_gradients_hold_one_block_of_field(monkeypatch, p):
-    # 128x128 in blocks of 16 rows: a gradient call holds one block's
-    # field with its halo rows (18 rows; for p = inf also rho_pair's
-    # half-size t), not a field of the whole image (128 rows).
-    rng = np.random.default_rng(6)
-    x, y = rng.normal(size=128 * 128), rng.normal(size=128 * 128 * 2)
-    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), x.reshape(128, 128))
-    gx, gy = np.empty(x.size), np.empty(y.size)
-    _rows_per_block(monkeypatch, 128, 16)
-    block_field = 18 * 128 * 2 * 8
-    for call in (lambda: prob.grad_x(x, y, out=gx), lambda: prob.grad_y(x, y, out=gy)):
-        assert _traced_peak_in_images(call, block_field) <= 1.75
+    assert _same_bits(got_x, want_x)
+    assert _same_bits(got_y, want_y)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +407,7 @@ def test_fused_step_in_blocks_is_bit_identical_to_generic_step(
     # Several blocks of the walk, the last of them one row (33 = 8*4 + 1,
     # 9 = 4*2 + 1, 65 = 16*4 + 1 = 64 + 1); the dual rows trail one row
     # behind each block.  A NaN-filled ``out`` shows an entry no block writes.
-    _rows_per_block(monkeypatch, shape[1], rows, potts._WALK_FIELDS)
+    _rows_per_block(monkeypatch, shape[1], rows)
     f = np.random.default_rng(rows).uniform(size=shape)
     fused, generic = _fused_and_generic(monkeypatch, p, f, 5, into)
     assert fused == generic
@@ -435,7 +419,7 @@ def test_fused_step_in_blocks_is_bit_identical_to_generic_step(
 @BOTH_P
 def test_fused_and_generic_step_diverge_at_the_same_iteration(monkeypatch, vector, row,
                                                               value, p):
-    _rows_per_block(monkeypatch, 9, 2, potts._WALK_FIELDS)
+    _rows_per_block(monkeypatch, 9, 2)
     rng = np.random.default_rng(row)
     f = rng.uniform(size=(9, 9))
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
@@ -541,7 +525,7 @@ def test_solve_with_step_plans_is_bit_identical_to_generic_solve(monkeypatch, n,
 @BOTH_P
 def test_solve_with_step_plans_in_blocks_is_bit_identical_to_generic_solve(
         monkeypatch, shape, rows, p):
-    _rows_per_block(monkeypatch, shape[1], rows, potts._WALK_FIELDS)
+    _rows_per_block(monkeypatch, shape[1], rows)
     f = np.random.default_rng(rows).uniform(size=shape)
     options = SolveOptions(max_iters=7, log_stride=3, reference=5, record_objective=True)
     planned, generic = _planned_and_generic(monkeypatch, p, f, options)
@@ -579,7 +563,7 @@ def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
 def test_step_ignores_a_plan_bound_to_other_arrays(monkeypatch, into, p):
     # The plan writes into its own out arrays; a step into other arrays, or
     # from another state, must check, plan anew and leave those untouched.
-    _rows_per_block(monkeypatch, 8, 2, potts._WALK_FIELDS)
+    _rows_per_block(monkeypatch, 8, 2)
     prob, f = _small_problem(p)
     trip, _ = potts_steps(1.0, 1e-3, p)
     y0 = 0.3 * np.random.default_rng(4).normal(size=prob.dual_dim)
@@ -622,7 +606,7 @@ class _NanAt:
 def test_solve_with_step_plans_diverges_as_the_generic_solve(monkeypatch, name, i, p):
     # A NaN step size at index i makes iterate i + 1 non-finite, through
     # the plan from either set of arrays and through the generic step.
-    _rows_per_block(monkeypatch, 9, 2, potts._WALK_FIELDS)
+    _rows_per_block(monkeypatch, 9, 2)
     f = np.random.default_rng(i).uniform(size=(9, 9))
     prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
     errors, calls = [], []
@@ -636,6 +620,37 @@ def test_solve_with_step_plans_diverges_as_the_generic_solve(monkeypatch, name, 
         errors.append((exc.value.iteration, str(exc.value)))
     assert errors == [(i + 1, "non-finite iterate at iteration %d" % (i + 1))] * 2
     assert len(calls) == i + 1
+
+
+@BOTH_P
+def test_potts_solve_and_command_call_none_of_the_four_maps(monkeypatch, tmp_path, p):
+    # The step plans carry every Potts iteration of a solve and of the
+    # potts command; the whole-image maps are only oracles.  A run that
+    # fell back to them would be slower at scale, and fails here.
+    calls = []
+
+    def counted(name):
+        method = getattr(PottsProblem, name)
+
+        def call(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        return call
+
+    for name in ("grad_x", "grad_y", "prox_primal", "prox_dual"):
+        monkeypatch.setattr(PottsProblem, name, counted(name))
+    _rows_per_block(monkeypatch, 17, 4)
+    f = np.random.default_rng(7).uniform(size=(33, 17))
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    solve(prob, trip, f.ravel(), np.zeros(prob.dual_dim),
+          SolveOptions(max_iters=7, log_stride=3, reference=5, record_objective=True))
+    assert cli.main(["potts", "--synthetic", "33", "17", "7", "--p", str(p),
+                     "--reference-iters", "6", "--iters", "4",
+                     "--out-prefix", str(tmp_path / "run")]) == 0
+    assert calls == []
+    prob.grad_y(f.ravel(), np.zeros(prob.dual_dim))  # the counting is in place
+    assert calls == ["grad_y"]
 
 
 # ---------------------------------------------------------------------------
