@@ -115,11 +115,14 @@ def write_pgm(
     """Write a [0, 1] float image as a P5 graymap.
 
     Values are clipped to [0, 1] and rounded to maxval levels; reading
-    the file back reproduces the quantized samples exactly.
+    the file back reproduces the quantized samples exactly.  A NaN pixel
+    raises before anything is written.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ConfigurationError("image must be 2-d")
+    if np.isnan(image).any():
+        raise ConfigurationError("image has a NaN pixel")
     if not (0 < maxval <= 65535):
         raise ConfigurationError("maxval out of range (1..65535): %d" % maxval)
 

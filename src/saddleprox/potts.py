@@ -44,27 +44,18 @@ def dh(x: np.ndarray, h: float = 1.0) -> np.ndarray:
     [dh x]_{ij0} = (x[i, j+1] - x[i, j]) / h for j < n2-1, else 0;
     [dh x]_{ij1} = (x[i+1, j] - x[i, j]) / h for i < n1-1, else 0.
 
-    Fills one new (n1, n2, 2) field in place, with the same subtraction
-    and division per entry as the plain expression, so the result is
-    bit-identical to it.  The horizontal differences are taken along the
-    flattened image, which also writes a difference across each row end
-    into the far-edge column; that column is zeroed afterwards.  A
-    non-finite entry at a row end can make numpy warn there
-    (``dh([[0, inf], [inf, 0]])``: "invalid value encountered in
-    subtract"); the result is right, and ``solve``'s iterates are finite.
+    One new (n1, n2, 2) field, filled by :func:`_d_planes` and divided by
+    h in place: bit-identical to the plain expression.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ConfigurationError("image must be 2-d, got shape %s" % (x.shape,))
     _check_positive("mesh width h", h)
     g = np.empty(x.shape + (2,))
-    flat = x.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], out=g.reshape(-1, 2)[:-1, 0])
-    np.subtract(x[1:, :], x[:-1, :], out=g[:-1, :, 1])
+    for fn, args in _d_planes(x, 0, x.shape[0], g.transpose(2, 0, 1)):
+        fn(*args)
     if h != 1.0:  # x / 1.0 is exact
         g /= h
-    g[:, -1:, 0] = 0.0  # -1: rather than -1 keeps empty images working
-    g[-1:, :, 1] = 0.0
     return g
 
 
@@ -72,35 +63,16 @@ def dht(g: np.ndarray, h: float = 1.0,
         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint of :func:`dh` (negative discrete divergence).
 
-    Fills one result buffer in place (``out``, if given) and keeps the
-    summation order of accumulating into zeros: per pixel ((((0 - g_ij0)
-    + g_i,j-1,0) - g_ij1) + g_i-1,j,1) / h, terms past an edge left out.
-    The result is therefore bit-identical to that form, signed zeros
-    included; the shorter g_i,j-1,0 - g_ij0 would turn +0 into -0 where
-    g_ij0 = +0 and g_i,j-1,0 = -0.
-
-    The horizontal terms are taken along the flattened image, as in
-    :func:`dh`, so each is one ufunc loop: 0 - g_ij0 for every pixel,
-    then the far column zeroed, then g_i,j-1,0 added from the previous
-    flat entry.  That also adds g_i-1,n2-1,0 across each row start, so
-    column 0 is recomputed as 0 - g_i00.  For n2 = 1 column 0 is the far
-    column: it has no horizontal term and stays 0.  As in :func:`dh`, a
-    non-finite entry can make numpy warn of a sum across a row start that
-    column 0 then recomputes; the result is right.
+    One result buffer (``out``, if given), filled by :func:`_dt_rows` and
+    divided by h in place, in the summation order given there.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 3 or g.shape[2] != 2:
         raise ConfigurationError("gradient field must have shape (n1, n2, 2)")
     _check_positive("mesh width h", h)
     out = out_buffer(out, g.shape[:2], g)
-    flat, gx, gy = out.reshape(-1), g.reshape(-1, 2)[:, 0], g[:-1, :, 1]
-    np.subtract(0.0, gx, out=flat)
-    out[:, -1:] = 0.0
-    if g.shape[1] > 1:
-        np.add(flat[1:], gx[:-1], out=flat[1:])
-        np.subtract(0.0, g[:, :1, 0], out=out[:, :1])
-    out[:-1, :] -= gy
-    out[1:, :] += gy
+    for fn, args in _dt_rows(g[..., 0], g[..., 1], 0, g.shape[0], out):
+        fn(*args)
     if h != 1.0:
         out /= h
     return out
@@ -181,6 +153,7 @@ def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(rho(rho_pair(*_rows(p, z, y)))))
 
 
+# kappa_z/kappa_y keep rho_grad's rows: numpy buffers _rho_grad_planes on interleaved views.
 def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Derivative of :func:`kappa_val` in z: 2*(1 - t)*y with t as there.
@@ -256,12 +229,22 @@ class PottsConfig:
 _BLOCK_BYTES = 1 << 20
 
 
-# Kernels of the step plan on (rows, n2) planes, one per field component,
-# with the per-entry operations of dh, dht and rho_grad.  Each returns its
-# ufunc calls as (function, arguments) pairs, to be made in order.
+# Kernels of the step plan on (rows, n2) planes, one per field component.
+# Each returns its ufunc calls as (function, arguments) pairs, to be made
+# in order.  D and D^T are written only here: the plan runs them on its row
+# blocks, dh and dht on the whole image as one block.
 
 def _d_planes(img: np.ndarray, a: int, b: int, g: np.ndarray) -> list:
-    """Rows [a, b) of dh(img), horizontal into g[0] and vertical into g[1]."""
+    """Rows [a, b) of dh(img) at h = 1, horizontal into g[0] and vertical
+    into g[1]; g[0] must flatten to a view (entries one stride apart).
+
+    The horizontal differences are taken along the flattened rows, one
+    ufunc loop that also writes a difference across each row end into
+    the far-edge column; that column is zeroed afterwards.  A non-finite
+    entry at a row end can make numpy warn there (``dh([[0, inf], [inf,
+    0]])``: "invalid value encountered in subtract"); the result is
+    right, and ``solve``'s iterates are finite.
+    """
     n1, n2 = img.shape
     flat, m = img.reshape(-1), min(b, n1 - 1) - a
     return [(np.subtract, (flat[a * n2 + 1:b * n2], flat[a * n2:b * n2 - 1],
@@ -272,8 +255,21 @@ def _d_planes(img: np.ndarray, a: int, b: int, g: np.ndarray) -> list:
 
 
 def _dt_rows(gh: np.ndarray, gv: np.ndarray, a: int, n1: int, out: np.ndarray) -> list:
-    """Rows [a, a + len(out)) of dht into ``out`` from gh on the same rows
-    and gv on those and, for a > 0, row a - 1."""
+    """Rows [a, a + len(out)) of dht at h = 1 into the C-contiguous
+    ``out``, from the field's components gh on the same rows and gv on
+    those and, for a > 0, row a - 1.
+
+    Per pixel the sum is that of accumulating into zeros, (((0 - g_ij0)
+    + g_i,j-1,0) - g_ij1) + g_i-1,j,1 with terms past an edge left out,
+    bit for bit and signed zeros included (g_i,j-1,0 - g_ij0 would turn
+    +0 into -0 where g_ij0 = +0 and g_i,j-1,0 = -0).  The horizontal
+    terms are taken along the flattened rows, one ufunc loop each: 0 -
+    g_ij0 everywhere, the far column zeroed, g_i,j-1,0 added from the
+    previous flat entry.  That adds g_i-1,n2-1,0 across each row start,
+    so column 0 is recomputed as 0 - g_i00 (for n2 = 1 it is the far
+    column).  A non-finite entry can make numpy warn of a sum across a
+    row start that column 0 then recomputes; the result is right.
+    """
     rows, n2 = out.shape
     flat, gflat = out.reshape(-1), gh.reshape(-1)
     ops = [(np.subtract, (0.0, gflat, flat)), (np.copyto, (out[:, -1:], 0.0))]

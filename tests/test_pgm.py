@@ -79,6 +79,20 @@ def test_clipping_before_quantization(tmp_path):
     assert back[0, 1] == 1.0
 
 
+def test_writer_clips_infinities_and_rejects_nan_before_writing(tmp_path):
+    path = tmp_path / "inf.pgm"
+    write_pgm(path, np.array([[-np.inf, np.inf]]), maxval=255)
+    assert read_pgm(path)[0].tolist() == [[0.0, 1.0]]
+    before = path.read_bytes()
+    for nan in (np.nan, -np.nan):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            write_pgm(path, np.array([[0.5, nan]]), maxval=255)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            write_pgm(tmp_path / "new.pgm", np.array([[nan]]))
+    assert path.read_bytes() == before
+    assert not (tmp_path / "new.pgm").exists()
+
+
 def test_reader_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P6\n1 1\n255\n\x00")

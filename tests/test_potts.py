@@ -196,13 +196,38 @@ def test_kernels_are_bit_identical_to_plain_expressions(shape, h, p, entries):
     assert _same_bits(v, v_before)
 
 
+@pytest.mark.parametrize("h", [1.0, 0.5])
+@pytest.mark.parametrize("entries", ["normal", "special"])
+def test_dh_and_dht_give_the_plain_bits_for_any_memory_layout(h, entries):
+    # The kernels flatten rows with reshape(-1), a view of contiguous rows
+    # and a copy of anything else; either way the bits are the plain ones.
+    rng = np.random.default_rng(11)
+
+    def draw(size):
+        if entries == "normal":
+            return rng.normal(size=size)
+        return rng.choice(SPECIAL_ENTRIES, size=size)
+
+    images = [draw((17, 9)).T, draw((9, 34))[:, ::2], np.asfortranarray(draw((9, 17))),
+              draw((9, 17)).astype(np.float32)]
+    fields = [draw((17, 9, 2)).transpose(1, 0, 2), draw((9, 34, 2))[:, ::2],
+              draw((2, 9, 17)).transpose(1, 2, 0)]
+    with np.errstate(all="ignore"):
+        for x in images:
+            assert _same_bits(dh(x, h), _dh_plain(np.array(x, dtype=float), h))
+        for g in fields:
+            assert _same_bits(dht(g, h), _dht_plain(np.array(g), h))
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (33, 17), (3, 0)],
                          ids=lambda s: "%dx%d" % s)
 @BOTH_P
 @pytest.mark.parametrize("entries", ["normal", "special"])
 def test_kernels_fill_out_with_the_bits_they_return(shape, p, entries):
     # Every kernel and map gives the same bits into ``out`` as into a new
-    # array, also where ``out`` is the operand it may overwrite.
+    # array, also where ``out`` is the operand it may overwrite.  Each
+    # other ``out`` is a fresh NaN-filled array, so an entry left unwritten
+    # shows.
     rng = np.random.default_rng(sum(shape) + 1)
 
     def draw(size):
@@ -213,21 +238,20 @@ def test_kernels_fill_out_with_the_bits_they_return(shape, p, entries):
     x, v = draw(shape), draw(shape).ravel()
     z, y, w = draw(shape + (2,)), draw(shape + (2,)), draw(shape + (2,)).ravel()
     prob = PottsProblem(PottsConfig(alpha=0.7, gamma=1e-3, p=p), x)
-    field, image = np.empty(shape + (2,)), np.empty(shape)
     with np.errstate(all="ignore"):
         for fresh, into, out in [
-                (dht(z, 0.5), lambda o: dht(z, 0.5, out=o), image),
-                (kappa_z(p, z, y), lambda o: kappa_z(p, z, y, out=o), field),
+                (dht(z, 0.5), lambda o: dht(z, 0.5, out=o), np.full(x.shape, np.nan)),
+                (kappa_z(p, z, y), lambda o: kappa_z(p, z, y, out=o), np.full(z.shape, np.nan)),
                 (kappa_z(p, z, y), lambda o: kappa_z(p, o, y, out=o), z.copy()),
-                (kappa_y(p, z, y), lambda o: kappa_y(p, z, y, out=o), field),
+                (kappa_y(p, z, y), lambda o: kappa_y(p, z, y, out=o), np.full(z.shape, np.nan)),
                 (kappa_y(p, z, y), lambda o: kappa_y(p, z, o, out=o), y.copy()),
                 (prob.prox_primal(0.3, v), lambda o: prob.prox_primal(0.3, v, out=o),
-                 image.ravel()),
+                 np.full(x.size, np.nan)),
                 (prob.prox_dual(0.3, w), lambda o: prob.prox_dual(0.3, o, out=o), w.copy()),
                 (prob.grad_x(x.ravel(), y.ravel()),
-                 lambda o: prob.grad_x(x.ravel(), y.ravel(), out=o), image.ravel()),
+                 lambda o: prob.grad_x(x.ravel(), y.ravel(), out=o), np.full(x.size, np.nan)),
                 (prob.grad_y(x.ravel(), y.ravel()),
-                 lambda o: prob.grad_y(x.ravel(), y.ravel(), out=o), field.ravel())]:
+                 lambda o: prob.grad_y(x.ravel(), y.ravel(), out=o), np.full(y.size, np.nan))]:
             assert into(out) is out
             assert _same_bits(out, fresh)
 
@@ -266,18 +290,20 @@ def _traced_peak_in_images(call, image_bytes):
 def test_kernels_allocate_one_result_buffer():
     # Traced peak of one call, in units of one 128x128 image.  The plain
     # expressions peak at 4 (dh), 4 (kappa_z, p = 1) and 2 (prox_primal);
-    # a temporary brought back adds at least one image.  A gradient into
-    # ``out`` holds D x, one field (2 images), and at p = inf also
-    # rho_pair's t (1 image).
+    # a temporary brought back adds at least one image.  dht into ``out``
+    # allocates nothing but views.  A gradient into ``out`` holds D x, one
+    # field (2 images), and at p = inf also rho_pair's t (1 image).
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(128, 128))
     z, y = rng.normal(size=(128, 128, 2)), rng.normal(size=(128, 128, 2))
     v = rng.normal(size=x.size)
-    gx, gy = np.empty(x.size), np.empty(y.size)
+    img, gx, gy = np.empty(x.shape), np.empty(x.size), np.empty(y.size)
     prob, prob_inf = (PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), x)
                       for p in (1, math.inf))
     limits = [("dh", lambda: dh(x), 2.1),
               ("dh h=0.5", lambda: dh(x, 0.5), 2.1),
+              ("dht into out", lambda: dht(z, out=img), 0.1),
+              ("dht h=0.5 into out", lambda: dht(z, 0.5, out=img), 0.1),
               ("kappa_z", lambda: kappa_z(1, z, y), 2.1),
               ("prox_primal", lambda: prob.prox_primal(0.1, v), 1.1),
               ("grad_x p=1", lambda: prob.grad_x(x.ravel(), y.ravel(), out=gx), 2.1),
