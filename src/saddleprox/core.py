@@ -77,18 +77,16 @@ class SaddleProblem:
                out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def step_plan(self, state: "PrimalDualState", out: "PrimalDualState", like=None):
+    def step_plan(self, state: "PrimalDualState", out: "PrimalDualState"):
         """Optional: the iteration of :func:`step` from the arrays of
         ``state`` into those of ``out``, laid out once and run for many
         iterations.  Returns None (the default) to leave it to the generic
-        update, or a plan: ``plan.arrays`` is the tuple (x, y, new x, new
-        x_bar, new y) of the arrays it reads and writes, and
-        ``plan(triple, iteration)`` writes the update's bits into the last
-        three.  ``like`` is None or a plan of this problem that is never
-        run at the same time as the new one, whose scratch the new one may
-        share.  :func:`step` builds a plan after its checks.  A new
-        non-finite entry raises ``DivergenceError(iteration)``; ``out`` may
-        then be partly written.
+        update, or a plan that owns any scratch it needs: ``plan.arrays``
+        is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
+        and writes, and ``plan(triple, iteration)`` writes the update's
+        bits into the last three.  :func:`step` builds a plan after its
+        checks.  A new non-finite entry raises ``DivergenceError(iteration)``;
+        ``out`` may then be partly written.
         """
         return None
 
@@ -206,18 +204,21 @@ def out_buffer(out: Optional[np.ndarray], shape: tuple, *inputs: np.ndarray) -> 
 
 
 def plan_step(problem: SaddleProblem, state: PrimalDualState,
-              out: Optional[PrimalDualState] = None, like=None):
+              out: Optional[PrimalDualState] = None):
     """The checks of :func:`step`: returns ``out`` with its arrays, new
     ones for ``out=None``, and the problem's plan from ``state`` into
-    them (sharing scratch with the plan ``like``), or None."""
+    them, or None."""
     _check_dims(problem, state.x, state.y)
     x, y = state.x, state.y
     n, m = (problem.primal_dim,), (problem.dual_dim,)
     out = PrimalDualState(None, None, None) if out is None else out
+    # The only allocation of an out state.  The order x, x_bar, y is load-bearing:
+    # it sets glibc's heap reuse, and a spare set allocated as x, y, x_bar took
+    # about four times the minor page faults of a 1024^2 p = 1 solve.
     out.x = out_buffer(out.x, n, x, y)
     out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
     out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
-    return out, problem.step_plan(state, out, like)
+    return out, problem.step_plan(state, out)
 
 
 def step(problem: SaddleProblem, triple, state: PrimalDualState,
@@ -331,24 +332,27 @@ def solve(
     # x_bar starts empty: the first step writes it before anything reads it.
     state = PrimalDualState(x0.copy(), _flat(y0).copy(), np.empty(x0.size))
     # spare: after each step, the state one step back, which the next
-    # overwrites.  plan is the step from state into spare, back the other;
-    # they run in turn, so they share scratch.
+    # overwrites.  plan is the step from state into spare, back the other.
     spare, plan = plan_step(problem, state)
-    _, back = plan_step(problem, spare, state, like=plan)
+    _, back = plan_step(problem, spare, state)
     if ref is not None:
         # Flat views, not copies: the reference is only read.
         ref = _flat(ref[0]), _flat(ref[1])
         _check_dims(problem, *ref)
 
+    max_iters = options.max_iters
     records: list[IterationRecord] = []
     pending = []  # (record, x, y) of the kept iterations before iteration ref_at
-    for i in range(options.max_iters):
+    end = None  # the log's last state, copied if the run goes on to ref_at
+    for i in range(max(max_iters, ref_at or 0)):
         trip = schedule.triple(i)
         state, spare = step(problem, trip, state, spare, plan), state
         plan, back = back, plan
-        if state.iteration == ref_at:
-            ref = state.x.copy(), state.y.copy()  # later steps write over these arrays
-        if state.iteration % options.log_stride and i + 1 < options.max_iters:
+        n = state.iteration
+        if n == ref_at:
+            # Past the log, no step follows R and the log's end is returned as a copy.
+            ref = (state.x, state.y) if n > max_iters else (state.x.copy(), state.y.copy())
+        if n > max_iters or (n % options.log_stride and n < max_iters):
             continue
         # spare's arrays, which the next step overwrites, take the differences.
         step_norm = _distance(problem, state.x, state.y, spare.x, spare.y, spare)
@@ -356,18 +360,12 @@ def solve(
         if ref is not None:
             dist = _distance(problem, state.x, state.y, *ref, spare)
         obj = problem.primal_objective(state.x) if options.record_objective else None
-        records.append(IterationRecord(state.iteration, trip.tau, trip.sigma,
-                                       trip.omega, step_norm, dist, obj))
+        records.append(IterationRecord(n, trip.tau, trip.sigma, trip.omega,
+                                       step_norm, dist, obj))
         if ref is None and ref_at is not None:
             pending.append((records[-1], state.x.copy(), state.y.copy()))
-    if ref is None and ref_at is not None:
-        # The log ended before iterate R: keep its end and go on to R.
-        end = PrimalDualState(pending[-1][1], pending[-1][2], state.x_bar.copy(),
-                              state.iteration)
-        for i in range(state.iteration, ref_at):
-            state, spare = step(problem, schedule.triple(i), state, spare, plan), state
-            plan, back = back, plan
-        ref, state = (state.x, state.y), end
+            if n == max_iters:
+                end = PrimalDualState(*pending[-1][1:], state.x_bar.copy(), n)
     for rec, x, y in pending:
         rec.dist_to_ref = _distance(problem, x, y, *ref, spare)
-    return SolveResult(state, records, ref)
+    return SolveResult(state if end is None else end, records, ref)

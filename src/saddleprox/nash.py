@@ -152,6 +152,8 @@ class NashConfig:
             if arr.shape != (n, n):
                 raise ConfigurationError("%s has shape %s, expected (%d, %d)"
                                          % (name, arr.shape, n, n))
+            if name.startswith("mask") and arr.dtype != bool:
+                raise ConfigurationError("%s must be boolean, got %s" % (name, arr.dtype))
 
 
 class NashProblem(SaddleProblem):

@@ -179,15 +179,14 @@ def kappa_y(p: float, z: np.ndarray, y: np.ndarray,
 
 
 def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
-    """Smoothed discontinuity count: sum of 2s^2/(2s^2 + gamma).
+    """Smoothed discontinuity count of a field z: sum of 2s^2/(2s^2 + gamma).
 
     s runs over the components of z for p = 1 and over the per-pixel
     Euclidean magnitudes for p = inf.  Approaches the number of nonzero
     entries/pixels as gamma -> 0.
     """
-    _check_p(p)
     _check_positive("gamma", gamma)
-    z = np.asarray(z, dtype=float)
+    z, _ = _pair(p, z, z)
     s2 = rho_pair(*_rows(p, z, z))
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
 
@@ -302,11 +301,10 @@ class _WalkPlan:
     of ``state`` into those of ``out``, every view laid out at build.
     Per block of rows [a, b): D x on rows [a - 1, b), kappa_z, dht, the
     primal update; then the dual rows, one row behind (D x_bar reads
-    row b).  The planar scratch is the plan's own or, given, that of a
-    plan run in turn with this one; the isfinite masks go into the bytes
-    of its first plane."""
+    row b).  The plan owns its planar scratch; the isfinite masks go into
+    the bytes of its first plane."""
 
-    def __init__(self, problem: "PottsProblem", state, out, planes=None):
+    def __init__(self, problem: "PottsProblem", state, out):
         c, (n1, n2) = problem.config, problem.shape
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
@@ -315,10 +313,8 @@ class _WalkPlan:
         x_new, x_bar = problem._img(out.x), problem._img(out.x_bar)
         y_new = problem._field(out.y)
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
-        shape = (2 if c.p == 1 else 3, min(rows + 1, n1), n2)
-        if planes is None or planes.shape != shape:
-            planes = np.empty(shape)
-        self.planes, mask = planes, planes[0].reshape(-1).view(bool)
+        planes = np.empty((2 if c.p == 1 else 3, min(rows + 1, n1), n2))
+        mask = planes[0].reshape(-1).view(bool)
         self.blocks, done = [], 0  # done: rows of out.y laid out
         for a in range(0, n1, rows):
             b, lo = min(a + rows, n1), max(a - 1, 0)
@@ -383,10 +379,11 @@ class PottsProblem(SaddleProblem):
 
     :meth:`step_plan` lays out a whole iteration, with the maps' bits, as
     one walk over row blocks of at most ``_BLOCK_BYTES``, once for a pair
-    of states; ``solve`` runs its plans and calls none of the four maps.
-    The plan's scratch is planar: D x of a block as contiguous (rows, n2)
-    planes, horizontal and vertical, and at p = inf a third for t; y and
-    the new y keep their interleaved layout.
+    of states; ``solve`` builds two plans, one each way, runs them and
+    calls none of the four maps.  Each plan owns its planar scratch: D x
+    of a block as contiguous (rows, n2) planes, horizontal and vertical,
+    and at p = inf a third for t; y and the new y keep their interleaved
+    layout.
     """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
@@ -419,8 +416,8 @@ class PottsProblem(SaddleProblem):
         kappa_y(self.config.p, dh(self._img(x)), self._field(y), out=self._field(out))
         return out
 
-    def step_plan(self, state, out, like=None) -> _WalkPlan:
-        return _WalkPlan(self, state, out, None if like is None else like.planes)
+    def step_plan(self, state, out) -> _WalkPlan:
+        return _WalkPlan(self, state, out)
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -887,7 +887,7 @@ def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypa
                              "2", "--iters", "3", "--out-prefix", str(tmp_path / "run")]),
                    cli.main(["nash", "--sizes", "7", "--iters", "2",
                              "--out", str(tmp_path / "nash.csv")]),
-                   # A potts run takes the fused step, which calls none of the
+                   # A potts run takes the step plan, which calls none of the
                    # four Potts maps; these two checks call all four.
                    cli.main(["verify", "--only", "grad-potts-p1"]),
                    cli.main(["verify", "--only", "bilinear-reduction"])]

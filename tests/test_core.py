@@ -220,11 +220,17 @@ def test_reference_index_runs_max_iterations_and_keeps_the_log_end(monkeypatch):
     for max_iters, ref_at in ((4, 9), (9, 4), (6, 6)):
         want, _ = solve(prob, triple, x0, y0, SolveOptions(max_iters=max_iters))
         del calls[:]
-        final, records = solve(prob, triple, x0, y0,
-                               SolveOptions(max_iters=max_iters, log_stride=4,
-                                            reference=ref_at))
+        result = solve(prob, triple, x0, y0,
+                       SolveOptions(max_iters=max_iters, log_stride=4, reference=ref_at))
+        final, records = result
         assert len(calls) == max(max_iters, ref_at)
         assert records[-1].iteration == max_iters
+        assert _bits(final) == _bits(want)
+        # The returned state and reference share no memory, so neither writes the other.
+        assert not any(np.may_share_memory(v, r) for v in (final.x, final.y, final.x_bar)
+                       for r in result.reference)
+        for r in result.reference:
+            r[...] = np.nan
         assert _bits(final) == _bits(want)
 
 

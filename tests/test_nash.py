@@ -155,6 +155,10 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         NashConfig(grid=grid, mask1=mask, mask2=mask, z1=np.ones((3, 4)),
                    z2=ones, f=ones)
+    # A float or int mask would fail later, in NashProblem's ~mask or where=.
+    for masks in ((ones, mask), (mask, ones.astype(int))):
+        with pytest.raises(ConfigurationError, match="boolean"):
+            NashConfig(grid, *masks, z1=ones, z2=ones, f=ones)
 
 
 # ---------------------------------------------------------------------------

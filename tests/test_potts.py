@@ -379,7 +379,7 @@ def _generic_only(monkeypatch):
         calls.append(None)
         return grad_x(self, *args, **kwargs)
 
-    monkeypatch.setattr(PottsProblem, "step_plan", lambda self, state, out, like=None: None)
+    monkeypatch.setattr(PottsProblem, "step_plan", lambda self, state, out: None)
     monkeypatch.setattr(PottsProblem, "grad_x", counted)
     return calls
 
@@ -559,15 +559,13 @@ def test_solve_with_step_plans_in_blocks_is_bit_identical_to_generic_solve(
 
 
 def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
-    # One plan from each set of arrays into the other, built at the start,
-    # the second sharing the first one's scratch; after the return only the
-    # returned state's arrays are alive.
-    plans, shares, arrays, build = [], [], [], PottsProblem.step_plan
+    # One plan from each set of arrays into the other, built at the start;
+    # after the return only the returned state's arrays are alive.
+    plans, arrays, build = [], [], PottsProblem.step_plan
 
-    def spy(self, state, out, like=None):
-        plan = build(self, state, out, like)
+    def spy(self, state, out):
+        plan = build(self, state, out)
         plans.append(weakref.ref(plan))
-        shares.append(like is not None and like.planes is plan.planes)
         arrays.extend(weakref.ref(v) for s in (state, out) for v in (s.x, s.y, s.x_bar))
         return plan
 
@@ -578,7 +576,6 @@ def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
                    SolveOptions(max_iters=10, log_stride=3))
     state = result[0]
     assert len(plans) == 2 and all(ref() is None for ref in plans)
-    assert shares == [False, True]
     alive = {id(ref()) for ref in arrays if ref() is not None}
     assert alive == {id(state.x), id(state.y), id(state.x_bar)}
     assert result.reference is None
@@ -753,6 +750,11 @@ def test_huber_value_hand_cases():
     assert huber_value(1, np.zeros((2, 2, 2)), 1e-3) == 0.0
     with pytest.raises(ConfigurationError):
         huber_value(1, z, 0.0)
+    # A field must be (n1, n2, 2), as for kappa_val.
+    for p in (1, math.inf):
+        for bad in (np.ones((4, 4, 3)), np.ones(4), np.ones((4, 4))):
+            with pytest.raises(ConfigurationError, match="shape"):
+                huber_value(p, bad, 1.0)
 
 
 @BOTH_P
