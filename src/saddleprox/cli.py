@@ -46,6 +46,7 @@ from .schedules import (
     bound_constant,
     bound_linear,
     check_48,
+    potts_jump_bounds,
     potts_steps,
 )
 from . import nash, potts, verify
@@ -151,6 +152,23 @@ def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstan
                                  "overflow" % args.dynamic_range) from None
 
 
+def check_dynamic_range(args: argparse.Namespace, image: np.ndarray) -> None:
+    """Reject a ``--dynamic-range`` whose bound m_x on the image gradient
+    (per component at p = 1, per pixel at p = inf) the image itself
+    exceeds: the calculator's steps would assume too small a gradient."""
+    m_x, _ = potts_jump_bounds(args.p, args.dynamic_range, args.gamma_bar)
+    g = potts.dh(image)
+    if args.p == 1:
+        largest, kind = np.max(np.abs(g), initial=0.0), "gradient component"
+    else:
+        largest = np.max(np.hypot(g[..., 0], g[..., 1]), initial=0.0)
+        kind = "per-pixel gradient norm"
+    if largest > m_x:
+        raise ConfigurationError(
+            "--dynamic-range %r is too small for this image: its largest %s is %r, "
+            "above the bound m_x = %r" % (args.dynamic_range, kind, float(largest), m_x))
+
+
 def cmd_potts(args: argparse.Namespace) -> int:
     p, alpha, gamma, iters = args.p, args.alpha, args.gamma, args.iters
     prefix, ref_iters = args.out_prefix, args.reference_iters
@@ -181,6 +199,7 @@ def cmd_potts(args: argparse.Namespace) -> int:
         cfg_items.append(("preset", args.preset))
     else:
         triple, _ = potts_schedule(args)
+        check_dynamic_range(args, image)
     cfg_items += fmt_triple(triple)
 
     problem = potts.PottsProblem(potts.PottsConfig(alpha=alpha, gamma=gamma, p=p),

@@ -87,6 +87,14 @@ class SaddleProblem:
         bits into the last three.  :func:`step` builds a plan after its
         checks.  A new non-finite entry raises ``DivergenceError(iteration)``;
         ``out`` may then be partly written.
+
+        Two plans that run opposite ways between the same arrays, as the
+        two of :func:`solve` do, may be partners: a plan may hand its
+        partner what it computed from the arrays it wrote, and the partner
+        may use it only if that plan made the problem's previous planned
+        call.  The problem holds its plans only weakly, so nothing of a
+        plan outlives its callers.  A caller that holds both partners must
+        not write into their arrays between their calls.
         """
         return None
 

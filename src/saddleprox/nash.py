@@ -15,9 +15,11 @@ regularized gap coupling
               + payout_2(u1, u2) - payout_2(u1, v2),
 
 whose gradients cost nine Poisson solves per iteration (five for the
-primal side, four for the dual side).  All inner products carry the h^2
-quadrature weight, and the coupling gradients are returned as their
-mesh-function representers, so iteration counts are mesh independent.
+primal side, four for the dual side).  A solve is a division in sine
+coefficients, so the cost of an iteration is its sine transforms.  All
+inner products carry the h^2 quadrature weight, and the coupling
+gradients are returned as their mesh-function representers, so
+iteration counts are mesh independent.
 
 Controls and fields live on the n x n interior grid (h = 1/(n+1)) and
 are stored full-grid; off-mask control entries are structurally zero.
@@ -25,13 +27,15 @@ are stored full-grid; off-mask control entries are structurally zero.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, SaddleProblem, is_int, out_buffer
+from .core import ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer
 
 # The box [a, b] that holds each control on its player's half, and the
 # cost alpha_1 = alpha_2 of a control.
@@ -86,12 +90,35 @@ def sine_transform(w: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return dstn(w, type=1, norm="ortho", overwrite_x=overwrite)
 
 
+def _span_transform(w: np.ndarray, cols: slice, inverse: bool) -> None:
+    """The orthonormal 2-D DST-I of the (n, n) array ``w``, in place, as
+    two one-axis passes of which the column pass (axis 0) runs on the
+    columns ``cols`` only.  Forward, ``w`` must be zero outside ``cols``,
+    whose column passes would give zeros.  Inverse, only ``cols`` of the
+    result are the field's; the other columns hold the row pass alone.
+    An empty ``cols`` leaves ``w`` as it is: zero forward, unread inverse.
+    """
+    from scipy.fft import dst
+
+    if cols.start == cols.stop:
+        return
+    passes = [(w[:, cols], 0), (w, 1)]
+    for part, axis in reversed(passes) if inverse else passes:
+        dst(part, type=1, axis=axis, norm="ortho", overwrite_x=True)
+
+
+def _column_span(mask: np.ndarray) -> slice:
+    """The columns from the first to the last that hold a ``mask`` entry."""
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+
+
 def poisson_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve A w = rhs with the 5-point Dirichlet Laplacian A on ``grid``:
     the solve of :class:`PoissonSolver` between two sine transforms.
     """
-    rhs = _on_grid(grid, rhs, "rhs")
-    return sine_transform(PoissonSolver(grid).solve(sine_transform(rhs)), overwrite=True)
+    rhs_hat = sine_transform(_on_grid(grid, rhs, "rhs"))
+    return sine_transform(PoissonSolver(grid).solve(rhs_hat, out=rhs_hat), overwrite=True)
 
 
 class PoissonSolver:
@@ -103,10 +130,15 @@ class PoissonSolver:
         self.grid = grid
         self.count = 0
 
-    def solve(self, rhs_hat: np.ndarray) -> np.ndarray:
-        rhs_hat = _on_grid(self.grid, rhs_hat, "rhs")
+    def solve(self, rhs_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The coefficients of A^{-1} of the field with coefficients
+        ``rhs_hat``, in a new array for ``out=None``, else in ``out``: a
+        buffer that :func:`out_buffer` accepts, or ``rhs_hat`` itself."""
+        rhs = _on_grid(self.grid, rhs_hat, "rhs")
+        if out is not None:
+            out = out_buffer(out, rhs.shape, *(() if out is rhs_hat else (rhs,)))
         self.count += 1
-        return rhs_hat / _laplacian_eigenvalues(self.grid.n)
+        return np.divide(rhs, _laplacian_eigenvalues(self.grid.n), out=out)
 
 
 def apply_laplacian(grid: Grid, w: np.ndarray) -> np.ndarray:
@@ -156,6 +188,140 @@ class NashConfig:
                 raise ConfigurationError("%s must be boolean, got %s" % (name, arr.dtype))
 
 
+class _SineCoefficients:
+    """The n x n buffers that a pair of Nash step plans share.
+
+    ``u[side]`` holds the sine coefficients of the two masked controls of
+    the plan on that side's input x, and is its scratch once they are
+    used; ``u[1 - side]`` takes the coefficients of its new x, which are
+    the partner's input.  ``v`` takes those of the masked duals of a
+    call's input y.  ``last`` is (side, call number) of the planned call
+    that wrote ``u``, or None.
+    """
+
+    def __init__(self, n: int):
+        # Six arrays, not one block of six, which kept 1 to 1.5 MB more peak
+        # RSS in a stream of nash-mesh jobs: it changes glibc's heap reuse.
+        self.u = [[np.empty((n, n)) for _ in range(2)] for _ in range(2)]
+        self.v = [np.empty((n, n)) for _ in range(2)]
+        self.paired = False
+        self.last: Optional[tuple[int, int]] = None
+
+
+class _SinePlan:
+    """NashProblem's step plan: a whole iteration in sine coefficients,
+    from the arrays of ``state`` into those of ``out``.
+
+    It makes the nine solves of the two gradients and eight span
+    transforms (:func:`_span_transform`): y and x+ come out of the grid,
+    and the coefficients of the masked x_bar follow from those of x+ and
+    x by linearity; the two adjoints of each gradient go back to the grid
+    on their player's column span.  A call that does not take its
+    partner's coefficients of x first transforms x, two more.  ``last``
+    is a plan of ``problem`` that is still alive: if it runs the opposite
+    direction between the same x and y arrays and has no partner yet, the
+    two become partners and share one :class:`_SineCoefficients`.
+    """
+
+    def __init__(self, problem: "NashProblem", state, out, last: Optional["_SinePlan"]):
+        x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
+        self.arrays = x, y, out.x, out.x_bar, out.y
+        self.problem = problem
+        mirrored = last is not None and all(map(
+            operator.is_, (last.arrays[2], last.arrays[4], last.arrays[0], last.arrays[1]),
+            (x, y, out.x, out.y)))
+        if mirrored and not last.coef.paired:
+            self.coef, self.side = last.coef, 1
+            self.coef.paired = True
+        else:
+            self.coef, self.side = _SineCoefficients(problem.config.grid.n), 0
+        c = problem.config
+        self.cols = _column_span(c.mask1), _column_span(c.mask2)
+        self.halves = [problem._split(a) for a in self.arrays]
+        # isfinite masks of x+ and y+, in the bytes of a buffer that is free by then
+        self.x_finite = self.coef.u[1 - self.side][0].reshape(-1).view(bool)[:x.size]
+        self.y_finite = self.coef.u[self.side][0].reshape(-1).view(bool)[:y.size]
+
+    def _transform(self, dest: np.ndarray, k: int, field: np.ndarray) -> None:
+        """dest = coefficients of player k's masked half ``field``."""
+        np.copyto(dest, field)
+        np.copyto(dest, 0.0, where=self.problem._offs[k])
+        _span_transform(dest, self.cols[k], inverse=False)
+
+    def _state(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """out = coefficients of the state whose controls have the
+        coefficients ``a`` and ``b``; one solve."""
+        np.add(a, b, out=out)
+        out += self.problem._f_hat
+        self.problem.solver.solve(out, out=out)
+
+    def _adjoint(self, rhs_hat: np.ndarray, k: int) -> np.ndarray:
+        """A^{-1} of the field with coefficients ``rhs_hat``, in place, on
+        player k's column span; one solve."""
+        self.problem.solver.solve(rhs_hat, out=rhs_hat)
+        _span_transform(rhs_hat, self.cols[k], inverse=True)
+        return rhs_hat
+
+    def __call__(self, triple, iteration: int) -> None:
+        problem, coef, side = self.problem, self.coef, self.side
+        write_half, z_hat = problem._write_half, (problem._z1_hat, problem._z2_hat)
+        x, y, x_new, x_bar, y_new = self.arrays
+        (x1, x2), (y1, y2), new_x, (g1, g2), new_y = self.halves
+        u, s, v = coef.u[side], coef.u[1 - side], coef.v
+        calls = problem._planned_calls
+        carried = coef.last == (1 - side, calls)
+        problem._planned_calls = calls = calls + 1
+        coef.last = None
+        for k, (xk, yk) in enumerate(zip((x1, x2), (y1, y2))):
+            if not carried:
+                self._transform(u[k], k, xk)
+            self._transform(v[k], k, yk)
+
+        # grad_x(x, y) into x_bar, the operand order of NashProblem.grad_x.
+        two_s = s[0]
+        self._state(u[0], u[1], two_s)
+        np.multiply(2.0, two_s, out=two_s)
+        for k, (a, b, g, xk) in enumerate(((u[0], v[1], g1, x1), (v[0], u[1], g2, x2))):
+            r = s[1]
+            self._state(a, b, r)
+            np.subtract(two_s, r, out=r)
+            r -= z_hat[k]
+            write_half(g, k + 1, self._adjoint(r, k), np.add, xk)
+
+        # step's tau update, prox_primal and x_bar, in their operand order.
+        np.multiply(triple.tau, x_bar, out=x_bar)
+        np.subtract(x, x_bar, out=x_bar)
+        problem._clamp(x_bar, x_new)
+        np.subtract(x_new, x, out=x_bar)
+        np.multiply(triple.omega, x_bar, out=x_bar)
+        np.add(x_new, x_bar, out=x_bar)
+        if not np.isfinite(x_new, out=self.x_finite).all():
+            raise DivergenceError(iteration)
+
+        # Coefficients of x+ for the partner, then of the masked x_bar in u.
+        for k in 0, 1:
+            np.copyto(s[k], new_x[k])  # x+ is +0 off the mask
+            _span_transform(s[k], self.cols[k], inverse=False)
+            np.subtract(s[k], u[k], out=u[k])
+            np.multiply(triple.omega, u[k], out=u[k])
+            np.add(s[k], u[k], out=u[k])
+
+        # grad_y(x_bar, y) into new y, the operand order of NashProblem.grad_y.
+        for k, (a, b, q, g, yk) in enumerate(((v[0], u[1], u[1], new_y[0], y1),
+                                              (u[0], v[1], u[0], new_y[1], y2))):
+            self._state(a, b, q)
+            np.subtract(z_hat[k], q, out=q)
+            write_half(g, k + 1, self._adjoint(q, k), np.subtract, yk)
+
+        # step's sigma update and prox_dual.
+        np.multiply(triple.sigma, y_new, out=y_new)
+        np.add(y, y_new, out=y_new)
+        problem._clamp(y_new, y_new)
+        if not np.isfinite(y_new, out=self.y_finite).all():
+            raise DivergenceError(iteration)
+        coef.last = side, calls
+
+
 class NashProblem(SaddleProblem):
     """Saddle formulation of the control game for the iteration engine.
 
@@ -163,10 +329,24 @@ class NashProblem(SaddleProblem):
     (n, n).  ``pde_solves`` counts Poisson solves across all gradient
     evaluations.  The coupling gradients keep the states in sine
     coefficients (the adjoint right-hand sides are linear in them), so
-    an iteration makes nine solves with nine transforms.  Each map reads
+    the two maps make nine solves with nine transforms.  Each map reads
     all of its inputs before it writes the halves of ``out``, so ``out``
     may be an input itself; otherwise it must pass ``out_buffer``
     against the inputs.
+
+    :meth:`step_plan` makes the whole iteration in sine coefficients,
+    with the same nine solves, and transforms on column spans only (see
+    :class:`_SinePlan`).  Its iterates differ from the maps' composition
+    by rounding: the states sum the coefficients of their parts instead
+    of transforming the sum.  The plans that :func:`~saddleprox.core.solve`
+    builds, one each way, are partners: each hands the other the
+    coefficients of the x it wrote, so a step of the loop makes eight
+    span transforms, about six full ones.  A plan takes carried
+    coefficients only when its partner made the problem's previous
+    planned call, and the arrays it reads are the ones that call wrote;
+    any other call, such as a lone ``step``, transforms its x.  The
+    problem keeps only a weak reference to its last plan, so nothing of
+    a plan outlives the ``solve`` that built it.
     """
 
     def __init__(self, config: NashConfig):
@@ -177,8 +357,10 @@ class NashProblem(SaddleProblem):
         self.dual_dim = 2 * n2
         self._z1_hat = sine_transform(config.z1)
         self._z2_hat = sine_transform(config.z2)
-        self._off1 = ~config.mask1
-        self._off2 = ~config.mask2
+        self._f_hat = sine_transform(config.f)
+        self._offs = ~config.mask1, ~config.mask2
+        self._planned_calls = 0
+        self._last_plan = None  # weak reference to the last plan built
 
     @property
     def pde_solves(self) -> int:
@@ -194,18 +376,20 @@ class NashProblem(SaddleProblem):
         rhs = np.where(c.mask1, u1, 0.0)
         rhs += np.where(c.mask2, u2, 0.0)
         rhs += c.f
-        return self.solver.solve(sine_transform(rhs, overwrite=True))
+        rhs_hat = sine_transform(rhs, overwrite=True)
+        return self.solver.solve(rhs_hat, out=rhs_hat)
 
     def _adjoint(self, rhs_hat: np.ndarray) -> np.ndarray:
-        """A^{-1} of the field with sine coefficients ``rhs_hat``; one solve."""
-        return sine_transform(self.solver.solve(rhs_hat), overwrite=True)
+        """A^{-1} of the field with sine coefficients ``rhs_hat``, which it
+        overwrites; one solve."""
+        return sine_transform(self.solver.solve(rhs_hat, out=rhs_hat), overwrite=True)
 
     def _write_half(self, half: np.ndarray, k: int, adjoint: np.ndarray,
                     combine: np.ufunc, ctrl: np.ndarray) -> None:
         """half = combine(adjoint, alpha_k * ctrl) on player k's mask, +0 off
         it: the bits of ``np.where``, where a float mask would leave -0."""
         c = self.config
-        mask, off = (c.mask1, self._off1) if k == 1 else (c.mask2, self._off2)
+        mask, off = (c.mask1 if k == 1 else c.mask2), self._offs[k - 1]
         np.multiply(ctrl, CONTROL_COST, out=half, where=mask)
         combine(adjoint, half, out=half, where=mask)
         np.copyto(half, 0.0, where=off)
@@ -278,13 +462,21 @@ class NashProblem(SaddleProblem):
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
         """Clamp to ``CONTROL_BOX`` on each player's mask, +0 off it."""
-        out = _out(out, self.primal_dim, v)
-        for u, half, off in zip(self._split(v), self._split(out), (self._off1, self._off2)):
+        return self._clamp(v, _out(out, self.primal_dim, v))
+
+    def _clamp(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for u, half, off in zip(self._split(v), self._split(out), self._offs):
             np.clip(u, *CONTROL_BOX, out=half)
             np.copyto(half, 0.0, where=off)
         return out
 
     prox_dual = prox_primal
+
+    def step_plan(self, state, out) -> _SinePlan:
+        last = self._last_plan() if self._last_plan is not None else None
+        plan = _SinePlan(self, state, out, last)
+        self._last_plan = weakref.ref(plan)
+        return plan
 
     def inner_primal(self, v: np.ndarray, w: np.ndarray) -> float:
         return self.config.grid.h**2 * float(np.dot(v, w))

@@ -5,7 +5,8 @@ Independent checks used by the tests and the ``verify`` CLI command:
 * finite-difference validation of coupling gradients against the
   coupling value;
 * equivalence of the generic engine with a hand-coded classical
-  primal-dual loop on bilinear couplings;
+  primal-dual loop on bilinear couplings, and of the Nash step plan
+  with the composition of the four maps;
 * the model scalar-product coupling kappa(x, y) = rho(<x, y>) with
   rho(t) = 2t - t^2, through the row kernel of :mod:`potts`: its
   derivatives, the eigenvalue test for its base points, and
@@ -473,6 +474,26 @@ def _check_grad_nash(name: str, seed: int) -> ConditionReport:
     return _tol_result(name, worst, 1e-6)
 
 
+def _check_nash_step(name: str, seed: int) -> ConditionReport:
+    """One planned Nash step against the plain composition of the four
+    maps, the largest difference relative to each iterate's max-norm."""
+    from .nash import NashProblem, manufacture
+
+    config, x_star, y_star = manufacture(15)
+    problem = NashProblem(config)
+    rng = np.random.default_rng(seed)
+    x = x_star + 0.05 * rng.standard_normal(problem.primal_dim)
+    y = y_star + 0.05 * rng.standard_normal(problem.dual_dim)
+    tau, sigma, omega = 0.99, 1.0, 1.0
+    got = step(problem, StepTriple(tau, sigma, omega), PrimalDualState.initial(x, y))
+    x_new = problem.prox_primal(tau, x - tau * problem.grad_x(x, y))
+    x_bar = x_new + omega * (x_new - x)
+    y_new = problem.prox_dual(sigma, y + sigma * problem.grad_y(x_bar, y))
+    worst = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+                for a, b in ((got.x, x_new), (got.x_bar, x_bar), (got.y, y_new)))
+    return _tol_result(name, worst, 1e-14)
+
+
 def _check_bilinear(name: str, seed: int) -> ConditionReport:
     f = gen_synthetic(16, 16, seed + 2, n_shapes=3, noise_sigma=0.05)
     potts = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-2, p=1), f)
@@ -554,6 +575,7 @@ def standard_suite(seed: int = 0) -> dict[str, Callable[[], ConditionReport]]:
         ("grad-potts-p1", _check_grad_potts, (1.0,)),
         ("grad-potts-pinf", _check_grad_potts, (math.inf,)),
         ("grad-nash", _check_grad_nash, ()),
+        ("nash-step", _check_nash_step, ()),
         ("bilinear-reduction", _check_bilinear, ()),
         ("three-point-m1", _check_three_point, (1,)),
         ("three-point-m2", _check_three_point, (2,)),

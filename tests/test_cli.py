@@ -317,19 +317,49 @@ def test_potts_infeasible_flags_exit_one(tmp_path, capsys):
     assert "infeasible" in err
 
 
-@pytest.mark.parametrize("dynamic_range", ["0.1", "1e-300"])
+@pytest.mark.parametrize("noise_sigma", ["100", "1e150"])
 @pytest.mark.parametrize("p", ["1", "inf"])
-def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys, p, dynamic_range):
-    # At a small --dynamic-range the calculator's steps assume image
-    # gradients far below the synthetic image's, and the iterates overflow.
+def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys, p, noise_sigma):
+    # The paper-p1 steps are too long for an image saturated by noise, whose
+    # gradients are as large as [0, 1] allows, and the iterates overflow.
     rc, _, err = run_cli([
         "potts", "--synthetic", "16", "16", "0", "--iters", "200", "--p", p,
-        "--dynamic-range", dynamic_range, "--out-prefix", str(tmp_path / "run"),
+        "--preset", "paper-p1", "--noise-sigma", noise_sigma,
+        "--out-prefix", str(tmp_path / "run"),
     ], capsys)
     assert rc == 1
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("saddleprox potts: the iteration diverged")
     assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("p, dynamic_range", [
+    ("1", "0.1"), ("1", "0.5"), ("1", "0.7"), ("1", "0.725"), ("1", "1e-300"),
+    ("inf", "0.1"), ("inf", "0.5"), ("inf", "0.65")])
+def test_potts_rejects_a_dynamic_range_below_the_image_gradient(tmp_path, capsys, p,
+                                                                dynamic_range):
+    # The largest |D f| component of this image is 0.7251, its largest
+    # per-pixel norm 0.9221; m_x is the range at p = 1, sqrt(2) times it at
+    # p = inf.  The steps would assume smaller gradients than the image has.
+    rc, out, err = run_cli([
+        "potts", "--synthetic", "16", "16", "0", "--iters", "200", "--p", p,
+        "--dynamic-range", dynamic_range, "--out-prefix", str(tmp_path / "run"),
+    ], capsys)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("saddleprox potts: --dynamic-range %r is too small"
+                          % float(dynamic_range))
+    assert not list(tmp_path.glob("run_*"))
+
+
+@pytest.mark.parametrize("p, dynamic_range", [("1", "0.726"), ("inf", "0.66")])
+def test_potts_takes_a_dynamic_range_that_bounds_the_image_gradient(tmp_path, capsys,
+                                                                   p, dynamic_range):
+    rc, _, err = run_cli([
+        "potts", "--synthetic", "16", "16", "0", "--iters", "5", "--p", p,
+        "--dynamic-range", dynamic_range, "--out-prefix", str(tmp_path / "run"),
+    ], capsys)
+    assert (rc, err) == (0, "")
 
 
 def test_potts_reads_pgm_input(tmp_path, capsys):
@@ -750,7 +780,12 @@ def test_no_several_flag_values_end_in_a_traceback(tmp_path, monkeypatch, capsys
             nargs = command.flags[flag].nargs or 1
             argv += [flag] + [rng.choice(pool) for _ in range(nargs)]
         argvs.append(argv)
-    assert not _sweep_failures(_run_sweep(argvs, capsys))
+    # A range below the image's gradients, which diverged or ran 3,000 iterations.
+    argvs += [["potts", "--synthetic", "16", "16", "0", "--dynamic-range", value]
+              for value in ("0.5", "0.7")]
+    runs = _run_sweep(argvs, capsys)
+    assert not _sweep_failures(runs)
+    assert [rc for _, rc, _ in runs[-2:]] == [2, 2]
 
 
 # Valid values for the sweep below: for each flag without a default or
@@ -887,13 +922,15 @@ def test_benchmark_tracer_records_every_layer_and_restores_it(tmp_path, monkeypa
                              "2", "--iters", "3", "--out-prefix", str(tmp_path / "run")]),
                    cli.main(["nash", "--sizes", "7", "--iters", "2",
                              "--out", str(tmp_path / "nash.csv")]),
-                   # A potts run takes the step plan, which calls none of the
-                   # four Potts maps; these two checks call all four.
+                   # potts and nash runs take the step plans, which call none
+                   # of the four maps; these checks call all four of each.
                    cli.main(["verify", "--only", "grad-potts-p1"]),
-                   cli.main(["verify", "--only", "bilinear-reduction"])]
+                   cli.main(["verify", "--only", "bilinear-reduction"]),
+                   cli.main(["verify", "--only", "grad-nash"]),
+                   cli.main(["verify", "--only", "nash-step"])]
     finally:
         tracer.uninstall()
-    assert rcs == [0, 0, 0, 0]
+    assert rcs == [0] * 6
     assert {t[2] for t in tracing.targets()} <= {span[0] for span in tracer.spans}
     assert all(a is b for a, b in zip(before, attrs()))
 

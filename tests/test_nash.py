@@ -1,6 +1,9 @@
 """Poisson solver, game construction, and equilibrium convergence tests."""
 
 import math
+import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleprox import nash
-from saddleprox.core import ConfigurationError, PrimalDualState, SolveOptions, solve, step
+from saddleprox.core import (ConfigurationError, DivergenceError, PrimalDualState,
+                             SolveOptions, plan_step, solve, step)
 from saddleprox.nash import (
     CONTROL_BOX,
     CONTROL_COST,
@@ -275,21 +279,227 @@ def test_exactly_nine_solves_per_iteration():
         assert prob.pde_solves - before == 9 * k
 
 
-def test_nine_transforms_per_iteration(monkeypatch):
+def _count_span_transforms(monkeypatch):
+    """Counts the calls of ``nash._span_transform``, which the step plan
+    makes for each of its sine transforms."""
+    calls, transform = [], nash._span_transform
+
+    def counted(w, cols, inverse):
+        calls.append(inverse)
+        transform(w, cols, inverse)
+
+    monkeypatch.setattr(nash, "_span_transform", counted)
+    return calls
+
+
+def test_plan_makes_eight_span_transforms_per_carried_step(monkeypatch):
+    # Nine solves per step either way.  Every call transforms its y, its
+    # x+ and the four adjoints; a lone step, and the first call of a pair,
+    # also transform x, where a later call takes its partner's coefficients.
     config, _, _ = manufacture(15)
     prob = NashProblem(config)
-    calls = []
-
-    def counted(w, overwrite=False):
-        calls.append(w.shape)
-        return sine_transform(w, overwrite)
-
-    monkeypatch.setattr(nash, "sine_transform", counted)
+    calls = _count_span_transforms(monkeypatch)
     state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
+    counts = []
     for _ in range(4):
         before = (len(calls), prob.pde_solves)
         state = step(prob, GAME_TRIPLE, state)
-        assert (len(calls) - before[0], prob.pde_solves - before[1]) == (9, 9)
+        counts.append((len(calls) - before[0], prob.pde_solves - before[1]))
+    assert counts == [(10, 9)] * 4
+
+    spare, plan = plan_step(prob, state)
+    _, back = plan_step(prob, spare, state)
+    counts = []
+    for _ in range(5):
+        before = (len(calls), prob.pde_solves)
+        step(prob, GAME_TRIPLE, state, spare, plan)
+        state, spare, plan, back = spare, state, back, plan
+        counts.append((len(calls) - before[0], prob.pde_solves - before[1]))
+    assert counts == [(10, 9)] + [(8, 9)] * 4
+
+    before = (len(calls), prob.pde_solves)
+    solve(prob, GAME_TRIPLE, state.x, state.y, SolveOptions(max_iters=5))
+    assert (len(calls) - before[0], prob.pde_solves - before[1]) == (10 + 4 * 8, 45)
+
+
+def _composed_step(prob, triple, state):
+    """The update as the plain composition of the four maps."""
+    tau, sigma, omega = triple.tau, triple.sigma, triple.omega
+    x_new = prob.prox_primal(tau, state.x - tau * prob.grad_x(state.x, state.y))
+    x_bar = x_new + omega * (x_new - state.x)
+    y_new = prob.prox_dual(sigma, state.y + sigma * prob.grad_y(x_bar, state.y))
+    return x_new, x_bar, y_new
+
+
+def _random_masks(config, rng):
+    n = config.grid.n
+    share = rng.uniform(0.05, 0.95)
+    mask1, mask2 = (rng.random((n, n)) < share for _ in range(2))
+    return NashConfig(config.grid, mask1, mask2, config.z1, config.z2, config.f)
+
+
+# Largest difference of a planned step from the composition of the maps,
+# relative to the max-norm of each of x+, x_bar and y+; measured up to 1.7e-15.
+PLAN_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("n, masks", [(7, "halves"), (15, "halves"), (63, "halves"),
+                                      (7, 0), (15, 1), (31, 2), (15, 3)])
+def test_planned_step_matches_the_composed_maps(n, masks):
+    # Per step from the same state, at the manufactured half masks and at
+    # random boolean masks, which may overlap, leave gaps inside a span, or
+    # (seed 3) be empty for player 2.  The start has entries off the masks.
+    config, x_star, y_star = manufacture(n)
+    rng = np.random.default_rng(n)
+    if masks != "halves":
+        rng = np.random.default_rng(masks)
+        config = _random_masks(config, rng)
+        if masks == 3:
+            config.mask2[:] = False
+    prob = NashProblem(config)
+    state = PrimalDualState.initial(x_star + 0.3 * rng.normal(size=prob.primal_dim),
+                                    y_star + 0.3 * rng.normal(size=prob.dual_dim))
+    for _ in range(4):
+        want = _composed_step(prob, GAME_TRIPLE, state)
+        state = step(prob, GAME_TRIPLE, state)
+        for got, exact in zip((state.x, state.x_bar, state.y), want):
+            assert np.max(np.abs(got - exact)) <= PLAN_RTOL * np.max(np.abs(exact))
+
+
+def _bits(state):
+    return state.iteration, state.x.tobytes(), state.y.tobytes(), state.x_bar.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 63])
+def test_carried_solve_matches_lone_steps_bit_for_bit(n):
+    config, x_star, y_star = manufacture(n)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(5)
+    x0, y0 = rng.normal(size=prob.primal_dim), rng.normal(size=prob.dual_dim)
+    lone = [PrimalDualState.initial(x0, y0)]
+    for _ in range(9):
+        lone.append(step(prob, GAME_TRIPLE, lone[-1]))
+    final, records = solve(prob, GAME_TRIPLE, x0, y0,
+                           SolveOptions(max_iters=9, log_stride=4,
+                                        reference=(x_star, y_star)))
+    assert _bits(final) == _bits(lone[-1])
+    h2 = config.grid.h**2
+    for r in records:
+        it = lone[r.iteration]
+        assert r.dist_to_ref == math.sqrt(h2 * float(np.dot(it.x - x_star, it.x - x_star))
+                                          + h2 * float(np.dot(it.y - y_star, it.y - y_star)))
+
+
+def test_a_step_after_solve_takes_no_stale_coefficients():
+    # The returned state's arrays were a plan's input; written into, a
+    # step from them must transform them afresh, as on a new problem.
+    config, _, _ = manufacture(15)
+    prob = NashProblem(config)
+    zeros = np.zeros(prob.primal_dim), np.zeros(prob.dual_dim)
+    final, _ = solve(prob, GAME_TRIPLE, *zeros, SolveOptions(max_iters=3))
+    final.x[::7] += 0.125
+    final.y[::5] -= 0.25
+    got = step(prob, GAME_TRIPLE, final)
+    want = step(NashProblem(config), GAME_TRIPLE, final)
+    assert _bits(got) == _bits(want)
+
+
+def test_a_planned_call_between_partners_voids_the_carry():
+    # A lone step writes into the arrays that the next plan of a pair reads;
+    # that plan must transform them, not take its partner's coefficients.
+    config, x_star, y_star = manufacture(15)
+    prob = NashProblem(config)
+    state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
+    spare, plan = plan_step(prob, state)
+    _, back = plan_step(prob, spare, state)
+    step(prob, GAME_TRIPLE, state, spare, plan)
+    step(prob, GAME_TRIPLE, PrimalDualState.initial(x_star, y_star), out=spare)
+    want = step(NashProblem(config), GAME_TRIPLE, spare)
+    assert _bits(step(prob, GAME_TRIPLE, spare, state, back)) == _bits(want)
+
+
+def test_solve_builds_two_partner_plans_and_keeps_none(monkeypatch):
+    # One plan each way, sharing one set of coefficient buffers; after the
+    # return nothing of them is alive, since the problem holds them weakly.
+    refs, shared, build = [], [], NashProblem.step_plan
+
+    def spy(self, state, out):
+        plan = build(self, state, out)
+        coef = plan.coef
+        refs.append([weakref.ref(o) for o in (plan, coef, *coef.u[0], *coef.u[1], *coef.v)])
+        shared.append(id(coef))  # both plans are alive while the second is built
+        return plan
+
+    monkeypatch.setattr(NashProblem, "step_plan", spy)
+    config, _, _ = manufacture(7)
+    prob = NashProblem(config)
+    solve(prob, GAME_TRIPLE, np.zeros(prob.primal_dim), np.zeros(prob.dual_dim),
+          SolveOptions(max_iters=3))
+    assert len(refs) == 2 and shared[0] == shared[1]
+    assert all(ref() is None for plan_refs in refs for ref in plan_refs)
+
+
+class _NanAt:
+    """GAME_TRIPLE at every index but i, where ``name`` is NaN."""
+
+    def __init__(self, name, i):
+        self.name, self.i = name, i
+
+    def triple(self, i):
+        values = dict(tau=GAME_TRIPLE.tau, sigma=GAME_TRIPLE.sigma, omega=GAME_TRIPLE.omega)
+        if i == self.i:
+            values[self.name] = math.nan
+        return types.SimpleNamespace(**values)
+
+
+@pytest.mark.parametrize("name", ["tau", "sigma"])
+@pytest.mark.parametrize("i", [0, 1, 4])
+def test_solve_with_step_plans_diverges_as_the_generic_solve(monkeypatch, name, i):
+    config, _, _ = manufacture(7)
+    prob = NashProblem(config)
+    errors = []
+    for generic in (False, True):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            if generic:
+                m.setattr(NashProblem, "step_plan", lambda self, state, out: None)
+            with pytest.raises(DivergenceError) as exc:
+                solve(prob, _NanAt(name, i), np.zeros(prob.primal_dim),
+                      np.zeros(prob.dual_dim), SolveOptions(max_iters=8))
+        errors.append((exc.value.iteration, str(exc.value)))
+    assert errors == [(i + 1, "non-finite iterate at iteration %d" % (i + 1))] * 2
+
+
+def test_planned_step_into_nan_filled_out_and_aliasing_out():
+    config, x_star, y_star = manufacture(15)
+    prob = NashProblem(config)
+    state = PrimalDualState.initial(x_star + 0.1, y_star - 0.1)
+    want = step(prob, GAME_TRIPLE, state)
+    out = PrimalDualState(*(np.full(prob.primal_dim, np.nan) for _ in range(3)))
+    assert _bits(step(prob, GAME_TRIPLE, state, out=out)) == _bits(want)
+    bound_out, plan = plan_step(prob, state)
+    with pytest.raises(ConfigurationError):  # out.y is state.y: the checks ran
+        step(prob, GAME_TRIPLE, state,
+             out=PrimalDualState(bound_out.x, state.y, bound_out.x_bar), plan=plan)
+
+
+def test_planned_steps_allocate_no_grid_size_array():
+    n = 63
+    config, _, _ = manufacture(n)
+    prob = NashProblem(config)
+    state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
+    spare, plan = plan_step(prob, state)
+    _, back = plan_step(prob, spare, state)
+    step(prob, GAME_TRIPLE, state, spare, plan)
+    state, spare, plan, back = spare, state, back, plan
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            step(prob, GAME_TRIPLE, state, spare, plan)
+            state, spare, plan, back = spare, state, back, plan
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4  # a quarter of one n x n float array
 
 
 def _physical_state(prob, a1, a2):

@@ -420,9 +420,9 @@ def test_rate_fit_window_validation():
 
 def test_standard_suite_composition():
     names = list(standard_suite(seed=0))
-    assert len(names) == 10  # a repeated name would drop a check from the map
+    assert len(names) == 11  # a repeated name would drop a check from the map
     for expected in ("adjoint", "grad-potts-p1", "grad-potts-pinf", "grad-nash",
-                     "bilinear-reduction", "poisson-roundtrip", "gradnorm-bound"):
+                     "nash-step", "bilinear-reduction", "poisson-roundtrip", "gradnorm-bound"):
         assert expected in names
 
 
