@@ -191,19 +191,6 @@ def huber_value(p: float, z: np.ndarray, gamma: float) -> float:
     return float(np.sum(2.0 * s2 / (2.0 * s2 + gamma)))
 
 
-def dual_from_primal(p: float, x: np.ndarray, gamma: float) -> np.ndarray:
-    """Dual field maximizing the coupling at a fixed image: 2z/(2|z|^2 + gamma).
-
-    For p = 1 the magnitude is taken per component, for p = inf per
-    pixel.  The result satisfies gamma*y = kappa_y(p, dh(x), y).
-    """
-    _check_p(p)
-    _check_positive("gamma", gamma)
-    z = dh(x)
-    zr = _rows(p, z)[0]
-    return (2.0 * zr / (2.0 * rho_pair(zr, zr) + gamma)).reshape(z.shape)
-
-
 @dataclass
 class PottsConfig:
     """Denoising problem parameters: data weight alpha, penalty smoothing

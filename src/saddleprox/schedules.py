@@ -72,7 +72,7 @@ class AcceleratedRule:
             raise InfeasibleConstantsError("accelerated rule needs gtg > 0")
 
     def triple(self, i: int) -> StepTriple:
-        tau_i = self.tau0 / (1.0 + 2.0 * self.gtg * self.tau0 * i)
+        tau_i = self.tau0 / (1.0 + 2.0 * (self.gtg * self.tau0 * i))
         return StepTriple(tau_i, self.sigma, 1.0)
 
 
@@ -94,7 +94,7 @@ class LinearRateRule:
 
     @property
     def omega(self) -> float:
-        return 1.0 / (1.0 + 2.0 * self.gtg * self.tau)
+        return 1.0 / (1.0 + 2.0 * (self.gtg * self.tau))
 
     def triple(self, i: int) -> StepTriple:
         return StepTriple(self.tau, self.sigma, self.omega)
@@ -212,60 +212,12 @@ def bound_linear(c: ProblemConstants) -> float:
     if not (c.gtg > 0 and c.gtf > 0):
         raise InfeasibleConstantsError("linear-rate bound needs gtg > 0 and gtf > 0")
     ratio = c.gtf / c.gtg
-    quad = c.r_k**2 / _one_minus_mu(c) + 2.0 * c.gtg * c.lambda_y
+    quad = c.r_k**2 / _one_minus_mu(c) + 2.0 * (c.gtg * c.lambda_y)
     if quad <= 0:
         second = _cap(ratio, c.lambda_y)
     else:
         second = 2.0 * ratio / (c.lambda_y + math.sqrt(c.lambda_y**2 + 4.0 * ratio * quad))
     return min(_primal_cap(c, 1.0), second)
-
-
-def derive_theta_lambda_primal(gamma_x: float, l_x_at_yhat: float, l_yx: float,
-                               alpha: float) -> tuple[float, float]:
-    """Witness pair (theta_x, lambda_x) from primal coupling convexity.
-
-    Requires 0 < alpha <= gamma_x.  Returns
-    theta_x = 2*(gamma_x - alpha)/l_yx and lambda_x = l_x_at_yhat^2/(2*alpha).
-    alpha = gamma_x gives theta_x = 0, which the step-size conditions
-    reject whenever rho_y > 0; this is flagged with a warning.
-    """
-    if not (0.0 < alpha <= gamma_x):
-        raise InfeasibleConstantsError(
-            "alpha must lie in (0, gamma_x], got alpha=%g, gamma_x=%g" % (alpha, gamma_x)
-        )
-    if not l_yx > 0:
-        raise InfeasibleConstantsError("l_yx must be positive")
-    theta_x = 2.0 * (gamma_x - alpha) / l_yx
-    lambda_x = l_x_at_yhat**2 / (2.0 * alpha)
-    if theta_x == 0.0:
-        warnings.warn("alpha = gamma_x yields theta_x = 0, unusable when rho_y > 0",
-                      stacklevel=2)
-    return theta_x, lambda_x
-
-
-def derive_theta_lambda_dual(gamma_y: float, l_y_bar: float, l_xy: float,
-                             alpha1: float, alpha2: float) -> tuple[float, float]:
-    """Witness pair (theta_y, lambda_y) from dual coupling concavity.
-
-    Requires 0 < alpha1 <= gamma_y and alpha2 > 0.  Returns
-    theta_y = 2*(gamma_y - alpha1)/((1 + alpha2)*l_xy) and
-    lambda_y = l_y_bar^2/(2*alpha1) + (1 + 1/alpha2)*l_xy*theta_y.
-    """
-    if not (0.0 < alpha1 <= gamma_y):
-        raise InfeasibleConstantsError(
-            "alpha1 must lie in (0, gamma_y], got alpha1=%g, gamma_y=%g"
-            % (alpha1, gamma_y)
-        )
-    if not alpha2 > 0:
-        raise InfeasibleConstantsError("alpha2 must be positive")
-    if not l_xy > 0:
-        raise InfeasibleConstantsError("l_xy must be positive")
-    theta_y = 2.0 * (gamma_y - alpha1) / ((1.0 + alpha2) * l_xy)
-    lambda_y = l_y_bar**2 / (2.0 * alpha1) + (1.0 + 1.0 / alpha2) * l_xy * theta_y
-    if theta_y == 0.0:
-        warnings.warn("alpha1 = gamma_y yields theta_y = 0, unusable when rho_x > 0",
-                      stacklevel=2)
-    return theta_y, lambda_y
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +504,6 @@ class LocalityBudget:
         if not all(v >= 0 for v in (self.r_max, self.nu, self.r_y, self.delta_x,
                                       self.delta_y)):
             raise InfeasibleConstantsError("locality budget entries must be >= 0")
-
-
-def r_max_initial(delta: float, dist_x0_sq: float, dist_y0_sq: float,
-                  nu: float) -> float:
-    """r_max = sqrt( 2/delta * (||x0 - xhat||^2 + ||y0 - yhat||^2 / nu) )."""
-    return math.sqrt(2.0 / delta * (dist_x0_sq + dist_y0_sq / nu))
 
 
 def check_52(

@@ -28,7 +28,7 @@ from .core import PrimalDualState, SaddleProblem, step
 from .potts import (PottsConfig, PottsProblem, dh, dht, gen_synthetic, rho, rho_grad,
                     rho_mixed, rho_pair)
 from .schedules import (POTTS_D_NORM_SQ, ConditionReport, InfeasibleConstantsError,
-                        ProblemConstants, StepTriple)
+                        StepTriple)
 
 
 def fd_grad_check(
@@ -353,46 +353,6 @@ def shrink_rho(
     raise InfeasibleConstantsError(
         "no admissible radii found after 60 halvings"
     )
-
-
-def lift_constants(
-    a_norm: float,
-    r_k: float,
-    rho_z: float,
-    rho_y: float,
-    xi_z: float,
-    xi_y: float,
-    lambda_z: float,
-    lambda_y: float,
-    theta_z: float,
-    theta_y: float,
-    l_z: float,
-    l_yz: float,
-) -> tuple[ProblemConstants, float]:
-    """Transport three-point constants through x -> kappa(A x, y).
-
-    With ||A|| = a_norm, constants established for the inner coupling on
-    B(z_hat, rho_z) x B(y_hat, rho_y) yield, for the composition:
-    r_k' = r_k*||A||, rho_x = rho_z/||A||, xi_x = ||A||*xi_z,
-    lambda_x = ||A||*lambda_z, theta_x = theta_z,
-    theta_y' = theta_y/||A||, l_x = ||A||^2*l_z, l_yx = ||A||^2*l_yz;
-    the dual-side constants are unchanged.  Returns (ProblemConstants, l_x),
-    its other fields at their defaults; ``check_52`` takes l_x as ``l_x_at_yhat``.
-    """
-    if not a_norm > 0:
-        raise InfeasibleConstantsError("operator norm must be positive")
-    return ProblemConstants(
-        r_k=r_k * a_norm,
-        rho_x=rho_z / a_norm,
-        rho_y=rho_y,
-        xi_x=a_norm * xi_z,
-        xi_y=xi_y,
-        lambda_x=a_norm * lambda_z,
-        lambda_y=lambda_y,
-        theta_x=theta_z,
-        theta_y=theta_y / a_norm,
-        l_yx=a_norm**2 * l_yz,
-    ), a_norm**2 * l_z
 
 
 @dataclass(frozen=True)

@@ -783,9 +783,12 @@ def test_no_several_flag_values_end_in_a_traceback(tmp_path, monkeypatch, capsys
     # A range below the image's gradients, which diverged or ran 3,000 iterations.
     argvs += [["potts", "--synthetic", "16", "16", "0", "--dynamic-range", value]
               for value in ("0.5", "0.7")]
+    # A gtilde-g past half the largest float, whose doubling overflowed and
+    # left tau_max unbounded.
+    argvs += [["steps", "linear", "--rk", "1", "--gtilde-g", "1e308", "--gtilde-f", "1"]]
     runs = _run_sweep(argvs, capsys)
     assert not _sweep_failures(runs)
-    assert [rc for _, rc, _ in runs[-2:]] == [2, 2]
+    assert [rc for _, rc, _ in runs[-3:]] == [2, 2, 0]
 
 
 # Valid values for the sweep below: for each flag without a default or

@@ -110,17 +110,6 @@ def test_every_setting_has_a_caller():
     assert sorted(set(found) - SETTINGS_WITHOUT_CALLER_ALLOWED) == []
 
 
-# Functions whose callers are still to come; each entry names the
-# ROADMAP item that gives it one, and the list must end empty.
-FUNCTIONS_AWAITING_A_CALLER = {
-    "dual_from_primal",  # item 6: y-hat from the reference x-hat of a potts run
-    "r_max_initial",  # item 6: r_max from a run's initial distance
-    "lift_constants",  # item 11: the Potts l_x, lifted through ||D||
-    "derive_theta_lambda_primal",  # item 11: theta_x and lambda_x of Potts
-    "derive_theta_lambda_dual",  # item 11: theta_y and lambda_y of Potts
-}
-
-
 def functions_without_a_caller(sources, callers):
     """The names of the top-level functions and classes of the modules
     ``sources`` that no name or attribute in the modules ``callers``
@@ -153,6 +142,5 @@ def test_every_function_has_a_caller():
     # callers, so what they import is exempt.
     package, trees = parsed_modules()
     found = set(functions_without_a_caller(package, trees))
-    exempt = acceptance_imports() | set(saddleprox.__all__) | FUNCTIONS_AWAITING_A_CALLER
+    exempt = acceptance_imports() | set(saddleprox.__all__)
     assert sorted(found - exempt) == []
-    assert sorted(FUNCTIONS_AWAITING_A_CALLER - found) == []  # gained a caller: drop it

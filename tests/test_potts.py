@@ -26,7 +26,6 @@ from saddleprox.potts import (
     PottsProblem,
     dh,
     dht,
-    dual_from_primal,
     gen_synthetic,
     huber_value,
     kappa_val,
@@ -764,21 +763,14 @@ def test_huber_is_envelope_of_coupling_minus_quadratic(p):
     x = rng.normal(size=(7, 6))
     z = dh(x)
     gamma = 1e-2
-    y_hat = dual_from_primal(p, x, gamma)
+    # The maximizer 2z/(2|z|^2 + gamma), |z| per component (p = 1) or per pixel.
+    s2 = z**2 if p == 1 else np.sum(z**2, axis=-1, keepdims=True)
+    y_hat = 2.0 * z / (2.0 * s2 + gamma)
     envelope = kappa_val(p, z, y_hat) - 0.5 * gamma * float(np.sum(y_hat**2))
     assert huber_value(p, z, gamma) == pytest.approx(envelope, rel=1e-12)
     # and yhat is the critical point: gamma*y = kappa_y(z, y).
     resid = np.max(np.abs(gamma * y_hat - kappa_y(p, z, y_hat)))
     assert resid <= 1e-12
-
-
-def test_dual_from_primal_magnitude_cap():
-    # |yhat| peaks at 1/sqrt(2 gamma) over all jump heights.
-    gamma = 1e-3
-    zstar = math.sqrt(gamma / 2.0)
-    x = np.array([[0.0, zstar]])
-    y_hat = dual_from_primal(1, x, gamma)
-    assert abs(y_hat[0, 0, 0]) == pytest.approx(1.0 / math.sqrt(2.0 * gamma), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

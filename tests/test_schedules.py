@@ -25,13 +25,10 @@ from saddleprox.schedules import (
     bound_linear,
     check_48,
     check_52,
-    derive_theta_lambda_dual,
-    derive_theta_lambda_primal,
     potts_jump_bounds,
     potts_steps,
-    r_max_initial,
 )
-from saddleprox.verify import KappaConstants, lift_constants, rate_fit, shrink_rho
+from saddleprox.verify import KappaConstants, rate_fit, shrink_rho
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -194,6 +191,19 @@ def test_bound_linear_requires_moduli():
         bound_linear(ProblemConstants(r_k=1.0, gtg=0.0, gtf=1.0))
 
 
+def test_bound_linear_and_rules_take_gtg_past_half_the_largest_float():
+    # 2*gtg overflows, but gtg*lambda_y and gtg*tau do not: the bound is
+    # finite, omega positive and the accelerated steps no NaN.
+    c = ProblemConstants(r_k=1.0, gtg=1e308, gtf=1.0, delta=0.1, mu=0.1)
+    tau = bound_linear(c)
+    assert tau == pytest.approx(math.sqrt(0.9) * 1e-154, rel=1e-12)
+    omega = LinearRateRule(tau, c.gtg, c.gtf).triple(0).omega
+    assert omega == pytest.approx(0.5 / (1e308 * tau), rel=1e-12)
+    rule = AcceleratedRule(1e-160, 1.0, 1e308)
+    assert rule.triple(0).tau == 1e-160
+    assert rule.triple(1).tau == pytest.approx(1e-160 / (1.0 + 2e148), rel=1e-15)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     r_k=st.floats(min_value=0.1, max_value=5.0),
@@ -212,45 +222,6 @@ def test_bound_linear_solves_its_quadratic(r_k, lambda_y, gtg, gtf, mu):
 
 
 # ---------------------------------------------------------------------------
-# Witness-pair derivations.
-# ---------------------------------------------------------------------------
-
-
-def test_primal_witness_pair_hand_case():
-    theta_x, lambda_x = derive_theta_lambda_primal(
-        gamma_x=1.0, l_x_at_yhat=1.0, l_yx=1.0, alpha=0.5)
-    assert theta_x == pytest.approx(1.0, abs=0)
-    assert lambda_x == pytest.approx(1.0, abs=0)
-
-
-def test_primal_witness_pair_alpha_at_cap_warns():
-    with pytest.warns(UserWarning, match="theta_x = 0"):
-        theta_x, _ = derive_theta_lambda_primal(1.0, 1.0, 1.0, alpha=1.0)
-    assert theta_x == 0.0
-
-
-def test_primal_witness_pair_validation():
-    with pytest.raises(InfeasibleConstantsError):
-        derive_theta_lambda_primal(1.0, 1.0, 1.0, alpha=1.5)
-    with pytest.raises(InfeasibleConstantsError):
-        derive_theta_lambda_primal(1.0, 1.0, 0.0, alpha=0.5)
-
-
-def test_dual_witness_pair_hand_case():
-    theta_y, lambda_y = derive_theta_lambda_dual(
-        gamma_y=1.0, l_y_bar=1.0, l_xy=1.0, alpha1=0.5, alpha2=1.0)
-    assert theta_y == pytest.approx(0.5, abs=0)
-    assert lambda_y == pytest.approx(2.0, abs=0)
-
-
-def test_dual_witness_pair_validation():
-    with pytest.raises(InfeasibleConstantsError):
-        derive_theta_lambda_dual(1.0, 1.0, 1.0, alpha1=2.0, alpha2=1.0)
-    with pytest.raises(InfeasibleConstantsError):
-        derive_theta_lambda_dual(1.0, 1.0, 1.0, alpha1=0.5, alpha2=0.0)
-
-
-# ---------------------------------------------------------------------------
 # Denoising step calculator and presets.
 # ---------------------------------------------------------------------------
 
@@ -264,6 +235,20 @@ def test_potts_jump_bounds():
     assert m_y == pytest.approx(2.0 * m_x / (2.0 * m_x**2 + 10.0), rel=1e-15)
     with pytest.raises(InfeasibleConstantsError):
         potts_jump_bounds(2, 1.0, 10.0)
+
+
+def test_potts_jump_bounds_dual_bound_peaks_at_the_smoothing_scale():
+    # m_y = 2*m_x/(2*m_x^2 + gamma_bar) is largest, 1/sqrt(2*gamma_bar), at
+    # m_x = sqrt(gamma_bar/2), and smaller for a range on either side.
+    gamma_bar = 1e-3
+    peak = 1.0 / math.sqrt(2.0 * gamma_bar)
+    for p, scale in ((1, 1.0), (math.inf, math.sqrt(2.0))):
+        best = math.sqrt(gamma_bar / 2.0) / scale
+        m_x, m_y = potts_jump_bounds(p, best, gamma_bar)
+        assert m_x == pytest.approx(math.sqrt(gamma_bar / 2.0), rel=1e-15)
+        assert m_y == pytest.approx(peak, rel=1e-12)
+        for factor in (0.5, 2.0):
+            assert potts_jump_bounds(p, factor * best, gamma_bar)[1] < m_y
 
 
 def test_potts_steps_default_triples_frozen():
@@ -411,6 +396,34 @@ def test_check_48_accelerated_regime_passes():
     assert report.passed
 
 
+def test_check_48_primal_cap_follows_omega():
+    # tau <= delta / (lambda_x + l_yx*(omega+2)*rho_y): 0.1/1.5 at omega = 0.5,
+    # 0.1/2.5 at omega = 3, each used at half its cap.
+    c = ProblemConstants(r_k=1.0, lambda_x=0.5, l_yx=0.8, rho_y=0.5,
+                         delta=0.1, mu=0.3)
+    for omega, cap in ((0.5, 0.1 / 1.5), (3.0, 0.1 / 2.5)):
+        report = check_48(c, [StepTriple(0.5 * cap, 0.1, omega)])
+        primal = {cond.name: cond for cond in report.conditions}["primal-step"]
+        assert primal.passed
+        assert primal.margin == pytest.approx(0.5, rel=1e-12)
+    assert bound_constant(c)[0] == pytest.approx(0.1 / 1.7, rel=1e-15)
+
+
+def test_check_48_dual_step_pairs_each_load_with_the_previous_sigma():
+    # load_i = r_k^2*tau_i/(1-mu) + lambda_y/omega_i = 0.2 + 1.6 = 1.8, which
+    # iteration i pairs with sigma_i = triples[i-1].sigma (sigma_1 at i = 0).
+    # The last sigma is never paired, so even a large one passes.
+    c = ProblemConstants(r_k=1.0, lambda_y=0.8, delta=0.1, mu=0.5)
+    trips = [StepTriple(0.1, 0.9 / 1.8, 0.5), StepTriple(0.1, 10.0, 0.5)]
+    dual = {cond.name: cond for cond in check_48(c, trips).conditions}["dual-step"]
+    assert dual.passed
+    assert dual.margin == pytest.approx(0.1, rel=1e-12)
+    trips = [StepTriple(0.1, 1.1 / 1.8, 0.5), StepTriple(0.1, 0.1, 0.5)]
+    dual = {cond.name: cond for cond in check_48(c, trips).conditions}["dual-step"]
+    assert not dual.passed
+    assert dual.margin == pytest.approx(-0.1, rel=1e-12)
+
+
 def test_check_48_empty_schedule_rejected():
     c, _, _ = _constant_setup()
     with pytest.raises(InfeasibleConstantsError):
@@ -498,11 +511,6 @@ def test_check_48_rejects_tau_past_the_binding_primal_cap(
 # ---------------------------------------------------------------------------
 
 
-def test_r_max_initial_formula():
-    assert r_max_initial(0.1, 0.02, 0.03, 2.0) == pytest.approx(
-        math.sqrt(2.0 / 0.1 * (0.02 + 0.015)), rel=1e-15)
-
-
 def test_locality_budget_rejects_negative_entries():
     with pytest.raises(InfeasibleConstantsError):
         LocalityBudget(r_max=-0.1, nu=1.0, r_y=0.2, delta_x=0.4, delta_y=0.6)
@@ -545,6 +553,38 @@ def test_check_52_equal_split_parameters_need_zero_radius():
     assert not check_52(c, bad, trips, 1.0, 1.0).passed
 
 
+def test_check_52_reports_the_worst_iteration():
+    # Caps as in the hand case: tau <= 0.4/1.5, sigma <= 0.6/1.15.  Only the
+    # second iteration's sigma is past its cap, by 15 percent.
+    c = ProblemConstants(r_k=1.0, delta=0.1, mu=0.5)
+    budget = LocalityBudget(r_max=0.5, nu=1.0, r_y=0.25, delta_x=0.4, delta_y=0.6)
+    sigma_cap = 0.6 / 1.15
+    trips = [StepTriple(0.1, 0.5 * sigma_cap, 1.0),
+             StepTriple(0.2, 1.15 * sigma_cap, 1.0),
+             StepTriple(0.25, sigma_cap, 1.0)]
+    report = check_52(c, budget, trips, l_x_at_yhat=1.0, l_y_at_xhat=1.0)
+    by_name = {cond.name: cond for cond in report.conditions}
+    assert not report.passed
+    assert not by_name["local-dual-step"].passed
+    assert by_name["local-dual-step"].detail == "iteration 1"
+    assert by_name["local-dual-step"].margin == pytest.approx(-0.15, rel=1e-12)
+    assert by_name["local-primal-step"].passed
+    assert by_name["local-primal-step"].detail == "iteration 2"
+
+
+def test_check_52_zero_radii_leave_only_the_dual_cap():
+    # With r_max = r_y = 0 the primal cap delta_x/0 is unbounded and the
+    # dual cap is delta_y/(r_k*delta_x) = 0.6/0.4; the premise holds.
+    c = ProblemConstants(r_k=1.0, delta=0.1, mu=0.5)
+    budget = LocalityBudget(r_max=0.0, nu=1.0, r_y=0.0, delta_x=0.4, delta_y=0.6)
+    report = check_52(c, budget, [StepTriple(1e6, 0.75, 1.0)], 1.0, 1.0)
+    by_name = {cond.name: cond for cond in report.conditions}
+    assert report.passed
+    assert by_name["local-primal-step"].margin == math.inf
+    assert by_name["local-dual-step"].margin == pytest.approx(0.5, rel=1e-12)
+    assert by_name["Assumption 5.2"].passed
+
+
 def test_check_52_empty_schedule_rejected():
     c = ProblemConstants(r_k=1.0, delta=0.1, mu=0.5)
     budget = LocalityBudget(r_max=0.5, nu=1.0, r_y=0.25, delta_x=0.4, delta_y=0.6)
@@ -574,17 +614,20 @@ NAN_CASES = {
     "linear-rule-gtg": lambda: LinearRateRule(0.1, nan, 1.0),
     "linear-rule-gtf": lambda: LinearRateRule(0.1, 1.0, nan),
     "bound_linear-gtg": lambda: bound_linear(ProblemConstants(r_k=1.0, gtg=nan, gtf=1.0)),
-    "primal-pair-l_yx": lambda: derive_theta_lambda_primal(1.0, 1.0, nan, 0.5),
-    "dual-pair-alpha2": lambda: derive_theta_lambda_dual(1.0, 1.0, 1.0, 0.5, nan),
-    "dual-pair-l_xy": lambda: derive_theta_lambda_dual(1.0, 1.0, nan, 0.5, 1.0),
     "budget-r_max": lambda: LocalityBudget(nan, 1.0, 1.0, 1.0, 1.0),
     "budget-nu": lambda: LocalityBudget(1.0, nan, 1.0, 1.0, 1.0),
+    "budget-r_y": lambda: LocalityBudget(1.0, 1.0, nan, 1.0, 1.0),
+    "budget-delta_x": lambda: LocalityBudget(1.0, 1.0, 1.0, nan, 1.0),
+    "budget-delta_y": lambda: LocalityBudget(1.0, 1.0, 1.0, 1.0, nan),
+    "triple-tau": lambda: StepTriple(nan, 1.0, 1.0),
+    "triple-sigma": lambda: StepTriple(1.0, nan, 1.0),
+    "triple-omega": lambda: StepTriple(1.0, 1.0, nan),
+    "jump_bounds-p": lambda: potts_jump_bounds(nan, 1.0, 10.0),
     "kappa-theta_x": lambda: _kappa_constants(theta_x=nan),
     "kappa-lambda_y": lambda: _kappa_constants(lambda_y=nan),
     "kappa-rho_y": lambda: _kappa_constants(rho_y=nan),
     "shrink_rho-rho_x": lambda: shrink_rho(np.array([0.6]), np.array([0.2]),
                                            _kappa_constants(rho_x=nan), n_samples=10),
-    "lift-a_norm": lambda: lift_constants(nan, *[1.0] * 11),
     "grid-2.5": lambda: Grid(2.5),
     "grid-7.0": lambda: Grid(7.0),
     "check_52-l_x_at_yhat": lambda: _check_52_with(nan, 1.0),

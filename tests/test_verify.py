@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from saddleprox.nash import NashProblem, manufacture
 from saddleprox.potts import PottsConfig, PottsProblem, dh, dht, gen_synthetic
-from saddleprox.schedules import (ConditionReport, InfeasibleConstantsError, StepTriple,
-                                  check_48)
+from saddleprox.schedules import ConditionReport, InfeasibleConstantsError, StepTriple
 from saddleprox.verify import (
     KappaConstants,
     ThreePointReport,
@@ -19,7 +18,6 @@ from saddleprox.verify import (
     c2_check,
     fd_grad_check,
     kappa_small,
-    lift_constants,
     rate_fit,
     shrink_rho,
     standard_suite,
@@ -351,33 +349,8 @@ def test_shrink_rho_needs_positive_start():
 
 
 # ---------------------------------------------------------------------------
-# Constant transport and rate fitting.
+# Rate fitting.
 # ---------------------------------------------------------------------------
-
-
-def test_lift_constants_frozen_example():
-    c, l_x = lift_constants(a_norm=2.0, r_k=1.0, rho_z=1.0, rho_y=0.5,
-                            xi_z=0.3, xi_y=0.4, lambda_z=0.7, lambda_y=1.1,
-                            theta_z=0.2, theta_y=0.6, l_z=0.9, l_yz=1.3)
-    assert c.r_k == pytest.approx(2.0, rel=1e-15)
-    assert c.rho_x == pytest.approx(0.5, rel=1e-15)
-    assert c.rho_y == 0.5
-    assert c.xi_x == pytest.approx(0.6, rel=1e-15)
-    assert c.xi_y == 0.4
-    assert c.lambda_x == pytest.approx(1.4, rel=1e-15)
-    assert c.lambda_y == 1.1
-    assert c.theta_x == 0.2
-    assert c.theta_y == pytest.approx(0.3, rel=1e-15)
-    assert l_x == pytest.approx(3.6, rel=1e-15)
-    assert c.l_yx == pytest.approx(5.2, rel=1e-15)
-    # The lifted constants feed check_48 as they are: the primal cap is
-    # delta / (lambda_x + 3*l_yx*rho_y) = 0.1 / 9.2 at omega = 1.
-    tau = 0.5 * 0.1 / 9.2
-    report = check_48(c, [StepTriple(tau, 0.1, 1.0)] * 3)
-    by_name = {cond.name: cond for cond in report.conditions}
-    assert by_name["primal-step"].margin == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(InfeasibleConstantsError):
-        lift_constants(0.0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 
 
 def test_rate_fit_exact_geometric_sequence():
