@@ -49,7 +49,7 @@ from .schedules import (
     potts_jump_bounds,
     potts_steps,
 )
-from . import nash, potts, verify
+from . import potts
 from .pgm import read_pgm, write_file, write_pgm
 
 
@@ -237,6 +237,8 @@ def cmd_potts(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_nash(args: argparse.Namespace) -> int:
+    from . import nash  # here, so that the other commands do not load it
+
     sizes, iters = args.sizes, args.iters
     if min(sizes) < 2:
         raise ConfigurationError("--sizes must all be >= 2, got %d" % min(sizes))
@@ -353,6 +355,8 @@ def cmd_steps(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # here, so that the other commands do not load it
+
     checks = verify.standard_suite(seed=args.seed)
     if args.only is not None:
         if args.only not in checks:

@@ -84,9 +84,11 @@ class SaddleProblem:
         update, or a plan that owns any scratch it needs: ``plan.arrays``
         is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
         and writes, and ``plan(triple, iteration)`` writes the update's
-        bits into the last three.  :func:`step` builds a plan after its
-        checks.  A new non-finite entry raises ``DivergenceError(iteration)``;
-        ``out`` may then be partly written.
+        bits into the last three.  A plan never reads ``state.x_bar``:
+        :func:`solve` hands the two states of its loop one shared x_bar.
+        :func:`step` builds a plan after its checks.  A new non-finite
+        entry raises ``DivergenceError(iteration)``; ``out`` may then be
+        partly written.
 
         Two plans that run opposite ways between the same arrays, as the
         two of :func:`solve` do, may be partners: a plan may hand its
@@ -220,9 +222,15 @@ def plan_step(problem: SaddleProblem, state: PrimalDualState,
     x, y = state.x, state.y
     n, m = (problem.primal_dim,), (problem.dual_dim,)
     out = PrimalDualState(None, None, None) if out is None else out
-    # The only allocation of an out state.  The order x, x_bar, y is load-bearing:
-    # it sets glibc's heap reuse, and a spare set allocated as x, y, x_bar took
-    # about four times the minor page faults of a 1024^2 p = 1 solve.
+    # The order x, x_bar, y is load-bearing, here and in solve, which allocates
+    # its spare's x and x_bar itself: it sets glibc's heap reuse, and a spare
+    # set allocated as x, y, x_bar took about four times the minor page faults
+    # of a 1024^2 p = 1 solve.  solve's two states share the spare's x_bar; in
+    # a stream of 5-iteration 1024^2 p = 1 solves the median job took 623
+    # minor faults with it allocated in this order after the copies of x0 and
+    # y0 (as with an x_bar per state), 2,172 with it allocated before the
+    # copies, and 1,138 with it allocated with the state, before the spare's
+    # x and y.
     out.x = out_buffer(out.x, n, x, y)
     out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
     out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
@@ -321,10 +329,12 @@ def solve(
     keeps would pass 64 MiB (``_COPY_BUDGET``), R quiet iterations from
     (x0, y0) make the reference pair first, with the same bits:
     R + max_iters steps instead of max(R, max_iters).
-    The loop recycles two sets of iterate arrays, with the problem's
+    The loop recycles two sets of (x, y) arrays, with the problem's
     :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
-    and ``y0`` are copied first; the returned state and reference belong
-    to the caller, and hold no plan.
+    and ``y0`` are copied first.  The two sets share one x_bar, which
+    each step overwrites: no plan, and no generic step, reads the x_bar
+    of the state it starts from.  The returned state and reference
+    belong to the caller, and hold no plan.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
@@ -336,12 +346,15 @@ def solve(
             return solve(problem, schedule, x0, y0,
                          replace(options, reference=(pair.x, pair.y)))
         ref, ref_at = None, ref
-    x0 = _flat(x0)
-    # x_bar starts empty: the first step writes it before anything reads it.
-    state = PrimalDualState(x0.copy(), _flat(y0).copy(), np.empty(x0.size))
     # spare: after each step, the state one step back, which the next
     # overwrites.  plan is the step from state into spare, back the other.
-    spare, plan = plan_step(problem, state)
+    # No plan reads the x_bar of the state it starts from, so the two sets
+    # share the spare's, allocated in plan_step's order (see there).
+    state = PrimalDualState(_flat(x0).copy(), _flat(y0).copy(), None)
+    n = (problem.primal_dim,)
+    spare = PrimalDualState(np.empty(n), None, np.empty(n))
+    state.x_bar = spare.x_bar
+    spare, plan = plan_step(problem, state, spare)
     _, back = plan_step(problem, spare, state)
     if ref is not None:
         # Flat views, not copies: the reference is only read.

@@ -453,7 +453,7 @@ def gen_synthetic(
         raise ConfigurationError("noise_sigma must be >= 0, got %r" % (noise_sigma,))
     rng = np.random.default_rng(seed)
     img = np.full((n1, n2), rng.uniform(0.1, 0.4))
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    ii, jj = np.arange(n1)[:, None], np.arange(n2)[None, :]
     for _ in range(n_shapes):
         level = rng.uniform(0.0, 1.0)
         if rng.uniform() < 0.5:
@@ -468,5 +468,5 @@ def gen_synthetic(
             r = rng.uniform(min(n1, n2) / 8.0, min(n1, n2) / 3.0)
             img[(ii - ci) ** 2 + (jj - cj) ** 2 <= r * r] = level
     if noise_sigma > 0:
-        img = img + rng.normal(0.0, noise_sigma, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+        img += rng.normal(0.0, noise_sigma, size=img.shape)
+    return np.clip(img, 0.0, 1.0, out=img)

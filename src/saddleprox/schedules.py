@@ -157,7 +157,10 @@ def _cap(num: float, denom: float) -> float:
 
 def _primal_cap(c: ProblemConstants, omega: float) -> float:
     """Largest tau with tau*(lambda_x + l_yx*(omega+2)*rho_y) <= delta."""
-    return _cap(c.delta, c.lambda_x + c.l_yx * (omega + 2.0) * c.rho_y)
+    load = c.l_yx * (omega + 2.0) * c.rho_y
+    if not math.isfinite(load):  # l_yx*(omega+2) overflowed; l_yx*rho_y may not
+        load = c.l_yx * c.rho_y * (omega + 2.0)
+    return _cap(c.delta, c.lambda_x + load)
 
 
 def _one_minus_mu(c: ProblemConstants) -> float:

@@ -786,9 +786,12 @@ def test_no_several_flag_values_end_in_a_traceback(tmp_path, monkeypatch, capsys
     # A gtilde-g past half the largest float, whose doubling overflowed and
     # left tau_max unbounded.
     argvs += [["steps", "linear", "--rk", "1", "--gtilde-g", "1e308", "--gtilde-f", "1"]]
+    # An l_yx past a third of the largest float, whose product with omega + 2
+    # overflowed and left a primal cap of 0.
+    argvs += [["steps", "constant", "--lyx", "1e308", "--rho-y", "1e-300", "--lambda-x", "1"]]
     runs = _run_sweep(argvs, capsys)
     assert not _sweep_failures(runs)
-    assert [rc for _, rc, _ in runs[-3:]] == [2, 2, 0]
+    assert [rc for _, rc, _ in runs[-4:]] == [2, 2, 0, 0]
 
 
 # Valid values for the sweep below: for each flag without a default or

@@ -425,6 +425,41 @@ def test_recycled_step_and_solve_match_allocating_step_bit_for_bit(case):
         assert r.dist_to_ref == norm(it.x - ref[0], it.y - ref[1])
 
 
+@pytest.mark.parametrize("case", [c for c in _engine_cases() if c[0] != "bilinear"],
+                         ids=lambda c: c[0])
+def test_solve_plans_share_one_x_bar(monkeypatch, case):
+    # Both plans write the same x_bar, which is no x or y of either set.
+    name, problem, triple, x0, y0 = case
+    plans, build = [], type(problem).step_plan
+
+    def spy(self, state, out):
+        plans.append(build(self, state, out))
+        return plans[-1]
+
+    monkeypatch.setattr(type(problem), "step_plan", spy)
+    final, _ = solve(problem, triple, x0, y0, SolveOptions(max_iters=3))
+    assert len(plans) == 2
+    x_bar = plans[0].arrays[3]
+    assert plans[1].arrays[3] is x_bar and final.x_bar is x_bar
+    for plan in plans:
+        x, y, x_new, _, y_new = plan.arrays
+        assert not any(np.may_share_memory(x_bar, v) for v in (x, y, x_new, y_new))
+
+
+@pytest.mark.parametrize("case", list(_engine_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("reference", [None, 4, 7, 10], ids=lambda r: "R=%s" % r)
+def test_solve_returns_the_x_bar_of_lone_steps(case, reference):
+    # With max_iters N = 7: no reference, R < N, R = N and R > N, where the
+    # run steps on past the returned state and its shared x_bar.
+    name, problem, triple, x0, y0 = case
+    want = PrimalDualState.initial(x0, y0)
+    for _ in range(7):
+        want = step(problem, triple, want)
+    final, _ = solve(problem, triple, x0, y0,
+                     SolveOptions(max_iters=7, log_stride=3, reference=reference))
+    assert _bits(final) == _bits(want)
+
+
 class OutRecorder(SaddleProblem):
     """K(x, y) = <y, x> on R^3 with identity proxes.  Keeps every ``out``
     that step hands it, and every vector whose inner product is taken."""

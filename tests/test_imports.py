@@ -45,8 +45,10 @@ def test_no_unused_top_level_imports():
 
 def test_importing_the_cli_loads_no_scipy():
     # Only the Poisson solver needs scipy; it imports scipy.fft on first use.
+    # The nash and verify commands import their modules when they run.
     code = ("import sys, saddleprox.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('saddleprox.nash', 'saddleprox.verify')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

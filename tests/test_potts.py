@@ -327,6 +327,19 @@ def test_step_with_out_allocates_at_most_one_field():
                                   f.nbytes) <= 2.1
 
 
+def test_solve_holds_one_x_bar():
+    # Traced peak of a 3-iteration 128x128 p = 1 solve, in images: the
+    # copies of x0 and y0 (3), the spare x and y (3), the one x_bar both
+    # sets share (1) and each plan's two planes (4).  An x_bar per set
+    # adds an image.
+    f = gen_synthetic(128, 128, 5, n_shapes=3, noise_sigma=0.05)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
+    trip, _ = potts_steps(1.0, 1e-3, 1)
+    y0 = np.zeros(prob.dual_dim)
+    assert _traced_peak_in_images(
+        lambda: solve(prob, trip, f, y0, SolveOptions(max_iters=3)), f.nbytes) <= 11.2
+
+
 def _rows_per_block(monkeypatch, n2, rows):
     """Set the step plan's block budget to ``rows`` rows of an image n2 wide."""
     monkeypatch.setattr(potts, "_BLOCK_BYTES", 64 * max(n2, 1) * rows)
@@ -886,6 +899,40 @@ def test_gen_synthetic_is_deterministic():
     assert np.array_equal(a, b)
     c = gen_synthetic(16, 12, seed=12)
     assert not np.array_equal(a, c)
+
+
+def _gen_synthetic_on_index_grids(n1, n2, seed, n_shapes, noise_sigma):
+    """gen_synthetic with its disks tested on full n1 x n2 index grids,
+    the noise added into a new array and the clip into another."""
+    rng = np.random.default_rng(seed)
+    img = np.full((n1, n2), rng.uniform(0.1, 0.4))
+    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    for _ in range(n_shapes):
+        level = rng.uniform(0.0, 1.0)
+        if rng.uniform() < 0.5:
+            i0 = rng.integers(0, max(1, n1 - 2))
+            j0 = rng.integers(0, max(1, n2 - 2))
+            di = rng.integers(max(2, n1 // 8), max(3, n1 // 2))
+            dj = rng.integers(max(2, n2 // 8), max(3, n2 // 2))
+            img[i0 : i0 + di, j0 : j0 + dj] = level
+        else:
+            ci = rng.uniform(0, n1 - 1)
+            cj = rng.uniform(0, n2 - 1)
+            r = rng.uniform(min(n1, n2) / 8.0, min(n1, n2) / 3.0)
+            img[(ii - ci) ** 2 + (jj - cj) ** 2 <= r * r] = level
+    if noise_sigma > 0:
+        img = img + rng.normal(0.0, noise_sigma, size=img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n1, n2, seed, n_shapes, noise_sigma", [
+    (64, 64, 7, 1, 0.0), (57, 60, 3, 6, 0.05), (5, 7, 1, 3, 0.1), (1, 1, 0, 2, 0.0),
+    (1, 9, 2, 6, 0.3), (9, 1, 4, 6, 0.3), (1, 40, 5, 8, 0.0), (40, 1, 6, 8, 0.05)])
+def test_gen_synthetic_is_bit_identical_to_index_grids(n1, n2, seed, n_shapes, noise_sigma):
+    got = gen_synthetic(n1, n2, seed, n_shapes=n_shapes, noise_sigma=noise_sigma)
+    want = _gen_synthetic_on_index_grids(n1, n2, seed, n_shapes, noise_sigma)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_gen_synthetic_piecewise_constant_level_count():

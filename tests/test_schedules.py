@@ -204,6 +204,24 @@ def test_bound_linear_and_rules_take_gtg_past_half_the_largest_float():
     assert rule.triple(1).tau == pytest.approx(1e-160 / (1.0 + 2e148), rel=1e-15)
 
 
+def test_primal_cap_takes_l_yx_past_a_third_of_the_largest_float():
+    # l_yx*(omega+2) overflows, but l_yx*rho_y does not: the cap is
+    # delta/(lambda_x + 3*l_yx*rho_y), not 0, and with rho_y = 0 it is
+    # delta/lambda_x, not unbounded.
+    c = ProblemConstants(r_k=1.0, lambda_x=1.0, l_yx=1e308, rho_y=1e-300)
+    tau_sup, sigma_max = bound_constant(c)
+    assert tau_sup == pytest.approx(0.1 / (1.0 + 3e8), rel=1e-15)
+    assert sigma_max(0.99 * tau_sup) > 0
+    assert bound_constant(dataclasses.replace(c, rho_y=0.0))[0] == 0.1
+    report = check_48(c, [StepTriple(0.9 * tau_sup, 1.0, 1.0)])
+    primal = {cond.name: cond for cond in report.conditions}["primal-step"]
+    assert primal.margin == pytest.approx(0.1, rel=1e-9)
+    # A finite product keeps its left-to-right order, and so its bits:
+    # regrouped, this cap would end in another bit.
+    finite = dataclasses.replace(c, l_yx=1.3, rho_y=0.4)
+    assert bound_constant(finite)[0] == 0.1 / (1.0 + 1.3 * 3.0 * 0.4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     r_k=st.floats(min_value=0.1, max_value=5.0),
