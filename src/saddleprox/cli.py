@@ -56,21 +56,27 @@ from .pgm import read_pgm, write_file, write_pgm
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a plain-text ``key = value`` configuration file.
 
+    The file is UTF-8 text, split at the line ends of universal newlines.
     Blank lines and ``#`` comments are skipped; inline comments after the
     value are stripped.  Keys use the same spelling as the long command
     line flags, without the leading dashes and with ``-`` or ``_``
     interchangeable.
     """
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError("%s:%d: expected key = value" % (path, lineno))
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError("%s:%d: not UTF-8 text (byte 0x%02x)"
+                                     % (path, lineno, raw[exc.start])) from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError("%s:%d: expected key = value" % (path, lineno))
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

@@ -270,26 +270,55 @@ def _dt_rows(gh: np.ndarray, gv: np.ndarray, a: int, n1: int, out: np.ndarray) -
 
 
 def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
-                     out: np.ndarray, t: np.ndarray) -> list:
+                     prod: np.ndarray, t: np.ndarray, out: np.ndarray) -> list:
     """rho_grad on (2, rows, n2) views, one component each: out = 2(1 - t) w.
-    The products z y go into out first; they are t at p = 1, and at p = inf
-    t is their sum, in the plane ``t``.  out may be z, not w."""
-    ops = [(np.multiply, (z, y, out))]
+    The products z y go into ``prod`` first, so prod may be z or y but not
+    w; they are t at p = 1, and at p = inf t is their sum, in the plane
+    ``t``.  Only the last multiply writes ``out``: it may be t or w, and
+    must not overlap them otherwise (numpy would copy the operand)."""
+    ops = [(np.multiply, (z, y, prod))]
     if p == 1:
-        t = out
+        t = prod
     else:
-        ops.append((np.add, (out[0], out[1], t)))
+        ops.append((np.add, (prod[0], prod[1], t)))
     return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t)),
                   (np.multiply, (t, w, out))]
+
+
+def _scratch_places(ops: list, scratch: np.ndarray) -> list:
+    """Where an op list holds views of ``scratch``: (op index, argument
+    indices) pairs."""
+    places = [(i, [j for j, v in enumerate(args)
+                   if type(v) is np.ndarray and v.base is scratch])
+              for i, (fn, args) in enumerate(ops)]
+    return [(i, js) for i, js in places if js]
+
+
+def _share_views(ops: list, like: list, places: list) -> list:
+    """``ops`` with the views at ``places`` taken from ``like``, the op list
+    of a block over the same rows of the scratch (see _scratch_places)."""
+    for i, js in places:
+        fn, args = ops[i]
+        args, kargs = list(args), like[i][1]
+        for j in js:
+            args[j] = kargs[j]
+        ops[i] = fn, tuple(args)
+    return ops
 
 
 class _WalkPlan:
     """PottsProblem's step plan: one walk over row blocks from the arrays
     of ``state`` into those of ``out``, every view laid out at build.
-    Per block of rows [a, b): D x on rows [a - 1, b), kappa_z, dht, the
-    primal update; then the dual rows, one row behind (D x_bar reads
-    row b).  The plan owns its planar scratch; the isfinite masks go into
-    the bytes of its first plane."""
+    Per block of rows [a, b): y's rows [a - 1, b) gathered into two
+    planes, D x on those rows, kappa_z, dht, the primal update; then the
+    dual rows, one row behind (D x_bar reads row b), written into the new
+    y in one pass.  Every kappa pass runs on contiguous planes of one
+    layout per block (numpy buffers small ufunc calls whose operands differ
+    in layout).  The scratch is the plan's own planes (the isfinite masks
+    go into their bytes) and the new y's rows [a - 1, b), which hold the
+    gathered y: no dual row has reached them, since the dual part of each
+    block starts at row a - 1, and it reads the gathered rows before its
+    last pass writes over them."""
 
     def __init__(self, problem: "PottsProblem", state, out):
         c, (n1, n2) = problem.config, problem.shape
@@ -300,26 +329,44 @@ class _WalkPlan:
         x_new, x_bar = problem._img(out.x), problem._img(out.x_bar)
         y_new = problem._field(out.y)
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
-        planes = np.empty((2 if c.p == 1 else 3, min(rows + 1, n1), n2))
-        mask = planes[0].reshape(-1).view(bool)
-        self.blocks, done = [], 0  # done: rows of out.y laid out
+        k = 2 if c.p == 1 else 3
+        planes = np.empty(k * min(rows + 1, n1) * n2)
+        mask = planes.view(bool)
+        self.blocks, done, shared = [], 0, {}  # done: rows of out.y laid out
         for a in range(0, n1, rows):
             b, lo = min(a + rows, n1), max(a - 1, 0)
-            g, yb, v = planes[:, :b - lo], field[lo:b].transpose(2, 0, 1), x_bar[a:b]
+            d = b - 1 if b < n1 else n1
+            yb = out.y[2 * lo * n2:2 * b * n2].reshape(2, b - lo, n2)
+            g, v = planes[:k * (b - lo) * n2].reshape(k, b - lo, n2), x_bar[a:b]
             g2 = g[:2]
-            ops = (_d_planes(img, lo, b, g) + _rho_grad_planes(c.p, g2, yb, yb, g2, g[-1])
+            ops = ([(np.copyto, (yb, field[lo:b].transpose(2, 0, 1)))] + _d_planes(img, lo, b, g)
+                   + _rho_grad_planes(c.p, g2, yb, yb, g2, g[-1], g2)
                    + _dt_rows(g[0, a - lo:], g[1], a, n1, v))
-            primal = (ops, v, x_new[a:b], img[a:b], problem.noisy[a:b],
-                      mask[:v.size].reshape(v.shape))
-            d, dual = b - 1 if b < n1 else n1, None
-            if d > done:
-                z, w = planes[:, :d - done], out.y[2 * done * n2:2 * d * n2]
+            dops = None
+            if d > done:  # done == lo: the dual rows lead the gathered planes
+                z, t, y_out = g[:, :d - lo], yb[:, :d - lo], y_new[done:d].transpose(2, 0, 1)
                 z2 = z[:2]
-                ops = (_d_planes(x_bar, done, d, z)
-                       + _rho_grad_planes(c.p, z2, field[done:d].transpose(2, 0, 1),
-                                          z2, y_new[done:d].transpose(2, 0, 1), z[-1]))
-                dual = (ops, w, y[2 * done * n2:2 * d * n2], mask[:w.size])
-            self.blocks.append((primal, dual))
+                dops = _d_planes(x_bar, done, d, z)
+                if c.p == 1:  # t is y_out's bytes: a direct write would copy
+                    dops += (_rho_grad_planes(1, z2, t, z2, t, t, z2)
+                             + [(np.positive, (z2, y_out))])
+                else:
+                    dops += _rho_grad_planes(c.p, z2, t, z2, t, z[-1], y_out)
+            # The views of the planes in a block's ops depend only on its
+            # halo, its rows, its dual rows and whether it ends the image: a
+            # block with the key of an earlier one takes that block's views.
+            key = (a - lo, b - lo, d - done, b == n1)
+            if key in shared:
+                (like, places), (dlike, dplaces), xmask, ymask = shared[key]
+                ops = _share_views(ops, like, places)
+                dops = dops and _share_views(dops, dlike, dplaces)
+            else:
+                xmask, ymask = mask[:v.size].reshape(v.shape), mask[:2 * (d - done) * n2]
+                shared[key] = ((ops, _scratch_places(ops, planes)),
+                               (dops, dops and _scratch_places(dops, planes)), xmask, ymask)
+            ys = slice(2 * done * n2, 2 * d * n2)
+            self.blocks.append(((ops, v, x_new[a:b], img[a:b], problem.noisy[a:b], xmask),
+                                dops and (dops, out.y[ys], y[ys], ymask)))
             done = d
 
     def __call__(self, triple, iteration: int) -> None:
@@ -369,12 +416,15 @@ class PottsProblem(SaddleProblem):
     of states; ``solve`` builds two plans, one each way, runs them and
     calls none of the four maps.  Each plan owns its planar scratch: D x
     of a block as contiguous (rows, n2) planes, horizontal and vertical,
-    and at p = inf a third for t; y and the new y keep their interleaved
-    layout.
+    and at p = inf a third for t.  y and the new y keep their interleaved
+    layout; each block gathers its rows of y into two planes in the new
+    y's bytes and writes the new y back in one pass.
     """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
-        noisy = np.asarray(noisy, dtype=float)
+        # C order: the walk's rows of it run contiguous, and prox_primal's
+        # ravel is a view.  A C-contiguous float image is kept, not copied.
+        noisy = np.ascontiguousarray(noisy, dtype=float)
         if noisy.ndim != 2:
             raise ConfigurationError("noisy image must be 2-d")
         self.config = config

@@ -557,6 +557,41 @@ def test_config_synthetic_matches_flag(tmp_path, capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_config_file_is_read_as_utf8(tmp_path, capsys, monkeypatch):
+    # A non-ASCII input path works in a config file as it does as a flag,
+    # and a non-ASCII comment is skipped; the headers escape the path alike.
+    src = tmp_path / "ü" / "straße.pgm"
+    src.parent.mkdir()
+    rc, _, _ = run_cli(["gen-image", "--n1", "6", "--n2", "5", "--out", str(src)], capsys)
+    assert rc == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(("# σ stays at its default\ninput = %s\niters = 3\n"
+                     % src).encode("utf-8"))
+    outs = []
+    for name, argv in (("flag", ["--input", str(src), "--iters", "3"]),
+                       ("file", ["--config", str(cfg)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        rc, out, err = run_cli(["potts"] + argv + ["--out-prefix", "run"], capsys)
+        assert rc == 0, err
+        outs.append((out, (tmp_path / name / "run_log.csv").read_bytes(),
+                     (tmp_path / name / "run_denoised.pgm").read_bytes()))
+    assert outs[0] == outs[1]
+    assert b"stra\\xdfe.pgm" in outs[0][1]
+
+
+def test_config_file_that_is_not_utf8_exits_two_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"iters = 3\n# caf\xe9\n")
+    rc, _, err = run_cli(["potts", "--synthetic", "4", "4", "0", "--config", str(cfg),
+                          "--out-prefix", str(tmp_path / "run")], capsys)
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "latin1.cfg:2: not UTF-8 text (byte 0xe9)" in err
+    with pytest.raises(core.ConfigurationError, match="latin1.cfg:2"):
+        parse_config_file(str(cfg))
+
+
 def test_a_config_run_leaves_no_state_in_the_shared_parser(tmp_path, capsys,
                                                             monkeypatch):
     # main shares one parser per process: a --config run in between must

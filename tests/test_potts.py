@@ -436,7 +436,8 @@ def test_fused_step_is_bit_identical_to_generic_step(monkeypatch, n, p, steps, i
 
 @pytest.mark.parametrize("shape, rows", [((33, 17), 4), ((33, 17), 2), ((9, 1), 2),
                                          ((9, 1), 4), ((1, 9), 1), ((2, 2), 1),
-                                         ((65, 64), 4), ((65, 64), 64)],
+                                         ((65, 64), 4), ((65, 64), 64), ((5, 1), 1),
+                                         ((3, 5), 1)],
                          ids=lambda v: "%dx%d" % v if isinstance(v, tuple) else str(v))
 @pytest.mark.parametrize("into", ["new", "nan-filled-out"])
 @BOTH_P
@@ -444,7 +445,9 @@ def test_fused_step_in_blocks_is_bit_identical_to_generic_step(
         monkeypatch, shape, rows, into, p):
     # Several blocks of the walk, the last of them one row (33 = 8*4 + 1,
     # 9 = 4*2 + 1, 65 = 16*4 + 1 = 64 + 1); the dual rows trail one row
-    # behind each block.  A NaN-filled ``out`` shows an entry no block writes.
+    # behind each block.  In one-row blocks the first block has no dual
+    # part and the last one's spans exactly the rows it gathers.  A
+    # NaN-filled ``out`` shows an entry no block writes.
     _rows_per_block(monkeypatch, shape[1], rows)
     f = np.random.default_rng(rows).uniform(size=shape)
     fused, generic = _fused_and_generic(monkeypatch, p, f, 5, into)
@@ -516,6 +519,92 @@ def test_fused_step_calls_none_of_the_four_maps(monkeypatch, p):
     for name in ("grad_x", "grad_y", "prox_primal", "prox_dual"):
         monkeypatch.setattr(PottsProblem, name, refuse)
     assert _step_bits(prob, trip, state, 3, "new") == want
+
+
+def _built_plan(monkeypatch, p, shape, rows):
+    """A problem on a random image of ``shape``, a state from it and a
+    random dual field, and the step plan out of that state, in blocks of
+    ``rows`` rows (None: the default budget)."""
+    if rows is not None:
+        _rows_per_block(monkeypatch, shape[1], rows)
+    rng = np.random.default_rng(sum(shape))
+    f = rng.uniform(size=shape)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    state = PrimalDualState.initial(f.ravel(), 0.3 * rng.normal(size=prob.dual_dim))
+    out, plan = plan_step(prob, state)
+    return prob, state, out, plan
+
+
+@pytest.mark.parametrize("shape, rows", [((128, 128), None), ((12, 2048), 4)],
+                         ids=["128x128", "12x2048-in-4-rows"])
+@BOTH_P
+def test_plan_calls_allocate_nothing(monkeypatch, shape, rows, p):
+    # Once built, a plan writes only into its own planes and the arrays of
+    # ``out``.  An operand that overlaps its ufunc's output other than
+    # entry for entry makes numpy copy it first: at least a block's
+    # dual planes, 96 KiB here.  numpy also buffers ufunc calls of at most
+    # np.getbufsize() = 8192 entries whose operands differ in layout (the
+    # 64^2 walk does); every pass here is larger.  What is left is numpy's
+    # per-call bookkeeping (0-d scalars, iterators), about 1.4 KB.
+    prob, _, _, plan = _built_plan(monkeypatch, p, shape, rows)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    plan(trip, 1)
+    tracemalloc.start()
+    try:
+        for i in range(3):
+            plan(trip, i + 2)
+        assert tracemalloc.get_traced_memory()[1] < 4096
+    finally:
+        tracemalloc.stop()
+
+
+def _planes_contiguous(a):
+    """Whether each (rows, n2) plane of an operand is C-contiguous."""
+    return all(v.flags.c_contiguous for v in (a if a.ndim == 3 else [a]))
+
+
+@pytest.mark.parametrize("shape, rows", [((128, 128), None), ((33, 17), 4), ((3, 5), 1)],
+                         ids=["128x128", "33x17-in-4-rows", "3x5-in-1-row"])
+@BOTH_P
+def test_walk_gathers_y_once_and_writes_the_new_y_once_per_block(monkeypatch, shape,
+                                                                   rows, p):
+    # Every kappa pass runs on contiguous planes.  Apart from the column
+    # edits of D and D^T (one entry a row), the only strided operands of a
+    # block are the source of its gather (y's rows, interleaved) and the
+    # target of the last op of its dual part (the new y's rows).  The
+    # gathered planes are bytes of the new y, never of y.
+    _, state, out, plan = _built_plan(monkeypatch, p, shape, rows)
+    for primal, dual in plan.blocks:
+        parts = [primal[0]] + ([] if dual is None else [dual[0]])
+        strided = [[a for fn, args in ops for a in args
+                    if isinstance(a, np.ndarray) and a.shape[-1] > 1
+                    and not _planes_contiguous(a)] for ops in parts]
+        (fn, (planes, source)), last = primal[0][0], parts[-1][-1]
+        assert fn is np.copyto and planes.flags.c_contiguous
+        assert np.shares_memory(planes, out.y) and not np.shares_memory(planes, state.y)
+        assert [id(a) for a in strided[0]] == [id(source)]
+        assert np.shares_memory(source, state.y)
+        if dual is not None:
+            assert [id(a) for a in strided[1]] == [id(last[1][-1])]
+            assert np.shares_memory(last[1][-1], out.y)
+    assert sum(dual is None for _, dual in plan.blocks) == (rows == 1)
+
+
+@BOTH_P
+def test_walk_builds_its_plane_views_once_per_block_geometry(monkeypatch, p):
+    # All interior blocks lay out the same rows of the plan's planes, and
+    # share one set of views of them: the views do not grow with the
+    # number of blocks.
+    counts = []
+    for n1 in (65, 129):
+        _, _, _, plan = _built_plan(monkeypatch, p, (n1, 64), 4)
+        scratch = plan.blocks[0][0][-1].base  # the primal isfinite mask's planes
+        views = {id(a) for primal, dual in plan.blocks for part in (primal, dual)
+                 for a in [*part[1:], *(a for _, args in part[0] for a in args)]
+                 if isinstance(a, np.ndarray) and a.base is scratch}
+        counts.append((len(plan.blocks), len(views)))
+    assert counts[0][0] == 17 and counts[1][0] == 33
+    assert counts[0][1] == counts[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +934,29 @@ def test_prox_primal_weights_data_term_by_alpha():
     tau = 1.0
     r = tau / 0.25
     assert np.allclose(prob.prox_primal(tau, v), r * 0.5 / (1.0 + r), rtol=1e-15)
+
+
+@BOTH_P
+def test_problem_keeps_the_noisy_image_in_c_order(p):
+    # A C-contiguous float image is kept as given; another layout is copied
+    # into C order once, so the walk reads contiguous rows of it and
+    # prox_primal's ravel is a view.  Either way a solve has the same bits.
+    f = gen_synthetic(40, 33, 3, n_shapes=3, noise_sigma=0.05)
+    config = PottsConfig(alpha=1.0, gamma=1e-3, p=p)
+    prob = PottsProblem(config, f)
+    assert prob.noisy is f
+    fortran = PottsProblem(config, np.asfortranarray(f))
+    strided = PottsProblem(config, np.repeat(f, 2, axis=1)[:, ::2])
+    assert fortran.noisy.flags.c_contiguous and strided.noisy.flags.c_contiguous
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    y0 = 0.3 * np.random.default_rng(3).normal(size=prob.dual_dim)
+    options = SolveOptions(max_iters=6, log_stride=2, reference=8, record_objective=True)
+    want = _solve_bits(prob, trip, f, y0, options)
+    assert _solve_bits(fortran, trip, f, y0, options) == want
+    assert _solve_bits(strided, trip, f, y0, options) == want
+    out = np.empty(f.size)
+    assert _traced_peak_in_images(lambda: fortran.prox_primal(0.1, f.ravel(), out=out),
+                                  f.nbytes) < 0.1
 
 
 @BOTH_P
