@@ -84,7 +84,11 @@ class SaddleProblem:
         update, or a plan that owns any scratch it needs: ``plan.arrays``
         is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
         and writes, and ``plan(triple, iteration)`` writes the update's
-        bits into the last three.  A plan never reads ``state.x_bar``:
+        bits into new x and new y.  It may use new x_bar as scratch and
+        leave it partly written: :func:`step` writes the whole x_bar after
+        a plan it built itself, and :func:`solve` after the step that ends
+        its log; a caller that hands :func:`step` its own bound plan leaves
+        ``out.x_bar`` to the plan.  A plan never reads ``state.x_bar``:
         :func:`solve` hands the two states of its loop one shared x_bar.
         :func:`step` builds a plan after its checks.  A new non-finite
         entry raises ``DivergenceError(iteration)``; ``out`` may then be
@@ -237,6 +241,15 @@ def plan_step(problem: SaddleProblem, state: PrimalDualState,
     return out, problem.step_plan(state, out)
 
 
+def _over_relax(x_new: np.ndarray, x: np.ndarray, omega: float,
+                out: np.ndarray) -> np.ndarray:
+    """x_bar = x_new + omega * (x_new - x) into ``out``, in the operand
+    order of every step plan."""
+    np.subtract(x_new, x, out=out)
+    np.multiply(omega, out, out=out)
+    return np.add(x_new, out, out=out)
+
+
 def step(problem: SaddleProblem, triple, state: PrimalDualState,
          out: Optional[PrimalDualState] = None, plan=None) -> PrimalDualState:
     """One primal-dual iteration with the step triple (tau, sigma, omega).
@@ -250,17 +263,22 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     operand order kept, so both forms give the same bits, and so does a
     problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
     :func:`plan_step` is run without the checks if it is bound to exactly
-    the arrays of ``state`` and ``out``; otherwise the checks run and a
-    plan is built for this call.  Raises :class:`DivergenceError` if the
+    the arrays of ``state`` and ``out``, and then ``out.x_bar`` holds
+    what that plan leaves there (see :meth:`SaddleProblem.step_plan`);
+    otherwise the checks run, a plan is built for this call and x_bar is
+    written in full.  Raises :class:`DivergenceError` if the
     new iterates contain non-finite entries, carrying the 1-based
     iteration index.
     """
-    if plan is None or out is None or not all(map(
-            operator.is_, plan.arrays, (state.x, state.y, out.x, out.x_bar, out.y))):
+    bound = plan is not None and out is not None and all(map(
+        operator.is_, plan.arrays, (state.x, state.y, out.x, out.x_bar, out.y)))
+    if not bound:
         out, plan = plan_step(problem, state, out)
     out.iteration = it = state.iteration + 1
     if plan is not None:
         plan(triple, it)
+        if not bound:
+            _over_relax(out.x, state.x, triple.omega, out.x_bar)
         return out
     x, y = state.x, state.y
     tau, sigma, omega = triple.tau, triple.sigma, triple.omega
@@ -270,9 +288,7 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     np.multiply(tau, v, out=v)
     np.subtract(x, v, out=v)
     x_new = problem.prox_primal(tau, v, out=out.x)
-    x_bar = np.subtract(x_new, x, out=out.x_bar)
-    np.multiply(omega, x_bar, out=x_bar)
-    np.add(x_new, x_bar, out=x_bar)
+    x_bar = _over_relax(x_new, x, omega, out.x_bar)
     w = problem.grad_y(x_bar, y, out=out.y)
     np.multiply(sigma, w, out=w)
     np.add(y, w, out=w)
@@ -285,7 +301,9 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
 def _distance(problem: SaddleProblem, x: np.ndarray, y: np.ndarray,
               x0: np.ndarray, y0: np.ndarray, scratch: PrimalDualState) -> float:
     """Norm of (x - x0, y - y0) in the problem's inner products.  The
-    differences are written into the arrays of ``scratch``."""
+    differences are written into the arrays of ``scratch``: :func:`solve`
+    takes x+ - x from ``scratch.x`` for x_bar, in the operand order of
+    the step plans' x_bar."""
     dx = np.subtract(x, x0, out=scratch.x)
     dy = np.subtract(y, y0, out=scratch.y)
     return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
@@ -333,8 +351,11 @@ def solve(
     :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
     and ``y0`` are copied first.  The two sets share one x_bar, which
     each step overwrites: no plan, and no generic step, reads the x_bar
-    of the state it starts from.  The returned state and reference
-    belong to the caller, and hold no plan.
+    of the state it starts from.  A plan may leave x_bar partly written,
+    so the whole x_bar of iteration ``max_iters`` is written once, from
+    the difference x+ - x that its step norm leaves in the spare set.
+    The returned state and reference belong to the caller, and hold no
+    plan.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
@@ -377,6 +398,9 @@ def solve(
             continue
         # spare's arrays, which the next step overwrites, take the differences.
         step_norm = _distance(problem, state.x, state.y, spare.x, spare.y, spare)
+        if n == max_iters:  # x_bar from x+ - x, before a distance overwrites it
+            np.multiply(trip.omega, spare.x, out=state.x_bar)
+            np.add(state.x, state.x_bar, out=state.x_bar)
         dist = None
         if ref is not None:
             dist = _distance(problem, state.x, state.y, *ref, spare)

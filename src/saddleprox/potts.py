@@ -274,15 +274,20 @@ def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
     """rho_grad on (2, rows, n2) views, one component each: out = 2(1 - t) w.
     The products z y go into ``prod`` first, so prod may be z or y but not
     w; they are t at p = 1, and at p = inf t is their sum, in the plane
-    ``t``.  Only the last multiply writes ``out``: it may be t or w, and
-    must not overlap them otherwise (numpy would copy the operand)."""
+    ``t``.  Only the last multiplies write ``out``: it may be t or w, and
+    must not overlap them otherwise (numpy would copy the operand).  At
+    p = inf they multiply each plane of w by t when ``out`` is contiguous
+    planes, and broadcast t over both planes when it is not: at 64^2 each
+    form is the faster one into its kind of ``out``."""
     ops = [(np.multiply, (z, y, prod))]
     if p == 1:
         t = prod
     else:
         ops.append((np.add, (prod[0], prod[1], t)))
-    return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t)),
-                  (np.multiply, (t, w, out))]
+    ops += [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t))]
+    if p == 1 or not out.flags.c_contiguous:
+        return ops + [(np.multiply, (t, w, out))]
+    return ops + [(np.multiply, (t, w[k], out[k])) for k in range(2)]
 
 
 def _scratch_places(ops: list, scratch: np.ndarray) -> list:
@@ -312,23 +317,32 @@ class _WalkPlan:
     Per block of rows [a, b): y's rows [a - 1, b) gathered into two
     planes, D x on those rows, kappa_z, dht, the primal update; then the
     dual rows, one row behind (D x_bar reads row b), written into the new
-    y in one pass.  Every kappa pass runs on contiguous planes of one
-    layout per block (numpy buffers small ufunc calls whose operands differ
-    in layout).  The scratch is the plan's own planes (the isfinite masks
-    go into their bytes) and the new y's rows [a - 1, b), which hold the
-    gathered y: no dual row has reached them, since the dual part of each
-    block starts at row a - 1, and it reads the gathered rows before its
-    last pass writes over them."""
+    y in one pass (at p = 1 the update's sigma multiply).  Every kappa
+    pass runs on contiguous planes of one layout per block (numpy buffers
+    small ufunc calls whose operands differ in layout).  The scratch is
+    the plan's own planes (the isfinite masks go into their bytes) and
+    the new y's rows [a - 1, b), which hold the gathered y: no dual row
+    has reached them, since the dual part of each block starts at row
+    a - 1, and it reads the gathered rows before its last pass writes
+    over them.
+
+    x_bar is read only by the dual rows of its own block, so it lives in
+    the head of ``out.x_bar``, its first ``rows + 1`` rows, which stay in
+    cache: the first block writes its rows from row 0, each later block
+    copies row a - 1 to row 0 and writes its rows after it.  Past one
+    block, the rest of ``out.x_bar`` is left as it was; ``step`` and
+    ``solve`` write the whole x_bar where they return it."""
 
     def __init__(self, problem: "PottsProblem", state, out):
         c, (n1, n2) = problem.config, problem.shape
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
-        self.alpha, self.gamma = c.alpha, c.gamma
-        img, field = problem._img(x), problem._field(y)
-        x_new, x_bar = problem._img(out.x), problem._img(out.x_bar)
-        y_new = problem._field(out.y)
+        self.alpha, self.gamma, self.p = c.alpha, c.gamma, c.p
+        self.sigma = np.empty(1)  # the call's sigma, which the p = 1 dual ops read
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
+        img, field = problem._img(x), problem._field(y)
+        x_new, y_new = problem._img(out.x), problem._field(out.y)
+        head = problem._img(out.x_bar)[:rows + 1]
         k = 2 if c.p == 1 else 3
         planes = np.empty(k * min(rows + 1, n1) * n2)
         mask = planes.view(bool)
@@ -337,19 +351,23 @@ class _WalkPlan:
             b, lo = min(a + rows, n1), max(a - 1, 0)
             d = b - 1 if b < n1 else n1
             yb = out.y[2 * lo * n2:2 * b * n2].reshape(2, b - lo, n2)
-            g, v = planes[:k * (b - lo) * n2].reshape(k, b - lo, n2), x_bar[a:b]
+            g, v = planes[:k * (b - lo) * n2].reshape(k, b - lo, n2), head[a - lo:b - lo]
             g2 = g[:2]
             ops = ([(np.copyto, (yb, field[lo:b].transpose(2, 0, 1)))] + _d_planes(img, lo, b, g)
-                   + _rho_grad_planes(c.p, g2, yb, yb, g2, g[-1], g2)
-                   + _dt_rows(g[0, a - lo:], g[1], a, n1, v))
+                   + _rho_grad_planes(c.p, g2, yb, yb, g2, g[-1], g2))
+            # Row a - 1 of x_bar goes to head row 0: the first block left it
+            # in head row rows - 1, a later one in head row rows.
+            if a > 0:
+                ops.append((np.copyto, (head[0], head[min(a - 1, rows)])))
+            ops += _dt_rows(g[0, a - lo:], g[1], a, n1, v)
             dops = None
             if d > done:  # done == lo: the dual rows lead the gathered planes
                 z, t, y_out = g[:, :d - lo], yb[:, :d - lo], y_new[done:d].transpose(2, 0, 1)
                 z2 = z[:2]
-                dops = _d_planes(x_bar, done, d, z)
+                dops = _d_planes(head[:b - lo], 0, d - lo, z)
                 if c.p == 1:  # t is y_out's bytes: a direct write would copy
                     dops += (_rho_grad_planes(1, z2, t, z2, t, t, z2)
-                             + [(np.positive, (z2, y_out))])
+                             + [(np.multiply, (self.sigma, z2, y_out))])
                 else:
                     dops += _rho_grad_planes(c.p, z2, t, z2, t, z[-1], y_out)
             # The views of the planes in a block's ops depend only on its
@@ -373,6 +391,7 @@ class _WalkPlan:
         tau, omega, sigma = triple.tau, triple.omega, triple.sigma
         r = tau / self.alpha
         primal_div, dual_div = 1.0 + r, 1.0 + self.gamma * sigma
+        self.sigma[0] = sigma
         for (ops, v, xn, xa, f, xmask), dual in self.blocks:
             for fn, args in ops:
                 fn(*args)
@@ -392,8 +411,9 @@ class _WalkPlan:
             ops, w, ya, ymask = dual
             for fn, args in ops:
                 fn(*args)
-            # step's sigma update and prox_dual.
-            np.multiply(sigma, w, out=w)
+            # step's sigma update (at p = 1 the ops' last pass made it) and prox_dual.
+            if self.p != 1:
+                np.multiply(sigma, w, out=w)
             np.add(ya, w, out=w)
             np.divide(w, dual_div, out=w)
             if not np.isfinite(w, out=ymask).all():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddleprox import core
+from saddleprox import core, potts
 from saddleprox.core import (
     ConfigurationError,
     DivergenceError,
@@ -354,12 +354,30 @@ def allocating_step(problem, triple, state):
     return PrimalDualState(x=x_new, y=y_new, x_bar=x_bar, iteration=state.iteration + 1)
 
 
+class _BlockedPotts(PottsProblem):
+    """A PottsProblem whose step plans walk blocks of 4 rows: a plan then
+    carries x_bar's row above each block in the head of ``out.x_bar`` and
+    leaves the rest of it to ``step`` and ``solve``."""
+
+    def step_plan(self, state, out):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(potts, "_BLOCK_BYTES", 64 * self.shape[1] * 4)
+            return super().step_plan(state, out)
+
+
 def _engine_cases():
     f = gen_synthetic(24, 17, 2, n_shapes=3, noise_sigma=0.05)
     for p in (1, math.inf):
         triple, _ = potts_steps(1.0, 1e-3, p)
         prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
         yield "potts-p%g" % p, prob, triple, f.ravel(), np.zeros(prob.dual_dim)
+    # 27 = 6 * 4 + 3 rows: six full blocks and a short last one.
+    f = gen_synthetic(27, 17, 3, n_shapes=3, noise_sigma=0.05)
+    y0 = 0.3 * np.random.default_rng(27).normal(size=2 * f.size)
+    for p in (1, math.inf):
+        triple, _ = potts_steps(1.0, 1e-3, p)
+        prob = _BlockedPotts(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+        yield "potts-p%g-4-rows" % p, prob, triple, f.ravel(), y0
     config, _, _ = manufacture(7)
     prob = NashProblem(config)
     yield "nash-7", prob, StepTriple(0.5, 0.5, 1.0), np.zeros(prob.primal_dim), \

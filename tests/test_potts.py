@@ -558,6 +558,23 @@ def test_plan_calls_allocate_nothing(monkeypatch, shape, rows, p):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("shape", [(33, 17), (12, 2048)], ids=["33x17", "12x2048"])
+@BOTH_P
+def test_plan_writes_only_the_head_rows_of_x_bar(monkeypatch, shape, p):
+    # x_bar is read only by the dual rows of its own block, so a plan keeps
+    # it in the first rows + 1 rows of out.x_bar, which stay in cache, and
+    # writes no other entry of it.  x+ and y+ keep the bits of lone steps.
+    rows, n2 = 4, shape[1]
+    prob, state, out, plan = _built_plan(monkeypatch, p, shape, rows)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    want = step(prob, trip, state)
+    out.x_bar.fill(np.nan)
+    for i in range(3):
+        plan(trip, i + 1)
+        assert np.isnan(out.x_bar[(rows + 1) * n2:]).all()
+        assert (out.x.tobytes(), out.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
 def _planes_contiguous(a):
     """Whether each (rows, n2) plane of an operand is C-contiguous."""
     return all(v.flags.c_contiguous for v in (a if a.ndim == 3 else [a]))
