@@ -84,12 +84,15 @@ class SaddleProblem:
         update, or a plan that owns any scratch it needs: ``plan.arrays``
         is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
         and writes, and ``plan(triple, iteration)`` writes the update's
-        bits into new x and new y.  It may use new x_bar as scratch and
-        leave it partly written: :func:`step` writes the whole x_bar after
-        a plan it built itself, and :func:`solve` after the step that ends
-        its log; a caller that hands :func:`step` its own bound plan leaves
-        ``out.x_bar`` to the plan.  A plan never reads ``state.x_bar``:
-        :func:`solve` hands the two states of its loop one shared x_bar.
+        bits into new x and new y.  New x_bar is its scratch, for every
+        problem: after a plan its contents are unspecified (the Potts walk
+        writes only its first rows).  :func:`step` writes the whole x_bar
+        after a plan it built itself, and :func:`solve` after the step that
+        ends its log; a caller that runs its own bound plan through
+        :func:`step` and needs x_bar forms x+ + omega (x+ - x) itself, in
+        that operand order for the bits of a lone step.  A plan never reads
+        ``state.x_bar``: :func:`solve` hands the two states of its loop one
+        shared x_bar.
         :func:`step` builds a plan after its checks.  A new non-finite
         entry raises ``DivergenceError(iteration)``; ``out`` may then be
         partly written.
@@ -263,8 +266,8 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     operand order kept, so both forms give the same bits, and so does a
     problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
     :func:`plan_step` is run without the checks if it is bound to exactly
-    the arrays of ``state`` and ``out``, and then ``out.x_bar`` holds
-    what that plan leaves there (see :meth:`SaddleProblem.step_plan`);
+    the arrays of ``state`` and ``out``, and then ``out.x_bar`` is
+    unspecified, the plan's scratch (see :meth:`SaddleProblem.step_plan`);
     otherwise the checks run, a plan is built for this call and x_bar is
     written in full.  Raises :class:`DivergenceError` if the
     new iterates contain non-finite entries, carrying the 1-based
@@ -351,8 +354,8 @@ def solve(
     :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
     and ``y0`` are copied first.  The two sets share one x_bar, which
     each step overwrites: no plan, and no generic step, reads the x_bar
-    of the state it starts from.  A plan may leave x_bar partly written,
-    so the whole x_bar of iteration ``max_iters`` is written once, from
+    of the state it starts from.  A plan leaves x_bar unspecified, so
+    the whole x_bar of iteration ``max_iters`` is written once, from
     the difference x+ - x that its step norm leaves in the spare set.
     The returned state and reference belong to the caller, and hold no
     plan.

@@ -274,20 +274,15 @@ def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
     """rho_grad on (2, rows, n2) views, one component each: out = 2(1 - t) w.
     The products z y go into ``prod`` first, so prod may be z or y but not
     w; they are t at p = 1, and at p = inf t is their sum, in the plane
-    ``t``.  Only the last multiplies write ``out``: it may be t or w, and
-    must not overlap them otherwise (numpy would copy the operand).  At
-    p = inf they multiply each plane of w by t when ``out`` is contiguous
-    planes, and broadcast t over both planes when it is not: at 64^2 each
-    form is the faster one into its kind of ``out``."""
+    ``t``.  Only the last multiply writes ``out``: it may be t or w, and
+    must not overlap them otherwise (numpy would copy the operand)."""
     ops = [(np.multiply, (z, y, prod))]
     if p == 1:
         t = prod
     else:
         ops.append((np.add, (prod[0], prod[1], t)))
-    ops += [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t))]
-    if p == 1 or not out.flags.c_contiguous:
-        return ops + [(np.multiply, (t, w, out))]
-    return ops + [(np.multiply, (t, w[k], out[k])) for k in range(2)]
+    return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t)),
+                  (np.multiply, (t, w, out))]
 
 
 def _scratch_places(ops: list, scratch: np.ndarray) -> list:

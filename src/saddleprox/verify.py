@@ -436,7 +436,9 @@ def _check_grad_nash(name: str, seed: int) -> ConditionReport:
 
 def _check_nash_step(name: str, seed: int) -> ConditionReport:
     """One planned Nash step against the plain composition of the four
-    maps, the largest difference relative to each iterate's max-norm."""
+    maps, the largest difference relative to each iterate's max-norm.
+    The x_bar compared is the one ``step`` writes after the plan; the
+    plan's own x_bar, in sine coefficients, reaches the check through y+."""
     from .nash import NashProblem, manufacture
 
     config, x_star, y_star = manufacture(15)

@@ -478,6 +478,26 @@ def test_solve_returns_the_x_bar_of_lone_steps(case, reference):
     assert _bits(final) == _bits(want)
 
 
+@pytest.mark.parametrize("case", [c for c in _engine_cases() if c[0] != "bilinear"],
+                         ids=lambda c: c[0])
+def test_a_callers_bound_plan_leaves_x_bar_to_the_caller(case):
+    # After a step through a caller's own bound plan, out.x_bar is the plan's
+    # scratch for every problem: x+ and y+ have the bits of a lone step, and
+    # x+ + omega (x+ - x), formed in that operand order, has those of its
+    # x_bar.  The walk in 4-row blocks writes only the first 5 rows of x_bar.
+    name, problem, triple, x0, y0 = case
+    state = PrimalDualState.initial(x0, y0)
+    out, plan = core.plan_step(problem, state)
+    out.x_bar.fill(np.nan)
+    got = step(problem, triple, state, out, plan)
+    want = step(problem, triple, state)
+    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+    x_bar = got.x + triple.omega * (got.x - state.x)
+    assert x_bar.tobytes() == want.x_bar.tobytes()
+    if name.endswith("-4-rows"):
+        assert np.isnan(got.x_bar[5 * problem.shape[1]:]).all()
+
+
 class OutRecorder(SaddleProblem):
     """K(x, y) = <y, x> on R^3 with identity proxes.  Keeps every ``out``
     that step hands it, and every vector whose inner product is taken."""
