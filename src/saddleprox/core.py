@@ -85,14 +85,15 @@ class SaddleProblem:
         is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
         and writes, and ``plan(triple, iteration)`` writes the update's
         bits into new x and new y.  New x_bar is its scratch, for every
-        problem: after a plan its contents are unspecified (the Potts walk
-        writes only its first rows).  :func:`step` writes the whole x_bar
-        after a plan it built itself, and :func:`solve` after the step that
-        ends its log; a caller that runs its own bound plan through
-        :func:`step` and needs x_bar forms x+ + omega (x+ - x) itself, in
-        that operand order for the bits of a lone step.  A plan never reads
-        ``state.x_bar``: :func:`solve` hands the two states of its loop one
-        shared x_bar.
+        problem: no plan forms the whole x_bar, and after a plan its
+        contents are unspecified (the Potts walk writes only its first
+        rows, the Nash plan the scratch of the tau update).  :func:`step`
+        writes the whole x_bar after a plan it built itself, and
+        :func:`solve` after the step that ends its log; a caller that runs
+        its own bound plan through :func:`step` and needs x_bar forms x+ +
+        omega (x+ - x) itself, in that operand order for the bits of a lone
+        step.  A plan never reads ``state.x_bar``: :func:`solve` hands the
+        two states of its loop one shared x_bar.
         :func:`step` builds a plan after its checks.  A new non-finite
         entry raises ``DivergenceError(iteration)``; ``out`` may then be
         partly written.

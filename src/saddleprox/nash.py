@@ -217,10 +217,12 @@ class _SinePlan:
     and the coefficients of the masked x_bar follow from those of x+ and
     x by linearity; the two adjoints of each gradient go back to the grid
     on their player's column span.  A call that does not take its
-    partner's coefficients of x first transforms x, two more.  ``last``
-    is a plan of ``problem`` that is still alive: if it runs the opposite
-    direction between the same x and y arrays and has no partner yet, the
-    two become partners and share one :class:`_SineCoefficients`.
+    partner's coefficients of x first transforms x, two more.  The grid
+    x_bar is never formed: ``out.x_bar`` keeps x - tau grad_x, the tau
+    update's scratch.  ``last`` is a plan of ``problem`` that is still
+    alive: if it runs the opposite direction between the same x and y
+    arrays and has no partner yet, the two become partners and share one
+    :class:`_SineCoefficients`.
     """
 
     def __init__(self, problem: "NashProblem", state, out, last: Optional["_SinePlan"]):
@@ -288,13 +290,10 @@ class _SinePlan:
             r -= z_hat[k]
             write_half(g, k + 1, self._adjoint(r, k), np.add, xk)
 
-        # step's tau update, prox_primal and x_bar, in their operand order.
+        # step's tau update and prox_primal, in their operand order.
         np.multiply(triple.tau, x_bar, out=x_bar)
         np.subtract(x, x_bar, out=x_bar)
         problem._clamp(x_bar, x_new)
-        np.subtract(x_new, x, out=x_bar)
-        np.multiply(triple.omega, x_bar, out=x_bar)
-        np.add(x_new, x_bar, out=x_bar)
         if not np.isfinite(x_new, out=self.x_finite).all():
             raise DivergenceError(iteration)
 

@@ -285,27 +285,6 @@ def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
                   (np.multiply, (t, w, out))]
 
 
-def _scratch_places(ops: list, scratch: np.ndarray) -> list:
-    """Where an op list holds views of ``scratch``: (op index, argument
-    indices) pairs."""
-    places = [(i, [j for j, v in enumerate(args)
-                   if type(v) is np.ndarray and v.base is scratch])
-              for i, (fn, args) in enumerate(ops)]
-    return [(i, js) for i, js in places if js]
-
-
-def _share_views(ops: list, like: list, places: list) -> list:
-    """``ops`` with the views at ``places`` taken from ``like``, the op list
-    of a block over the same rows of the scratch (see _scratch_places)."""
-    for i, js in places:
-        fn, args = ops[i]
-        args, kargs = list(args), like[i][1]
-        for j in js:
-            args[j] = kargs[j]
-        ops[i] = fn, tuple(args)
-    return ops
-
-
 class _WalkPlan:
     """PottsProblem's step plan: one walk over row blocks from the arrays
     of ``state`` into those of ``out``, every view laid out at build.
@@ -341,7 +320,7 @@ class _WalkPlan:
         k = 2 if c.p == 1 else 3
         planes = np.empty(k * min(rows + 1, n1) * n2)
         mask = planes.view(bool)
-        self.blocks, done, shared = [], 0, {}  # done: rows of out.y laid out
+        self.blocks, done = [], 0  # done: rows of out.y laid out
         for a in range(0, n1, rows):
             b, lo = min(a + rows, n1), max(a - 1, 0)
             d = b - 1 if b < n1 else n1
@@ -365,21 +344,10 @@ class _WalkPlan:
                              + [(np.multiply, (self.sigma, z2, y_out))])
                 else:
                     dops += _rho_grad_planes(c.p, z2, t, z2, t, z[-1], y_out)
-            # The views of the planes in a block's ops depend only on its
-            # halo, its rows, its dual rows and whether it ends the image: a
-            # block with the key of an earlier one takes that block's views.
-            key = (a - lo, b - lo, d - done, b == n1)
-            if key in shared:
-                (like, places), (dlike, dplaces), xmask, ymask = shared[key]
-                ops = _share_views(ops, like, places)
-                dops = dops and _share_views(dops, dlike, dplaces)
-            else:
-                xmask, ymask = mask[:v.size].reshape(v.shape), mask[:2 * (d - done) * n2]
-                shared[key] = ((ops, _scratch_places(ops, planes)),
-                               (dops, dops and _scratch_places(dops, planes)), xmask, ymask)
             ys = slice(2 * done * n2, 2 * d * n2)
-            self.blocks.append(((ops, v, x_new[a:b], img[a:b], problem.noisy[a:b], xmask),
-                                dops and (dops, out.y[ys], y[ys], ymask)))
+            self.blocks.append(((ops, v, x_new[a:b], img[a:b], problem.noisy[a:b],
+                                 mask[:v.size].reshape(v.shape)),
+                                dops and (dops, out.y[ys], y[ys], mask[:2 * (d - done) * n2])))
             done = d
 
     def __call__(self, triple, iteration: int) -> None:

@@ -484,7 +484,8 @@ def test_a_callers_bound_plan_leaves_x_bar_to_the_caller(case):
     # After a step through a caller's own bound plan, out.x_bar is the plan's
     # scratch for every problem: x+ and y+ have the bits of a lone step, and
     # x+ + omega (x+ - x), formed in that operand order, has those of its
-    # x_bar.  The walk in 4-row blocks writes only the first 5 rows of x_bar.
+    # x_bar.  The walk in 4-row blocks writes only the first 5 rows of x_bar,
+    # and the Nash plan never forms x_bar.
     name, problem, triple, x0, y0 = case
     state = PrimalDualState.initial(x0, y0)
     out, plan = core.plan_step(problem, state)
@@ -496,6 +497,8 @@ def test_a_callers_bound_plan_leaves_x_bar_to_the_caller(case):
     assert x_bar.tobytes() == want.x_bar.tobytes()
     if name.endswith("-4-rows"):
         assert np.isnan(got.x_bar[5 * problem.shape[1]:]).all()
+    if name.startswith("nash"):
+        assert got.x_bar.tobytes() != want.x_bar.tobytes()
 
 
 class OutRecorder(SaddleProblem):

@@ -607,23 +607,6 @@ def test_walk_gathers_y_once_and_writes_the_new_y_once_per_block(monkeypatch, sh
     assert sum(dual is None for _, dual in plan.blocks) == (rows == 1)
 
 
-@BOTH_P
-def test_walk_builds_its_plane_views_once_per_block_geometry(monkeypatch, p):
-    # All interior blocks lay out the same rows of the plan's planes, and
-    # share one set of views of them: the views do not grow with the
-    # number of blocks.
-    counts = []
-    for n1 in (65, 129):
-        _, _, _, plan = _built_plan(monkeypatch, p, (n1, 64), 4)
-        scratch = plan.blocks[0][0][-1].base  # the primal isfinite mask's planes
-        views = {id(a) for primal, dual in plan.blocks for part in (primal, dual)
-                 for a in [*part[1:], *(a for _, args in part[0] for a in args)]
-                 if isinstance(a, np.ndarray) and a.base is scratch}
-        counts.append((len(plan.blocks), len(views)))
-    assert counts[0][0] == 17 and counts[1][0] == 33
-    assert counts[0][1] == counts[1][1]
-
-
 # ---------------------------------------------------------------------------
 # Step plans in solve.
 # ---------------------------------------------------------------------------
