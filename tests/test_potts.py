@@ -607,6 +607,35 @@ def test_walk_gathers_y_once_and_writes_the_new_y_once_per_block(monkeypatch, sh
     assert sum(dual is None for _, dual in plan.blocks) == (rows == 1)
 
 
+def _offset(view, base):
+    """The entry of ``base`` at which ``view`` starts."""
+    return (view.ctypes.data - base.ctypes.data) // base.itemsize
+
+
+@BOTH_P
+def test_walk_blocks_tile_the_iterates_and_check_them_in_one_set_of_planes(monkeypatch, p):
+    # Each block's views are laid out for its own rows: the blocks' new x
+    # rows cover out.x once each, in order, and their dual rows cover
+    # out.y the same way.  Each block's isfinite masks are as large as the
+    # rows they check, and all of them lie in the plan's one set of
+    # planes, whatever the number of blocks.
+    _, _, out, plan = _built_plan(monkeypatch, p, (65, 64), 4)
+    assert len(plan.blocks) == 17
+    x_at = y_at = 0
+    masks = []
+    for (_, v, xn, xa, f, xmask), dual in plan.blocks:
+        assert _offset(xn, out.x) == x_at and xn.shape == xa.shape == f.shape == v.shape
+        assert xmask.dtype == bool and xmask.shape == v.shape
+        x_at += xn.size
+        _, w, ya, ymask = dual
+        assert _offset(w, out.y) == y_at and w.size == ya.size == ymask.size
+        y_at += w.size
+        masks += [xmask, ymask]
+    assert (x_at, y_at) == (out.x.size, out.y.size)
+    assert all(np.shares_memory(m, masks[0]) for m in masks)
+    assert not any(np.shares_memory(masks[0], a) for a in (out.x, out.x_bar, out.y))
+
+
 # ---------------------------------------------------------------------------
 # Step plans in solve.
 # ---------------------------------------------------------------------------
