@@ -146,8 +146,16 @@ def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstan
     """The Potts step calculator applied to the flags ``potts`` and ``steps`` share.
 
     The bounds grow with the fourth power of the dynamic range, the one
-    flag large enough to overflow them.
+    flag large enough to overflow them.  The default leftover moduli
+    1/(10 alpha) and gamma/10 overflow or underflow for an ``--alpha`` or
+    ``--gamma`` near the smallest float.
     """
+    if args.gtilde_g is None and math.isinf(1.0 / (10.0 * args.alpha)):
+        raise ConfigurationError("--alpha %r is too small: the default modulus "
+                                 "1/(10*alpha) overflows" % args.alpha)
+    if args.gtilde_f is None and args.gamma / 10.0 == 0.0:
+        raise ConfigurationError("--gamma %r is too small: the default modulus "
+                                 "gamma/10 underflows to 0" % args.gamma)
     try:
         return potts_steps(args.alpha, args.gamma, args.p,
                            dynamic_range=args.dynamic_range, gamma_bar=args.gamma_bar,

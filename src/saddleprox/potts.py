@@ -153,7 +153,8 @@ def kappa_val(p: float, z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(rho(rho_pair(*_rows(p, z, y)))))
 
 
-# kappa_z/kappa_y keep rho_grad's rows: numpy buffers _rho_grad_planes on interleaved views.
+# kappa_z/kappa_y keep rho_grad's rows, with its factor 2: numpy buffers
+# _rho_grad_planes on interleaved views, and that kernel leaves the 2 to the plan.
 def kappa_z(p: float, z: np.ndarray, y: np.ndarray,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Derivative of :func:`kappa_val` in z: 2*(1 - t)*y with t as there.
@@ -271,7 +272,10 @@ def _dt_rows(gh: np.ndarray, gv: np.ndarray, a: int, n1: int, out: np.ndarray) -
 
 def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
                      prod: np.ndarray, t: np.ndarray, out: np.ndarray) -> list:
-    """rho_grad on (2, rows, n2) views, one component each: out = 2(1 - t) w.
+    """Half of rho_grad on (2, rows, n2) views, one component each: out =
+    (1 - t) w.  The plan carries rho'(t)'s factor 2 in its 2 tau and
+    2 sigma: doubling is exact and D^T a sum of signed terms, so the bits
+    are rho_grad's unless (1 - t) w is subnormal or its double overflows.
     The products z y go into ``prod`` first, so prod may be z or y but not
     w; they are t at p = 1, and at p = inf t is their sum, in the plane
     ``t``.  Only the last multiply writes ``out``: it may be t or w, and
@@ -281,8 +285,7 @@ def _rho_grad_planes(p: float, z: np.ndarray, y: np.ndarray, w: np.ndarray,
         t = prod
     else:
         ops.append((np.add, (prod[0], prod[1], t)))
-    return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (2.0, t, t)),
-                  (np.multiply, (t, w, out))]
+    return ops + [(np.subtract, (1.0, t, t)), (np.multiply, (t, w, out))]
 
 
 class _WalkPlan:
@@ -291,14 +294,17 @@ class _WalkPlan:
     Per block of rows [a, b): y's rows [a - 1, b) gathered into two
     planes, D x on those rows, kappa_z, dht, the primal update; then the
     dual rows, one row behind (D x_bar reads row b), written into the new
-    y in one pass (at p = 1 the update's sigma multiply).  Every kappa
-    pass runs on contiguous planes of one layout per block (numpy buffers
-    small ufunc calls whose operands differ in layout).  The scratch is
-    the plan's own planes (the isfinite masks go into their bytes) and
-    the new y's rows [a - 1, b), which hold the gathered y: no dual row
-    has reached them, since the dual part of each block starts at row
-    a - 1, and it reads the gathered rows before its last pass writes
-    over them.
+    y in one pass (at p = 1 the update's 2 sigma multiply).  The kappa
+    planes hold (1 - t) w, half of kappa_z and kappa_y, and the updates
+    multiply by 2 tau and 2 sigma instead (see :func:`_rho_grad_planes`;
+    a tau or sigma past half the largest float doubles to inf).  Every
+    kappa pass runs on contiguous planes of one layout per block (numpy
+    buffers small ufunc calls whose operands differ in layout).  The
+    scratch is the plan's own planes (the isfinite masks go into their
+    bytes) and the new y's rows [a - 1, b), which hold the gathered y: no
+    dual row has reached them, since the dual part of each block starts
+    at row a - 1, and it reads the gathered rows before its last pass
+    writes over them.
 
     x_bar is read only by the dual rows of its own block, so it lives in
     the head of ``out.x_bar``, its first ``rows + 1`` rows, which stay in
@@ -312,7 +318,7 @@ class _WalkPlan:
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
         self.alpha, self.gamma, self.p = c.alpha, c.gamma, c.p
-        self.sigma = np.empty(1)  # the call's sigma, which the p = 1 dual ops read
+        self.sigma = np.empty(1)  # the call's 2 sigma, which the p = 1 dual ops read
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
         img, field = problem._img(x), problem._field(y)
         x_new, y_new = problem._img(out.x), problem._field(out.y)
@@ -354,12 +360,13 @@ class _WalkPlan:
         tau, omega, sigma = triple.tau, triple.omega, triple.sigma
         r = tau / self.alpha
         primal_div, dual_div = 1.0 + r, 1.0 + self.gamma * sigma
-        self.sigma[0] = sigma
+        tau2, sigma2 = 2.0 * tau, 2.0 * sigma
+        self.sigma[0] = sigma2
         for (ops, v, xn, xa, f, xmask), dual in self.blocks:
             for fn, args in ops:
                 fn(*args)
             # step's tau update, prox_primal and x_bar, in their operand order.
-            np.multiply(tau, v, out=v)
+            np.multiply(tau2, v, out=v)
             np.subtract(xa, v, out=v)
             np.multiply(r, f, out=xn)
             np.add(v, xn, out=xn)
@@ -376,7 +383,7 @@ class _WalkPlan:
                 fn(*args)
             # step's sigma update (at p = 1 the ops' last pass made it) and prox_dual.
             if self.p != 1:
-                np.multiply(sigma, w, out=w)
+                np.multiply(sigma2, w, out=w)
             np.add(ya, w, out=w)
             np.divide(w, dual_div, out=w)
             if not np.isfinite(w, out=ymask).all():

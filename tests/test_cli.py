@@ -701,6 +701,10 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (POTTS_4X4 + ["--gtilde-g", "-1"], None, "--gtilde-g"),
     (POTTS_4X4 + ["--gtilde-f", "-1"], None, "--gtilde-f"),
     (WITH_CONFIG, "config = nope.cfg\n", "'config'"),
+    (["steps", "potts", "--alpha", "1e-310"], None, "--alpha 1e-310 is too small"),
+    (POTTS_4X4 + ["--alpha", "1e-310"], None, "--alpha 1e-310 is too small"),
+    (["steps", "potts", "--gamma", "5e-324"], None, "--gamma 5e-324 is too small"),
+    (POTTS_4X4 + ["--gamma", "5e-324"], None, "--gamma 5e-324 is too small"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
         "sizes-abc", "sizes-1", "sizes-repeated", "synthetic-x", "iters-0",
         "log-stride-0",
@@ -723,7 +727,9 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-constant-rk-1e-160", "verify-only-empty", "potts-preset-empty",
         "steps-gtilde-f-neg", "steps-gtilde-g-neg", "steps-potts-gtilde-f-neg",
         "steps-accelerated-gtilde-g-neg", "steps-linear-gtilde-f-neg",
-        "potts-gtilde-g-neg", "potts-gtilde-f-neg", "cfg-config"])
+        "potts-gtilde-g-neg", "potts-gtilde-f-neg", "cfg-config",
+        "steps-alpha-1e-310", "potts-alpha-1e-310", "steps-gamma-5e-324",
+        "potts-gamma-5e-324"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):
     if config is not None:

@@ -482,6 +482,30 @@ def test_fused_and_generic_step_diverge_at_the_same_iteration(monkeypatch, vecto
 
 
 @BOTH_P
+def test_fused_and_generic_step_diverge_where_the_doubled_kappa_overflows(monkeypatch, p):
+    # The walk's planes hold (1 - t) w and its 2 tau and 2 sigma carry the
+    # factor 2.  Here kappa_z's (1 - t) y is about -1e308, finite, and its
+    # double overflows: both steps must still diverge at the same iteration.
+    f = np.zeros((9, 9))
+    f[4, 5] = 1e8
+    y = np.zeros((9, 9, 2))
+    y[4, 4, 0] = 1e150
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    state = PrimalDualState.initial(f.ravel(), y.ravel())
+    errors, calls = [], []
+    for generic in (False, True):
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            if generic:
+                calls = _generic_only(m)
+            with pytest.raises(DivergenceError) as exc:
+                step(prob, trip, state)
+        errors.append(exc.value.iteration)
+    assert errors == [1, 1]
+    assert len(calls) == 1
+
+
+@BOTH_P
 def test_fused_step_keeps_finite_iterates_whose_squares_overflow(monkeypatch, p):
     # Every entry is finite, but x.x and y.y overflow to inf: a finiteness
     # check through a sum or a norm would warn, or raise, where the generic
@@ -634,6 +658,50 @@ def test_walk_blocks_tile_the_iterates_and_check_them_in_one_set_of_planes(monke
     assert (x_at, y_at) == (out.x.size, out.y.size)
     assert all(np.shares_memory(m, masks[0]) for m in masks)
     assert not any(np.shares_memory(masks[0], a) for a in (out.x, out.x_bar, out.y))
+
+
+def _op_census(plan):
+    """Calls and ndarray operand bytes of the op lists of a plan's blocks,
+    primal and dual, per step; the fixed update of ``__call__`` is not
+    counted."""
+    calls = nbytes = 0
+    for (ops, *_), dual in plan.blocks:
+        for fn, args in ops + ([] if dual is None else dual[0]):
+            calls += 1
+            nbytes += sum(a.nbytes for a in args if isinstance(a, np.ndarray))
+    return len(plan.blocks), calls, nbytes
+
+
+@pytest.mark.parametrize("shape, rows, p, census", [
+    ((64, 64), None, 1, (1, 22, 2_061_760)),
+    ((64, 64), None, math.inf, (1, 23, 1_930_680)),
+    ((33, 17), 4, 1, (9, 206, 312_656)),
+    ((33, 17), 4, math.inf, (9, 215, 294_632)),
+], ids=["64x64-p1", "64x64-pinf", "33x17-in-4-rows-p1", "33x17-in-4-rows-pinf"])
+def test_walk_op_census(monkeypatch, shape, rows, p, census):
+    # The walk's op lists are its cost that no host phase moves: a change
+    # to the walk updates these figures and gives the old ones.
+    _, _, _, plan = _built_plan(monkeypatch, p, shape, rows)
+    assert _op_census(plan) == census
+
+
+@BOTH_P
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (16, 64)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("w_is", ["y", "z"])
+def test_rho_grad_planes_is_half_of_rho_grad(shape, w_is, p):
+    # The walk's kappa kernel leaves rho'(t)'s factor 2 to the plan's
+    # 2 tau and 2 sigma: twice its output has rho_grad's bits on the same
+    # rows, so a stray or a lost factor 2 fails here, not only in the steps.
+    rng = np.random.default_rng(shape[1])
+    z, y = rng.normal(size=(2,) + shape + (2,))
+    w = y if w_is == "y" else z
+    want = potts.rho_grad(*potts._rows(p, z, y, w))
+    planes = [np.ascontiguousarray(v.transpose(2, 0, 1)) for v in (z, y, w)]
+    prod, t, out = np.empty((2,) + shape), np.empty(shape), np.empty((2,) + shape)
+    for fn, args in potts._rho_grad_planes(p, *planes, prod, t, out):
+        fn(*args)
+    got = 2.0 * out.transpose(1, 2, 0)
+    assert got.reshape(want.shape).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
