@@ -148,7 +148,8 @@ def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstan
     The bounds grow with the fourth power of the dynamic range, the one
     flag large enough to overflow them.  The default leftover moduli
     1/(10 alpha) and gamma/10 overflow or underflow for an ``--alpha`` or
-    ``--gamma`` near the smallest float.
+    ``--gamma`` near the smallest float, and an ``--alpha`` just above that
+    makes the step sizes underflow to 0.
     """
     if args.gtilde_g is None and math.isinf(1.0 / (10.0 * args.alpha)):
         raise ConfigurationError("--alpha %r is too small: the default modulus "
@@ -164,6 +165,9 @@ def potts_schedule(args: argparse.Namespace) -> tuple[StepTriple, ProblemConstan
     except OverflowError:
         raise ConfigurationError("--dynamic-range %r is too large: the step bounds "
                                  "overflow" % args.dynamic_range) from None
+    except FloatingPointError:
+        raise ConfigurationError("--alpha %r is too small: the step sizes tau and "
+                                 "sigma underflow to 0" % args.alpha) from None
 
 
 def check_dynamic_range(args: argparse.Namespace, image: np.ndarray) -> None:

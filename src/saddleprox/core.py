@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -60,6 +61,7 @@ class SaddleProblem:
 
     primal_dim: int
     dual_dim: int
+    _last_plan = None  # weak reference to the last plan of paired_plan
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -82,29 +84,29 @@ class SaddleProblem:
         ``state`` into those of ``out``, laid out once and run for many
         iterations.  Returns None (the default) to leave it to the generic
         update, or a plan that owns any scratch it needs: ``plan.arrays``
-        is the tuple (x, y, new x, new x_bar, new y) of the arrays it reads
-        and writes, and ``plan(triple, iteration)`` writes the update's
-        bits into new x and new y.  New x_bar is its scratch, for every
-        problem: no plan forms the whole x_bar, and after a plan its
-        contents are unspecified (the Potts walk writes only its first
-        rows, the Nash plan the scratch of the tau update).  :func:`step`
-        writes the whole x_bar after a plan it built itself, and
-        :func:`solve` after the step that ends its log; a caller that runs
-        its own bound plan through :func:`step` and needs x_bar forms x+ +
-        omega (x+ - x) itself, in that operand order for the bits of a lone
-        step.  A plan never reads ``state.x_bar``: :func:`solve` hands the
-        two states of its loop one shared x_bar.
+        is the tuple (x, y, new x, new x_bar, new y) of the arrays it was
+        built for, and ``plan(triple, iteration)`` writes the update's
+        bits into new x and new y.  x_bar is not iteration state: it feeds
+        only the dual gradient of its own step, so no plan reads
+        ``state.x_bar`` or forms the whole new x_bar.  ``out.x_bar`` may be
+        None, as in :func:`solve`, which holds no x_bar array for a planned
+        problem; a plan given one may use it as scratch (the Potts walk
+        keeps its first rows there), and after the plan it is unspecified.
+        :func:`step` writes the whole x_bar after a plan it built itself,
+        and :func:`solve` the one it returns; a caller that runs its own
+        bound plan through :func:`step` and needs x_bar forms x+ + omega
+        (x+ - x) itself, in that operand order for the bits of a lone step.
         :func:`step` builds a plan after its checks.  A new non-finite
         entry raises ``DivergenceError(iteration)``; ``out`` may then be
         partly written.
 
-        Two plans that run opposite ways between the same arrays, as the
-        two of :func:`solve` do, may be partners: a plan may hand its
-        partner what it computed from the arrays it wrote, and the partner
-        may use it only if that plan made the problem's previous planned
-        call.  The problem holds its plans only weakly, so nothing of a
-        plan outlives its callers.  A caller that holds both partners must
-        not write into their arrays between their calls.
+        Two plans that run opposite ways between the same x and y arrays,
+        as the two of :func:`solve` do, may be partners (see
+        :func:`paired_plan`): they may share scratch, and a plan may hand
+        its partner what it computed from the arrays it wrote, which the
+        partner may use only if that plan made the problem's previous
+        planned call.  A caller that holds both partners must not write
+        into their arrays between their calls.
         """
         return None
 
@@ -125,11 +127,12 @@ class SaddleProblem:
 
 @dataclass
 class PrimalDualState:
-    """Primal iterate, dual iterate, over-relaxed primal, iteration count."""
+    """Primal iterate, dual iterate, over-relaxed primal, iteration count.
+    x_bar is None in the loop of :func:`solve` for a planned problem."""
 
     x: np.ndarray
     y: np.ndarray
-    x_bar: np.ndarray
+    x_bar: Optional[np.ndarray]
     iteration: int = 0
 
     @classmethod
@@ -230,19 +233,40 @@ def plan_step(problem: SaddleProblem, state: PrimalDualState,
     x, y = state.x, state.y
     n, m = (problem.primal_dim,), (problem.dual_dim,)
     out = PrimalDualState(None, None, None) if out is None else out
-    # The order x, x_bar, y is load-bearing, here and in solve, which allocates
-    # its spare's x and x_bar itself: it sets glibc's heap reuse, and a spare
-    # set allocated as x, y, x_bar took about four times the minor page faults
-    # of a 1024^2 p = 1 solve.  solve's two states share the spare's x_bar; in
-    # a stream of 5-iteration 1024^2 p = 1 solves the median job took 623
-    # minor faults with it allocated in this order after the copies of x0 and
-    # y0 (as with an x_bar per state), 2,172 with it allocated before the
-    # copies, and 1,138 with it allocated with the state, before the spare's
-    # x and y.
+    # The order of allocations is load-bearing, here and in solve: it sets
+    # glibc's heap reuse.  An out state allocated as x, y, x_bar took about
+    # four times the minor page faults of x, x_bar, y in a 1024^2 p = 1
+    # solve.  solve allocates its spare's x and y itself, before the copies
+    # of x0 and y0, and no x_bar for a planned problem: in a stream of
+    # 5-iteration 1024^2 p = 1 solves the median job took 589 minor faults
+    # in that order and 1,623 with the spare allocated after the copies.
     out.x = out_buffer(out.x, n, x, y)
     out.x_bar = out_buffer(out.x_bar, n, x, y, out.x)
     out.y = out_buffer(out.y, m, x, y, out.x, out.x_bar)
     return out, problem.step_plan(state, out)
+
+
+def paired_plan(make, problem: SaddleProblem, state: PrimalDualState,
+                out: PrimalDualState):
+    """``make(problem, state, out, partner)``: a step plan of ``problem``
+    from the arrays of ``state`` into those of ``out``, built with its
+    partner (see :meth:`SaddleProblem.step_plan`).  That is the last plan
+    made here for ``problem`` if it is still alive, has no partner yet
+    and runs the opposite way between the same x and y arrays, else None.
+    The problem holds only a weak reference to its last plan, so nothing
+    of a plan outlives its callers."""
+    last = problem._last_plan() if problem._last_plan is not None else None
+    if last is not None:
+        x, y, x_new, _, y_new = last.arrays
+        if last.partnered or not all(map(operator.is_, (x_new, y_new, x, y),
+                                         (state.x, state.y, out.x, out.y))):
+            last = None
+    plan = make(problem, state, out, last)
+    plan.partnered = last is not None
+    if last is not None:
+        last.partnered = True
+    problem._last_plan = weakref.ref(plan)
+    return plan
 
 
 def _over_relax(x_new: np.ndarray, x: np.ndarray, omega: float,
@@ -267,8 +291,8 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     operand order kept, so both forms give the same bits, and so does a
     problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
     :func:`plan_step` is run without the checks if it is bound to exactly
-    the arrays of ``state`` and ``out``, and then ``out.x_bar`` is
-    unspecified, the plan's scratch (see :meth:`SaddleProblem.step_plan`);
+    the arrays of ``state`` and ``out``, and then ``out.x_bar`` is left to
+    the plan, unspecified or None (see :meth:`SaddleProblem.step_plan`);
     otherwise the checks run, a plan is built for this call and x_bar is
     written in full.  Raises :class:`DivergenceError` if the
     new iterates contain non-finite entries, carrying the 1-based
@@ -306,8 +330,7 @@ def _distance(problem: SaddleProblem, x: np.ndarray, y: np.ndarray,
               x0: np.ndarray, y0: np.ndarray, scratch: PrimalDualState) -> float:
     """Norm of (x - x0, y - y0) in the problem's inner products.  The
     differences are written into the arrays of ``scratch``: :func:`solve`
-    takes x+ - x from ``scratch.x`` for x_bar, in the operand order of
-    the step plans' x_bar."""
+    forms the x_bar it returns from the x+ - x left in ``scratch.x``."""
     dx = np.subtract(x, x0, out=scratch.x)
     dy = np.subtract(y, y0, out=scratch.y)
     return math.sqrt(problem.inner_primal(dx, dx) + problem.inner_dual(dy, dy))
@@ -353,13 +376,13 @@ def solve(
     R + max_iters steps instead of max(R, max_iters).
     The loop recycles two sets of (x, y) arrays, with the problem's
     :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
-    and ``y0`` are copied first.  The two sets share one x_bar, which
-    each step overwrites: no plan, and no generic step, reads the x_bar
-    of the state it starts from.  A plan leaves x_bar unspecified, so
-    the whole x_bar of iteration ``max_iters`` is written once, from
-    the difference x+ - x that its step norm leaves in the spare set.
-    The returned state and reference belong to the caller, and hold no
-    plan.
+    and ``y0`` are copied first.  x_bar is not iteration state, so the
+    loop of a planned problem holds no x_bar array: the x_bar of
+    iteration ``max_iters`` is formed once, in place, from the
+    difference x+ - x that its step norm leaves in the spare's x, with
+    the bits of a lone step.  A problem without a plan gets one x_bar
+    that both sets share, as the generic step's scratch.  The returned
+    state and reference belong to the caller, and hold no plan.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
@@ -373,14 +396,14 @@ def solve(
         ref, ref_at = None, ref
     # spare: after each step, the state one step back, which the next
     # overwrites.  plan is the step from state into spare, back the other.
-    # No plan reads the x_bar of the state it starts from, so the two sets
-    # share the spare's, allocated in plan_step's order (see there).
-    state = PrimalDualState(_flat(x0).copy(), _flat(y0).copy(), None)
-    n = (problem.primal_dim,)
-    spare = PrimalDualState(np.empty(n), None, np.empty(n))
-    state.x_bar = spare.x_bar
-    spare, plan = plan_step(problem, state, spare)
-    _, back = plan_step(problem, spare, state)
+    # The spare goes first, before the copies of x0 and y0 (see plan_step).
+    x0, y0 = _flat(x0), _flat(y0)
+    _check_dims(problem, x0, y0)
+    spare = PrimalDualState(np.empty(problem.primal_dim), np.empty(problem.dual_dim), None)
+    state = PrimalDualState(x0.copy(), y0.copy(), None)
+    plan, back = problem.step_plan(state, spare), problem.step_plan(spare, state)
+    if plan is None:  # the generic step writes x_bar as scratch
+        state.x_bar = spare.x_bar = np.empty(problem.primal_dim)
     if ref is not None:
         # Flat views, not copies: the reference is only read.
         ref = _flat(ref[0]), _flat(ref[1])
@@ -402,9 +425,17 @@ def solve(
             continue
         # spare's arrays, which the next step overwrites, take the differences.
         step_norm = _distance(problem, state.x, state.y, spare.x, spare.y, spare)
-        if n == max_iters:  # x_bar from x+ - x, before a distance overwrites it
-            np.multiply(trip.omega, spare.x, out=state.x_bar)
-            np.add(state.x, state.x_bar, out=state.x_bar)
+        if n == max_iters:
+            # x_bar from x+ - x in place: no step writes the spare again, or
+            # the log's end is copied.  A distance from here takes another x:
+            # the generic step's x_bar, or a new one for a planned problem.
+            x_bar = spare.x
+            np.multiply(trip.omega, x_bar, out=x_bar)
+            np.add(state.x, x_bar, out=x_bar)
+            if ref is not None:
+                free = state.x_bar
+                spare = PrimalDualState(np.empty(problem.primal_dim) if free is None else free,
+                                        spare.y, None)
         dist = None
         if ref is not None:
             dist = _distance(problem, state.x, state.y, *ref, spare)
@@ -414,7 +445,9 @@ def solve(
         if ref is None and ref_at is not None:
             pending.append((records[-1], state.x.copy(), state.y.copy()))
             if n == max_iters:
-                end = PrimalDualState(*pending[-1][1:], state.x_bar.copy(), n)
+                end = PrimalDualState(*pending[-1][1:], x_bar.copy(), n)
     for rec, x, y in pending:
         rec.dist_to_ref = _distance(problem, x, y, *ref, spare)
-    return SolveResult(state if end is None else end, records, ref)
+    if end is None:
+        state.x_bar, end = x_bar, state
+    return SolveResult(end, records, ref)

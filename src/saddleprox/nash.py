@@ -27,15 +27,14 @@ are stored full-grid; off-mask control entries are structurally zero.
 
 from __future__ import annotations
 
-import operator
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer
+from .core import (ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer,
+                   paired_plan)
 
 # The box [a, b] that holds each control on its player's half, and the
 # cost alpha_1 = alpha_2 of a control.
@@ -204,7 +203,6 @@ class _SineCoefficients:
         # RSS in a stream of nash-mesh jobs: it changes glibc's heap reuse.
         self.u = [[np.empty((n, n)) for _ in range(2)] for _ in range(2)]
         self.v = [np.empty((n, n)) for _ in range(2)]
-        self.paired = False
         self.last: Optional[tuple[int, int]] = None
 
 
@@ -218,28 +216,23 @@ class _SinePlan:
     x by linearity; the two adjoints of each gradient go back to the grid
     on their player's column span.  A call that does not take its
     partner's coefficients of x first transforms x, two more.  The grid
-    x_bar is never formed: ``out.x_bar`` keeps x - tau grad_x, the tau
-    update's scratch.  ``last`` is a plan of ``problem`` that is still
-    alive: if it runs the opposite direction between the same x and y
-    arrays and has no partner yet, the two become partners and share one
+    x_bar is never formed, and ``out.x_bar`` is not touched: the tau
+    update runs in the new x.  A plan with a ``partner`` (see
+    :func:`~saddleprox.core.paired_plan`) shares its
     :class:`_SineCoefficients`.
     """
 
-    def __init__(self, problem: "NashProblem", state, out, last: Optional["_SinePlan"]):
+    def __init__(self, problem: "NashProblem", state, out, partner: Optional["_SinePlan"]):
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
         self.problem = problem
-        mirrored = last is not None and all(map(
-            operator.is_, (last.arrays[2], last.arrays[4], last.arrays[0], last.arrays[1]),
-            (x, y, out.x, out.y)))
-        if mirrored and not last.coef.paired:
-            self.coef, self.side = last.coef, 1
-            self.coef.paired = True
+        if partner is not None:
+            self.coef, self.side = partner.coef, 1
         else:
             self.coef, self.side = _SineCoefficients(problem.config.grid.n), 0
         c = problem.config
         self.cols = _column_span(c.mask1), _column_span(c.mask2)
-        self.halves = [problem._split(a) for a in self.arrays]
+        self.halves = [problem._split(a) for a in (x, y, out.x, out.y)]
         # isfinite masks of x+ and y+, in the bytes of a buffer that is free by then
         self.x_finite = self.coef.u[1 - self.side][0].reshape(-1).view(bool)[:x.size]
         self.y_finite = self.coef.u[self.side][0].reshape(-1).view(bool)[:y.size]
@@ -267,8 +260,8 @@ class _SinePlan:
     def __call__(self, triple, iteration: int) -> None:
         problem, coef, side = self.problem, self.coef, self.side
         write_half, z_hat = problem._write_half, (problem._z1_hat, problem._z2_hat)
-        x, y, x_new, x_bar, y_new = self.arrays
-        (x1, x2), (y1, y2), new_x, (g1, g2), new_y = self.halves
+        x, y, x_new, _, y_new = self.arrays
+        (x1, x2), (y1, y2), new_x, new_y = self.halves
         u, s, v = coef.u[side], coef.u[1 - side], coef.v
         calls = problem._planned_calls
         carried = coef.last == (1 - side, calls)
@@ -279,21 +272,22 @@ class _SinePlan:
                 self._transform(u[k], k, xk)
             self._transform(v[k], k, yk)
 
-        # grad_x(x, y) into x_bar, the operand order of NashProblem.grad_x.
+        # grad_x(x, y) into x+, the operand order of NashProblem.grad_x.
         two_s = s[0]
         self._state(u[0], u[1], two_s)
         np.multiply(2.0, two_s, out=two_s)
-        for k, (a, b, g, xk) in enumerate(((u[0], v[1], g1, x1), (v[0], u[1], g2, x2))):
+        for k, (a, b, g, xk) in enumerate(((u[0], v[1], new_x[0], x1),
+                                           (v[0], u[1], new_x[1], x2))):
             r = s[1]
             self._state(a, b, r)
             np.subtract(two_s, r, out=r)
             r -= z_hat[k]
             write_half(g, k + 1, self._adjoint(r, k), np.add, xk)
 
-        # step's tau update and prox_primal, in their operand order.
-        np.multiply(triple.tau, x_bar, out=x_bar)
-        np.subtract(x, x_bar, out=x_bar)
-        problem._clamp(x_bar, x_new)
+        # step's tau update and prox_primal, in their operand order, in place.
+        np.multiply(triple.tau, x_new, out=x_new)
+        np.subtract(x, x_new, out=x_new)
+        problem._clamp(x_new, x_new)
         if not np.isfinite(x_new, out=self.x_finite).all():
             raise DivergenceError(iteration)
 
@@ -359,7 +353,6 @@ class NashProblem(SaddleProblem):
         self._f_hat = sine_transform(config.f)
         self._offs = ~config.mask1, ~config.mask2
         self._planned_calls = 0
-        self._last_plan = None  # weak reference to the last plan built
 
     @property
     def pde_solves(self) -> int:
@@ -472,10 +465,7 @@ class NashProblem(SaddleProblem):
     prox_dual = prox_primal
 
     def step_plan(self, state, out) -> _SinePlan:
-        last = self._last_plan() if self._last_plan is not None else None
-        plan = _SinePlan(self, state, out, last)
-        self._last_plan = weakref.ref(plan)
-        return plan
+        return paired_plan(_SinePlan, self, state, out)
 
     def inner_primal(self, v: np.ndarray, w: np.ndarray) -> float:
         return self.config.grid.h**2 * float(np.dot(v, w))

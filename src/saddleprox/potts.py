@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer
+from .core import (ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer,
+                   paired_plan)
 
 
 def _check_p(p: float) -> None:
@@ -297,23 +298,27 @@ class _WalkPlan:
     y in one pass (at p = 1 the update's 2 sigma multiply).  The kappa
     planes hold (1 - t) w, half of kappa_z and kappa_y, and the updates
     multiply by 2 tau and 2 sigma instead (see :func:`_rho_grad_planes`;
-    a tau or sigma past half the largest float doubles to inf).  Every
+    ``StepTriple`` rejects a tau or sigma that would double to inf).  Every
     kappa pass runs on contiguous planes of one layout per block (numpy
     buffers small ufunc calls whose operands differ in layout).  The
-    scratch is the plan's own planes (the isfinite masks go into their
-    bytes) and the new y's rows [a - 1, b), which hold the gathered y: no
+    scratch is the plan's planes (the isfinite masks go into their bytes)
+    and the new y's rows [a - 1, b), which hold the gathered y: no
     dual row has reached them, since the dual part of each block starts
     at row a - 1, and it reads the gathered rows before its last pass
     writes over them.
 
-    x_bar is read only by the dual rows of its own block, so it lives in
-    the head of ``out.x_bar``, its first ``rows + 1`` rows, which stay in
-    cache: the first block writes its rows from row 0, each later block
-    copies row a - 1 to row 0 and writes its rows after it.  Past one
-    block, the rest of ``out.x_bar`` is left as it was; ``step`` and
-    ``solve`` write the whole x_bar where they return it."""
+    x_bar is read only by the dual rows of its own block, so only its
+    head, ``rows + 1`` rows, exists, and stays in cache: the first block
+    writes its rows from row 0, each later block copies row a - 1 to row
+    0 and writes its rows after it.  The head is the first rows of
+    ``out.x_bar`` if the caller gives one (a lone ``step``, which returns
+    x_bar), and the rest of it is left as it was; with ``out.x_bar``
+    None, as in ``solve``, the head follows the planes in the plan's
+    scratch.  A plan with a ``partner`` (see
+    :func:`~saddleprox.core.paired_plan`) of the same scratch size shares
+    its scratch: a call writes every entry of it that it reads."""
 
-    def __init__(self, problem: "PottsProblem", state, out):
+    def __init__(self, problem: "PottsProblem", state, out, partner: Optional["_WalkPlan"]):
         c, (n1, n2) = problem.config, problem.shape
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
@@ -322,9 +327,15 @@ class _WalkPlan:
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
         img, field = problem._img(x), problem._field(y)
         x_new, y_new = problem._img(out.x), problem._field(out.y)
-        head = problem._img(out.x_bar)[:rows + 1]
-        k = 2 if c.p == 1 else 3
-        planes = np.empty(k * min(rows + 1, n1) * n2)
+        k, h = (2 if c.p == 1 else 3), min(rows + 1, n1)
+        size = (k + (out.x_bar is None)) * h * n2  # the planes, and the head if it is here
+        self.scratch = (partner.scratch if partner is not None and partner.scratch.size == size
+                        else np.empty(size))
+        planes = self.scratch[:k * h * n2]
+        if out.x_bar is None:
+            head = self.scratch[k * h * n2:].reshape(h, n2)
+        else:
+            head = problem._img(out.x_bar)[:h]
         mask = planes.view(bool)
         self.blocks, done = [], 0  # done: rows of out.y laid out
         for a in range(0, n1, rows):
@@ -404,11 +415,12 @@ class PottsProblem(SaddleProblem):
     :meth:`step_plan` lays out a whole iteration, with the maps' bits, as
     one walk over row blocks of at most ``_BLOCK_BYTES``, once for a pair
     of states; ``solve`` builds two plans, one each way, runs them and
-    calls none of the four maps.  Each plan owns its planar scratch: D x
+    calls none of the four maps.  The two share one planar scratch: D x
     of a block as contiguous (rows, n2) planes, horizontal and vertical,
-    and at p = inf a third for t.  y and the new y keep their interleaved
-    layout; each block gathers its rows of y into two planes in the new
-    y's bytes and writes the new y back in one pass.
+    at p = inf a third for t, and x_bar's head rows.  y and the new y
+    keep their interleaved layout; each block gathers its rows of y into
+    two planes in the new y's bytes and writes the new y back in one
+    pass.
     """
 
     def __init__(self, config: PottsConfig, noisy: np.ndarray):
@@ -444,7 +456,7 @@ class PottsProblem(SaddleProblem):
         return out
 
     def step_plan(self, state, out) -> _WalkPlan:
-        return _WalkPlan(self, state, out)
+        return paired_plan(_WalkPlan, self, state, out)
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:

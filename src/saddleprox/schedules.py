@@ -20,6 +20,7 @@ locality budget conditions for the neighbourhood-based analysis.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
@@ -34,6 +35,8 @@ class StepTriple:
     """Realized step sizes for one iteration: primal tau, dual sigma, over-relaxation omega.
 
     A bare triple doubles as a constant schedule: ``triple(i)`` returns itself.
+    tau and sigma must be at most half the largest float: the Potts step
+    plan doubles them.
     """
 
     tau: float
@@ -44,6 +47,11 @@ class StepTriple:
         if not (self.tau > 0 and self.sigma > 0 and self.omega > 0):
             raise InfeasibleConstantsError(
                 "step triple entries must be positive: %r" % (self,)
+            )
+        if not (self.tau <= sys.float_info.max / 2 and self.sigma <= sys.float_info.max / 2):
+            raise InfeasibleConstantsError(
+                "step triple tau and sigma must be at most half the largest float: %r"
+                % (self,)
             )
 
     def triple(self, i: int) -> "StepTriple":
@@ -299,7 +307,8 @@ def potts_steps(
                      + 4*(gtf/gtg)*(4*l_op^2/(1-mu) + 2*gtg*lambda_y))) ),
         sigma = tau*gtg/gtf,   omega = 1/(1 + 2*gtg*tau),
     with e the small safety margin ``POTTS_MARGIN`` and the dual
-    sensitivity radius r_k = 2*l_op.
+    sensitivity radius r_k = 2*l_op.  Raises ``FloatingPointError`` if
+    tau or sigma underflows to 0 (alpha near the smallest float).
     """
     # "not > 0" also rejects NaN.
     if not (alpha > 0 and gamma > 0):
@@ -357,7 +366,13 @@ def potts_steps(
         # lambda_y**2 in bound_linear overflows first, from dynamic_range ~ 1e77 on.
         raise OverflowError("the step bounds overflow: dynamic_range %r is too large"
                             % (dynamic_range,)) from None
-    return LinearRateRule(tau=tau, gtg=gtg, gtf=gtf).triple(0), c
+    rule = LinearRateRule(tau=tau, gtg=gtg, gtf=gtf)
+    if tau == 0.0 or rule.sigma == 0.0:
+        # For alpha near the smallest float, 2*gtg*lambda_y in bound_linear
+        # overflows although 1/(10*alpha) does not.
+        raise FloatingPointError("the step sizes underflow to 0: tau=%r, sigma=%r, alpha=%r"
+                                 % (tau, rule.sigma, alpha))
+    return rule.triple(0), c
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,8 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
     (WITH_CONFIG, "config = nope.cfg\n", "'config'"),
     (["steps", "potts", "--alpha", "1e-310"], None, "--alpha 1e-310 is too small"),
     (POTTS_4X4 + ["--alpha", "1e-310"], None, "--alpha 1e-310 is too small"),
+    (["steps", "potts", "--alpha", "1e-309"], None, "--alpha 1e-309 is too small"),
+    (POTTS_4X4 + ["--alpha", "1e-309"], None, "--alpha 1e-309 is too small"),
     (["steps", "potts", "--gamma", "5e-324"], None, "--gamma 5e-324 is too small"),
     (POTTS_4X4 + ["--gamma", "5e-324"], None, "--gamma 5e-324 is too small"),
 ], ids=["p-2", "cfg-alpha-x", "cfg-iters-2.5", "cfg-no-equals", "cfg-missing",
@@ -728,7 +730,8 @@ WITH_CONFIG = POTTS_4X4 + ["--config", "{tmp}/run.cfg"]
         "steps-gtilde-f-neg", "steps-gtilde-g-neg", "steps-potts-gtilde-f-neg",
         "steps-accelerated-gtilde-g-neg", "steps-linear-gtilde-f-neg",
         "potts-gtilde-g-neg", "potts-gtilde-f-neg", "cfg-config",
-        "steps-alpha-1e-310", "potts-alpha-1e-310", "steps-gamma-5e-324",
+        "steps-alpha-1e-310", "potts-alpha-1e-310", "steps-alpha-1e-309",
+        "potts-alpha-1e-309", "steps-gamma-5e-324",
         "potts-gamma-5e-324"])
 def test_invalid_input_exits_two_with_one_line(tmp_path, capsys, argv, config,
                                                needle):

@@ -327,17 +327,19 @@ def test_step_with_out_allocates_at_most_one_field():
                                   f.nbytes) <= 2.1
 
 
-def test_solve_holds_one_x_bar():
-    # Traced peak of a 3-iteration 128x128 p = 1 solve, in images: the
-    # copies of x0 and y0 (3), the spare x and y (3), the one x_bar both
-    # sets share (1) and each plan's two planes (4).  An x_bar per set
-    # adds an image.
+@pytest.mark.parametrize("p, limit", [(1, 9.2), (math.inf, 10.2)], ids=["p1", "pinf"])
+def test_solve_holds_no_x_bar(p, limit):
+    # Traced peak of a 3-iteration 128x128 solve, in images: the spare x
+    # and y (3), the copies of x0 and y0 (3) and the one scratch the two
+    # plans share, two planes and x_bar's head rows (3), at p = inf a third
+    # plane for t (4).  The returned x_bar is formed in the spare x.  An
+    # x_bar array for the loop adds an image, a scratch per plan 2 or 3.
     f = gen_synthetic(128, 128, 5, n_shapes=3, noise_sigma=0.05)
-    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=1), f)
-    trip, _ = potts_steps(1.0, 1e-3, 1)
+    prob = PottsProblem(PottsConfig(alpha=1.0, gamma=1e-3, p=p), f)
+    trip, _ = potts_steps(1.0, 1e-3, p)
     y0 = np.zeros(prob.dual_dim)
     assert _traced_peak_in_images(
-        lambda: solve(prob, trip, f, y0, SolveOptions(max_iters=3)), f.nbytes) <= 11.2
+        lambda: solve(prob, trip, f, y0, SolveOptions(max_iters=3)), f.nbytes) <= limit
 
 
 def _rows_per_block(monkeypatch, n2, rows):
@@ -757,14 +759,18 @@ def test_solve_with_step_plans_in_blocks_is_bit_identical_to_generic_solve(
 
 
 def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
-    # One plan from each set of arrays into the other, built at the start;
-    # after the return only the returned state's arrays are alive.
-    plans, arrays, build = [], [], PottsProblem.step_plan
+    # One plan from each set of arrays into the other, built at the start
+    # with no x_bar: the two partners share one scratch, which holds their
+    # planes and x_bar's head rows.  After the return only the returned
+    # state's arrays are alive, its x_bar in the bytes of a spare x.
+    plans, arrays, scratch, build = [], [], [], PottsProblem.step_plan
 
     def spy(self, state, out):
         plan = build(self, state, out)
         plans.append(weakref.ref(plan))
-        arrays.extend(weakref.ref(v) for s in (state, out) for v in (s.x, s.y, s.x_bar))
+        arrays.extend(weakref.ref(v) for s in (state, out) for v in (s.x, s.y))
+        arrays.append(weakref.ref(plan.scratch))
+        scratch.append(id(plan.scratch))  # both plans are alive while the second is built
         return plan
 
     monkeypatch.setattr(PottsProblem, "step_plan", spy)
@@ -774,6 +780,7 @@ def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
                    SolveOptions(max_iters=10, log_stride=3))
     state = result[0]
     assert len(plans) == 2 and all(ref() is None for ref in plans)
+    assert scratch[0] == scratch[1]
     alive = {id(ref()) for ref in arrays if ref() is not None}
     assert alive == {id(state.x), id(state.y), id(state.x_bar)}
     assert result.reference is None

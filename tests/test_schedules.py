@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -48,6 +49,16 @@ def test_step_triple_is_constant_schedule():
 def test_step_triple_rejects_nonpositive(bad):
     with pytest.raises(InfeasibleConstantsError):
         StepTriple(*bad)
+
+
+@pytest.mark.parametrize("bad", [(1e308, 1e-3, 1.0), (1e-3, 1e308, 1.0), (math.inf, 1, 1)])
+def test_step_triple_rejects_steps_past_half_the_largest_float(bad):
+    # The Potts step plan doubles tau and sigma: 2 * 1e308 is inf, and its
+    # step would diverge at iteration 1 where the generic update stays finite.
+    with pytest.raises(InfeasibleConstantsError, match="half the largest float"):
+        StepTriple(*bad)
+    half = sys.float_info.max / 2
+    assert StepTriple(half, half, 1.0).tau == half
 
 
 def test_constant_rule_fixes_omega_at_one():
@@ -301,6 +312,14 @@ def test_potts_steps_schedule_is_admissible():
         assert trip.tau < bound_linear(c)
         report = check_48(c, [trip] * 10)
         assert report.passed
+
+
+def test_potts_steps_reject_steps_that_underflow_to_zero():
+    # 1/(10 alpha) is finite at alpha = 1e-309, but 2*gtg*lambda_y in
+    # bound_linear overflows and tau and sigma come out 0.
+    with pytest.raises(FloatingPointError, match="underflow to 0"):
+        potts_steps(1e-309, 1e-3, 1)
+    assert potts_steps(2e-309, 1e-3, 1)[0].tau > 0
 
 
 def test_potts_steps_moduli_bounds_enforced():
