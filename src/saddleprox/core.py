@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -61,7 +60,6 @@ class SaddleProblem:
 
     primal_dim: int
     dual_dim: int
-    _last_plan = None  # weak reference to the last plan of paired_plan
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -79,34 +77,29 @@ class SaddleProblem:
                out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def step_plan(self, state: "PrimalDualState", out: "PrimalDualState"):
+    def step_plan(self, state: "PrimalDualState", out: "PrimalDualState", partner=None):
         """Optional: the iteration of :func:`step` from the arrays of
         ``state`` into those of ``out``, laid out once and run for many
         iterations.  Returns None (the default) to leave it to the generic
-        update, or a plan that owns any scratch it needs: ``plan.arrays``
-        is the tuple (x, y, new x, new x_bar, new y) of the arrays it was
-        built for, and ``plan(triple, iteration)`` writes the update's
-        bits into new x and new y.  x_bar is not iteration state: it feeds
-        only the dual gradient of its own step, so no plan reads
-        ``state.x_bar`` or forms the whole new x_bar.  ``out.x_bar`` may be
-        None, as in :func:`solve`, which holds no x_bar array for a planned
-        problem; a plan given one may use it as scratch (the Potts walk
-        keeps its first rows there), and after the plan it is unspecified.
-        :func:`step` writes the whole x_bar after a plan it built itself,
-        and :func:`solve` the one it returns; a caller that runs its own
-        bound plan through :func:`step` and needs x_bar forms x+ + omega
-        (x+ - x) itself, in that operand order for the bits of a lone step.
+        update, or a plan that owns any scratch it needs: ``plan.problem``
+        is the problem, ``plan.arrays`` the tuple (x, y, new x, new x_bar,
+        new y) of the arrays it was built for, and ``plan(triple,
+        iteration)`` writes the update's bits into new x and new y.  No
+        plan reads ``state.x_bar`` or forms the whole new x_bar, which
+        feeds only the dual gradient of its own step: a plan may use
+        ``out.x_bar`` as scratch, and :func:`step` writes it after the
+        plan unless it is None, as in the loop of :func:`solve`.
         :func:`step` builds a plan after its checks.  A new non-finite
         entry raises ``DivergenceError(iteration)``; ``out`` may then be
         partly written.
 
-        Two plans that run opposite ways between the same x and y arrays,
-        as the two of :func:`solve` do, may be partners (see
-        :func:`paired_plan`): they may share scratch, and a plan may hand
-        its partner what it computed from the arrays it wrote, which the
-        partner may use only if that plan made the problem's previous
-        planned call.  A caller that holds both partners must not write
-        into their arrays between their calls.
+        ``partner`` is None or a plan of this problem from the arrays of
+        ``out`` into those of ``state``, as :func:`solve` builds its
+        second plan (:func:`check_partner`).  Partners may share scratch,
+        and a plan may hand its partner what it computed from the arrays
+        it wrote, which the partner may use only if that plan made the
+        problem's previous planned call.  A caller that holds both
+        partners must not write into their arrays between their calls.
         """
         return None
 
@@ -246,27 +239,16 @@ def plan_step(problem: SaddleProblem, state: PrimalDualState,
     return out, problem.step_plan(state, out)
 
 
-def paired_plan(make, problem: SaddleProblem, state: PrimalDualState,
-                out: PrimalDualState):
-    """``make(problem, state, out, partner)``: a step plan of ``problem``
-    from the arrays of ``state`` into those of ``out``, built with its
-    partner (see :meth:`SaddleProblem.step_plan`).  That is the last plan
-    made here for ``problem`` if it is still alive, has no partner yet
-    and runs the opposite way between the same x and y arrays, else None.
-    The problem holds only a weak reference to its last plan, so nothing
-    of a plan outlives its callers."""
-    last = problem._last_plan() if problem._last_plan is not None else None
-    if last is not None:
-        x, y, x_new, _, y_new = last.arrays
-        if last.partnered or not all(map(operator.is_, (x_new, y_new, x, y),
-                                         (state.x, state.y, out.x, out.y))):
-            last = None
-    plan = make(problem, state, out, last)
-    plan.partnered = last is not None
-    if last is not None:
-        last.partnered = True
-    problem._last_plan = weakref.ref(plan)
-    return plan
+def check_partner(problem: SaddleProblem, partner, state: PrimalDualState,
+                  out: PrimalDualState) -> None:
+    """Raises :class:`ConfigurationError` unless ``partner`` is a step plan
+    of ``problem`` from the x and y arrays of ``out`` into those of
+    ``state`` (see :meth:`SaddleProblem.step_plan`)."""
+    x, y, x_new, _, y_new = partner.arrays
+    if partner.problem is not problem or not all(map(
+            operator.is_, (x_new, y_new, x, y), (state.x, state.y, out.x, out.y))):
+        raise ConfigurationError("a partner must be a plan of the same problem that "
+                                 "runs the other way between the same x and y arrays")
 
 
 def _over_relax(x_new: np.ndarray, x: np.ndarray, omega: float,
@@ -291,10 +273,11 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     operand order kept, so both forms give the same bits, and so does a
     problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
     :func:`plan_step` is run without the checks if it is bound to exactly
-    the arrays of ``state`` and ``out``, and then ``out.x_bar`` is left to
-    the plan, unspecified or None (see :meth:`SaddleProblem.step_plan`);
-    otherwise the checks run, a plan is built for this call and x_bar is
-    written in full.  Raises :class:`DivergenceError` if the
+    the arrays of ``state`` and ``out``; otherwise the checks run and a
+    plan is built for this call.  x_bar is written in full, into a new
+    array for ``out.x_bar`` None, except after a bound plan with
+    ``out.x_bar`` None, as in :func:`solve`.  Raises
+    :class:`DivergenceError` if the
     new iterates contain non-finite entries, carrying the 1-based
     iteration index.
     """
@@ -305,7 +288,7 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     out.iteration = it = state.iteration + 1
     if plan is not None:
         plan(triple, it)
-        if not bound:
+        if out.x_bar is not None:
             _over_relax(out.x, state.x, triple.omega, out.x_bar)
         return out
     x, y = state.x, state.y
@@ -375,7 +358,8 @@ def solve(
     (x0, y0) make the reference pair first, with the same bits:
     R + max_iters steps instead of max(R, max_iters).
     The loop recycles two sets of (x, y) arrays, with the problem's
-    :meth:`~SaddleProblem.step_plan` from each into the other, so ``x0``
+    :meth:`~SaddleProblem.step_plan` from each into the other, the
+    second built with the first as its partner, so ``x0``
     and ``y0`` are copied first.  x_bar is not iteration state, so the
     loop of a planned problem holds no x_bar array: the x_bar of
     iteration ``max_iters`` is formed once, in place, from the
@@ -401,7 +385,8 @@ def solve(
     _check_dims(problem, x0, y0)
     spare = PrimalDualState(np.empty(problem.primal_dim), np.empty(problem.dual_dim), None)
     state = PrimalDualState(x0.copy(), y0.copy(), None)
-    plan, back = problem.step_plan(state, spare), problem.step_plan(spare, state)
+    plan = problem.step_plan(state, spare)
+    back = problem.step_plan(spare, state, plan)
     if plan is None:  # the generic step writes x_bar as scratch
         state.x_bar = spare.x_bar = np.empty(problem.primal_dim)
     if ref is not None:

@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer,
-                   paired_plan)
+from .core import (ConfigurationError, DivergenceError, SaddleProblem, check_partner, is_int,
+                   out_buffer)
 
 # The box [a, b] that holds each control on its player's half, and the
 # cost alpha_1 = alpha_2 of a control.
@@ -217,19 +217,22 @@ class _SinePlan:
     on their player's column span.  A call that does not take its
     partner's coefficients of x first transforms x, two more.  The grid
     x_bar is never formed, and ``out.x_bar`` is not touched: the tau
-    update runs in the new x.  A plan with a ``partner`` (see
-    :func:`~saddleprox.core.paired_plan`) shares its
-    :class:`_SineCoefficients`.
+    update runs in the new x.  A plan with a ``partner`` shares its
+    :class:`_SineCoefficients` and takes the other side, so every plan
+    of a side runs the same way between the same arrays, and a call
+    takes carried coefficients only if the problem's previous planned
+    call was by a plan of the other side, which wrote its x.
     """
 
     def __init__(self, problem: "NashProblem", state, out, partner: Optional["_SinePlan"]):
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
         self.arrays = x, y, out.x, out.x_bar, out.y
         self.problem = problem
-        if partner is not None:
-            self.coef, self.side = partner.coef, 1
-        else:
+        if partner is None:
             self.coef, self.side = _SineCoefficients(problem.config.grid.n), 0
+        else:
+            check_partner(problem, partner, state, out)
+            self.coef, self.side = partner.coef, 1 - partner.side
         c = problem.config
         self.cols = _column_span(c.mask1), _column_span(c.mask2)
         self.halves = [problem._split(a) for a in (x, y, out.x, out.y)]
@@ -331,15 +334,10 @@ class NashProblem(SaddleProblem):
     with the same nine solves, and transforms on column spans only (see
     :class:`_SinePlan`).  Its iterates differ from the maps' composition
     by rounding: the states sum the coefficients of their parts instead
-    of transforming the sum.  The plans that :func:`~saddleprox.core.solve`
-    builds, one each way, are partners: each hands the other the
+    of transforming the sum.  The two plans of
+    :func:`~saddleprox.core.solve` are partners: each hands the other the
     coefficients of the x it wrote, so a step of the loop makes eight
-    span transforms, about six full ones.  A plan takes carried
-    coefficients only when its partner made the problem's previous
-    planned call, and the arrays it reads are the ones that call wrote;
-    any other call, such as a lone ``step``, transforms its x.  The
-    problem keeps only a weak reference to its last plan, so nothing of
-    a plan outlives the ``solve`` that built it.
+    span transforms, about six full ones, and a lone ``step`` ten.
     """
 
     def __init__(self, config: NashConfig):
@@ -464,8 +462,8 @@ class NashProblem(SaddleProblem):
 
     prox_dual = prox_primal
 
-    def step_plan(self, state, out) -> _SinePlan:
-        return paired_plan(_SinePlan, self, state, out)
+    def step_plan(self, state, out, partner=None) -> _SinePlan:
+        return _SinePlan(self, state, out, partner)
 
     def inner_primal(self, v: np.ndarray, w: np.ndarray) -> float:
         return self.config.grid.h**2 * float(np.dot(v, w))

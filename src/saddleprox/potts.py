@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigurationError, DivergenceError, SaddleProblem, is_int, out_buffer,
-                   paired_plan)
+from .core import (ConfigurationError, DivergenceError, SaddleProblem, check_partner, is_int,
+                   out_buffer)
 
 
 def _check_p(p: float) -> None:
@@ -311,17 +311,16 @@ class _WalkPlan:
     head, ``rows + 1`` rows, exists, and stays in cache: the first block
     writes its rows from row 0, each later block copies row a - 1 to row
     0 and writes its rows after it.  The head is the first rows of
-    ``out.x_bar`` if the caller gives one (a lone ``step``, which returns
-    x_bar), and the rest of it is left as it was; with ``out.x_bar``
-    None, as in ``solve``, the head follows the planes in the plan's
-    scratch.  A plan with a ``partner`` (see
-    :func:`~saddleprox.core.paired_plan`) of the same scratch size shares
-    its scratch: a call writes every entry of it that it reads."""
+    ``out.x_bar`` if the caller gives one, and the rest of it is left as
+    it was; with ``out.x_bar`` None, as in ``solve``, the head follows
+    the planes in the plan's scratch.  A plan with a ``partner`` of the
+    same scratch size shares its scratch: a call writes every entry of it
+    that it reads."""
 
     def __init__(self, problem: "PottsProblem", state, out, partner: Optional["_WalkPlan"]):
         c, (n1, n2) = problem.config, problem.shape
         x, y = (np.ascontiguousarray(v, dtype=float) for v in (state.x, state.y))
-        self.arrays = x, y, out.x, out.x_bar, out.y
+        self.problem, self.arrays = problem, (x, y, out.x, out.x_bar, out.y)
         self.alpha, self.gamma, self.p = c.alpha, c.gamma, c.p
         self.sigma = np.empty(1)  # the call's 2 sigma, which the p = 1 dual ops read
         rows = max(1, _BLOCK_BYTES // (64 * max(n2, 1)))
@@ -329,6 +328,8 @@ class _WalkPlan:
         x_new, y_new = problem._img(out.x), problem._field(out.y)
         k, h = (2 if c.p == 1 else 3), min(rows + 1, n1)
         size = (k + (out.x_bar is None)) * h * n2  # the planes, and the head if it is here
+        if partner is not None:
+            check_partner(problem, partner, state, out)
         self.scratch = (partner.scratch if partner is not None and partner.scratch.size == size
                         else np.empty(size))
         planes = self.scratch[:k * h * n2]
@@ -455,8 +456,8 @@ class PottsProblem(SaddleProblem):
         kappa_y(self.config.p, dh(self._img(x)), self._field(y), out=self._field(out))
         return out
 
-    def step_plan(self, state, out) -> _WalkPlan:
-        return paired_plan(_WalkPlan, self, state, out)
+    def step_plan(self, state, out, partner=None) -> _WalkPlan:
+        return _WalkPlan(self, state, out, partner)
 
     def prox_primal(self, tau: float, v: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:

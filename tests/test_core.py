@@ -1,5 +1,6 @@
 """Engine tests on problems small enough to step through by hand."""
 
+import copy
 import math
 import weakref
 
@@ -360,10 +361,10 @@ class _BlockedPotts(PottsProblem):
     carries x_bar's row above each block in the head of ``out.x_bar`` and
     leaves the rest of it to ``step`` and ``solve``."""
 
-    def step_plan(self, state, out):
+    def step_plan(self, state, out, partner=None):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(potts, "_BLOCK_BYTES", 64 * self.shape[1] * 4)
-            return super().step_plan(state, out)
+            return super().step_plan(state, out, partner)
 
 
 def _engine_cases():
@@ -454,8 +455,8 @@ def test_solve_plans_hold_no_x_bar(monkeypatch, case):
     name, problem, triple, x0, y0 = case
     plans, build = [], type(problem).step_plan
 
-    def spy(self, state, out):
-        plan = build(self, state, out)
+    def spy(self, state, out, partner=None):
+        plan = build(self, state, out, partner)
         assert state.x_bar is None and out.x_bar is None and plan.arrays[3] is None
         plans.append(weakref.ref(plan))
         return plan
@@ -482,25 +483,40 @@ def test_solve_returns_the_x_bar_of_lone_steps(case, reference):
 
 @pytest.mark.parametrize("case", [c for c in _engine_cases() if c[0] != "bilinear"],
                          ids=lambda c: c[0])
-def test_a_callers_bound_plan_leaves_x_bar_to_the_caller(case):
-    # After a step through a caller's own bound plan, out.x_bar is the plan's
-    # scratch for every problem: x+ and y+ have the bits of a lone step, and
-    # x+ + omega (x+ - x), formed in that operand order, has those of its
-    # x_bar.  The walk in 4-row blocks writes only the first 5 rows of x_bar,
-    # and the Nash plan never forms x_bar.
+def test_a_bound_plan_step_writes_x_bar_unless_it_is_none(case):
+    # A plan may use out.x_bar as scratch (the walk in 4-row blocks keeps
+    # x_bar's head in its first 5 rows; the Nash plan leaves it as it is),
+    # and step then writes all of it with a lone step's bits.  With
+    # out.x_bar None, as in solve, it stays None.
+    name, problem, triple, x0, y0 = case
+    state = PrimalDualState.initial(x0, y0)
+    want = step(problem, triple, state)
+    out, plan = core.plan_step(problem, state)
+    out.x_bar.fill(np.nan)
+    if name.startswith("nash"):
+        plan(triple, 1)
+        assert np.isnan(out.x_bar).all()
+    assert _bits(step(problem, triple, state, out, plan)) == _bits(want)
+    bare = PrimalDualState(np.empty_like(out.x), np.empty_like(out.y), None)
+    got = step(problem, triple, state, bare, problem.step_plan(state, bare))
+    assert got.x_bar is None
+    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
+@pytest.mark.parametrize("case", [c for c in _engine_cases() if c[0] != "bilinear"],
+                         ids=lambda c: c[0])
+def test_a_partner_runs_the_other_way_between_the_same_arrays(case):
     name, problem, triple, x0, y0 = case
     state = PrimalDualState.initial(x0, y0)
     out, plan = core.plan_step(problem, state)
-    out.x_bar.fill(np.nan)
-    got = step(problem, triple, state, out, plan)
-    want = step(problem, triple, state)
-    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
-    x_bar = got.x + triple.omega * (got.x - state.x)
-    assert x_bar.tobytes() == want.x_bar.tobytes()
-    if name.endswith("-4-rows"):
-        assert np.isnan(got.x_bar[5 * problem.shape[1]:]).all()
-    if name.startswith("nash"):
-        assert got.x_bar.tobytes() != want.x_bar.tobytes()
+    other, _ = core.plan_step(problem, state)
+    for a, b in ((state, out), (out, other), (other, state),
+                 (PrimalDualState(out.x, other.y, None), state)):
+        with pytest.raises(ConfigurationError, match="partner"):
+            problem.step_plan(a, b, plan)
+    with pytest.raises(ConfigurationError, match="partner"):
+        copy.copy(problem).step_plan(out, state, plan)
+    assert problem.step_plan(out, state, plan).arrays[2] is state.x
 
 
 class OutRecorder(SaddleProblem):

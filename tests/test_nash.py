@@ -308,7 +308,7 @@ def test_plan_makes_eight_span_transforms_per_carried_step(monkeypatch):
     assert counts == [(10, 9)] * 4
 
     spare, plan = plan_step(prob, state)
-    _, back = plan_step(prob, spare, state)
+    back = prob.step_plan(spare, state, plan)
     counts = []
     for _ in range(5):
         before = (len(calls), prob.pde_solves)
@@ -411,26 +411,45 @@ def test_a_planned_call_between_partners_voids_the_carry():
     prob = NashProblem(config)
     state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
     spare, plan = plan_step(prob, state)
-    _, back = plan_step(prob, spare, state)
+    back = prob.step_plan(spare, state, plan)
     step(prob, GAME_TRIPLE, state, spare, plan)
     step(prob, GAME_TRIPLE, PrimalDualState.initial(x_star, y_star), out=spare)
     want = step(NashProblem(config), GAME_TRIPLE, spare)
-    got = step(prob, GAME_TRIPLE, spare, state, back)
-    # A bound plan leaves x_bar unspecified: form it in the lone step's operand order.
-    x_bar = got.x + GAME_TRIPLE.omega * (got.x - spare.x)
-    assert (got.iteration, got.x.tobytes(), got.y.tobytes(), x_bar.tobytes()) == _bits(want)
+    assert _bits(step(prob, GAME_TRIPLE, spare, state, back)) == _bits(want)
+
+
+def test_a_chain_of_partners_carries_only_between_plans_that_run_opposite_ways():
+    # A and C run from state into spare, B the other way, all three on one
+    # set of coefficients.  Every call has the bits of a lone step on a new
+    # problem: C takes B's coefficients of its x, never A's of the x that
+    # A wrote, so a partner's side is the other one, not a fixed side.
+    config, _, _ = manufacture(15)
+    prob = NashProblem(config)
+    rng = np.random.default_rng(3)
+    state = PrimalDualState.initial(rng.normal(size=prob.primal_dim),
+                                    rng.normal(size=prob.dual_dim))
+    spare, a = plan_step(prob, state)
+    b = prob.step_plan(spare, state, a)
+    c = prob.step_plan(state, spare, b)
+    ways = {a: (state, spare), b: (spare, state), c: (state, spare)}
+    for plan in (a, c, b, c, a, b, c, c):
+        src, dst = ways[plan]
+        want = step(NashProblem(config), GAME_TRIPLE, src)
+        assert _bits(step(prob, GAME_TRIPLE, src, dst, plan)) == _bits(want)
 
 
 def test_solve_builds_two_partner_plans_and_keeps_none(monkeypatch):
-    # One plan each way, sharing one set of coefficient buffers; after the
-    # return nothing of them is alive, since the problem holds them weakly.
+    # One plan each way, the second built with the first as its partner and
+    # sharing its coefficient buffers; after the return nothing of them is
+    # alive, since the problem holds no plan.
     refs, shared, build = [], [], NashProblem.step_plan
 
-    def spy(self, state, out):
-        plan = build(self, state, out)
+    def spy(self, state, out, partner=None):
+        plan = build(self, state, out, partner)
         coef = plan.coef
         refs.append([weakref.ref(o) for o in (plan, coef, *coef.u[0], *coef.u[1], *coef.v)])
-        shared.append(id(coef))  # both plans are alive while the second is built
+        # both plans are alive while the second is built
+        shared.append((id(plan), partner and id(partner), id(coef), plan.side))
         return plan
 
     monkeypatch.setattr(NashProblem, "step_plan", spy)
@@ -438,7 +457,8 @@ def test_solve_builds_two_partner_plans_and_keeps_none(monkeypatch):
     prob = NashProblem(config)
     solve(prob, GAME_TRIPLE, np.zeros(prob.primal_dim), np.zeros(prob.dual_dim),
           SolveOptions(max_iters=3))
-    assert len(refs) == 2 and shared[0] == shared[1]
+    (first, none, coef, side), (_, partner, coef_2, side_2) = shared
+    assert (none, partner, coef_2, side_2) == (None, first, coef, 1 - side)
     assert all(ref() is None for plan_refs in refs for ref in plan_refs)
 
 
@@ -464,7 +484,7 @@ def test_solve_with_step_plans_diverges_as_the_generic_solve(monkeypatch, name, 
     for generic in (False, True):
         with monkeypatch.context() as m, np.errstate(all="ignore"):
             if generic:
-                m.setattr(NashProblem, "step_plan", lambda self, state, out: None)
+                m.setattr(NashProblem, "step_plan", lambda self, state, out, partner=None: None)
             with pytest.raises(DivergenceError) as exc:
                 solve(prob, _NanAt(name, i), np.zeros(prob.primal_dim),
                       np.zeros(prob.dual_dim), SolveOptions(max_iters=8))
@@ -491,7 +511,7 @@ def test_planned_steps_allocate_no_grid_size_array():
     prob = NashProblem(config)
     state = PrimalDualState.initial(np.zeros(prob.primal_dim), np.zeros(prob.dual_dim))
     spare, plan = plan_step(prob, state)
-    _, back = plan_step(prob, spare, state)
+    back = prob.step_plan(spare, state, plan)
     step(prob, GAME_TRIPLE, state, spare, plan)
     state, spare, plan, back = spare, state, back, plan
     tracemalloc.start()

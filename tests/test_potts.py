@@ -393,7 +393,7 @@ def _generic_only(monkeypatch):
         calls.append(None)
         return grad_x(self, *args, **kwargs)
 
-    monkeypatch.setattr(PottsProblem, "step_plan", lambda self, state, out: None)
+    monkeypatch.setattr(PottsProblem, "step_plan", lambda self, state, out, partner=None: None)
     monkeypatch.setattr(PottsProblem, "grad_x", counted)
     return calls
 
@@ -765,8 +765,8 @@ def test_solve_builds_two_step_plans_and_keeps_none(monkeypatch):
     # state's arrays are alive, its x_bar in the bytes of a spare x.
     plans, arrays, scratch, build = [], [], [], PottsProblem.step_plan
 
-    def spy(self, state, out):
-        plan = build(self, state, out)
+    def spy(self, state, out, partner=None):
+        plan = build(self, state, out, partner)
         plans.append(weakref.ref(plan))
         arrays.extend(weakref.ref(v) for s in (state, out) for v in (s.x, s.y))
         arrays.append(weakref.ref(plan.scratch))
