@@ -272,16 +272,15 @@ def step(problem: SaddleProblem, triple, state: PrimalDualState,
     arrays before it.  The arithmetic is the plain update with every
     operand order kept, so both forms give the same bits, and so does a
     problem's :meth:`SaddleProblem.step_plan`.  A ``plan`` from
-    :func:`plan_step` is run without the checks if it is bound to exactly
-    the arrays of ``state`` and ``out``; otherwise the checks run and a
-    plan is built for this call.  x_bar is written in full, into a new
-    array for ``out.x_bar`` None, except after a bound plan with
-    ``out.x_bar`` None, as in :func:`solve`.  Raises
-    :class:`DivergenceError` if the
-    new iterates contain non-finite entries, carrying the 1-based
-    iteration index.
+    :func:`plan_step` is run without the checks if it is a plan of
+    ``problem`` bound to exactly the arrays of ``state`` and ``out``;
+    otherwise the checks run and a plan is built for this call.  x_bar
+    is written in full, into a new array for ``out.x_bar`` None, except
+    after a bound plan with ``out.x_bar`` None, as in :func:`solve`.
+    Raises :class:`DivergenceError` if the new iterates contain
+    non-finite entries, carrying the 1-based iteration index.
     """
-    bound = plan is not None and out is not None and all(map(
+    bound = plan is not None and out is not None and plan.problem is problem and all(map(
         operator.is_, plan.arrays, (state.x, state.y, out.x, out.x_bar, out.y)))
     if not bound:
         out, plan = plan_step(problem, state, out)

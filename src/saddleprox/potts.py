@@ -371,7 +371,7 @@ class _WalkPlan:
     def __call__(self, triple, iteration: int) -> None:
         tau, omega, sigma = triple.tau, triple.omega, triple.sigma
         r = tau / self.alpha
-        primal_div, dual_div = 1.0 + r, 1.0 + self.gamma * sigma
+        primal_scale, dual_scale = 1.0 / (1.0 + r), 1.0 / (1.0 + self.gamma * sigma)
         tau2, sigma2 = 2.0 * tau, 2.0 * sigma
         self.sigma[0] = sigma2
         for (ops, v, xn, xa, f, xmask), dual in self.blocks:
@@ -382,7 +382,7 @@ class _WalkPlan:
             np.subtract(xa, v, out=v)
             np.multiply(r, f, out=xn)
             np.add(v, xn, out=xn)
-            np.divide(xn, primal_div, out=xn)
+            np.multiply(xn, primal_scale, out=xn)
             np.subtract(xn, xa, out=v)
             np.multiply(omega, v, out=v)
             np.add(xn, v, out=v)
@@ -397,7 +397,7 @@ class _WalkPlan:
             if self.p != 1:
                 np.multiply(sigma2, w, out=w)
             np.add(ya, w, out=w)
-            np.divide(w, dual_div, out=w)
+            np.multiply(w, dual_scale, out=w)
             if not np.isfinite(w, out=ymask).all():
                 raise DivergenceError(iteration)
 
@@ -465,13 +465,13 @@ class PottsProblem(SaddleProblem):
         out = out_buffer(out, (self.primal_dim,), v)  # r * noisy goes in before v is read
         np.multiply(r, self.noisy.ravel(), out=out)
         np.add(v, out, out=out)
-        out /= 1.0 + r
+        out *= 1.0 / (1.0 + r)
         return out
 
     def prox_dual(self, sigma: float, w: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.divide(w, 1.0 + self.config.gamma * sigma,
-                         out=out_buffer(out, (self.dual_dim,)))
+        return np.multiply(w, 1.0 / (1.0 + self.config.gamma * sigma),
+                           out=out_buffer(out, (self.dual_dim,)))
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         return kappa_val(self.config.p, dh(self._img(x)), self._field(y))

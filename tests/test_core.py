@@ -1,6 +1,7 @@
 """Engine tests on problems small enough to step through by hand."""
 
 import copy
+import dataclasses
 import math
 import weakref
 
@@ -501,6 +502,28 @@ def test_a_bound_plan_step_writes_x_bar_unless_it_is_none(case):
     got = step(problem, triple, state, bare, problem.step_plan(state, bare))
     assert got.x_bar is None
     assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
+def _other_problems():
+    config = PottsConfig(alpha=1.0, gamma=1e-3, p=1)
+    yield "potts", *(PottsProblem(config, gen_synthetic(16, 16, seed)) for seed in (1, 2)), \
+        potts_steps(1.0, 1e-3, 1)[0]
+    config, _, _ = manufacture(7)
+    yield "nash", NashProblem(config), NashProblem(dataclasses.replace(config, f=config.f + 1.0)), \
+        StepTriple(0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("case", list(_other_problems()), ids=lambda c: c[0])
+def test_step_ignores_a_plan_bound_to_another_problem(case):
+    # A plan of p1 bound to exactly the arrays given is not p2's step: step
+    # checks and plans anew for p2 and writes a lone step's bits.
+    _, p1, p2, triple = case
+    state = PrimalDualState.initial(np.linspace(0.0, 1.0, p1.primal_dim),
+                                    np.full(p1.dual_dim, 0.1))
+    want = step(p2, triple, state)
+    out, plan = core.plan_step(p1, state)
+    assert _bits(step(p2, triple, state, out, plan)) == _bits(want)
+    assert _bits(step(p1, triple, state, out, plan)) != _bits(want)
 
 
 @pytest.mark.parametrize("case", [c for c in _engine_cases() if c[0] != "bilinear"],

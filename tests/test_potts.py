@@ -153,7 +153,7 @@ def _paired_plain(p, z, y):
 
 def _prox_primal_plain(noisy, alpha, tau, v):
     r = tau / alpha
-    return (v + r * noisy.ravel()) / (1.0 + r)
+    return (v + r * noisy.ravel()) * (1.0 / (1.0 + r))
 
 
 def _same_bits(a, b):
@@ -192,6 +192,7 @@ def test_kernels_are_bit_identical_to_plain_expressions(shape, h, p, entries):
         assert _same_bits(kappa_y(p, z, y), factor * z)
         assert _same_bits(prob.prox_primal(0.3, v),
                           _prox_primal_plain(x, 0.7, 0.3, v))
+        assert _same_bits(prob.prox_dual(0.3, y.ravel()), y.ravel() * (1.0 / (1.0 + 1e-3 * 0.3)))
     assert _same_bits(v, v_before)
 
 
@@ -1038,6 +1039,61 @@ def test_prox_primal_weights_data_term_by_alpha():
     tau = 1.0
     r = tau / 0.25
     assert np.allclose(prob.prox_primal(tau, v), r * 0.5 / (1.0 + r), rtol=1e-15)
+
+
+def _within_one_ulp(got, want):
+    return np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6),
+       tau=st.floats(1e-8, 1e8), sigma=st.floats(1e-8, 1e8),
+       alpha=st.floats(1e-8, 1e8), gamma=st.floats(1e-8, 1e8))
+def test_prox_maps_lie_within_one_ulp_of_the_division_forms(seed, scale, tau, sigma, alpha,
+                                                             gamma):
+    # The maps scale by the reciprocal of 1 + tau/alpha and of 1 + gamma sigma;
+    # the reciprocal and the product each round once, so every entry is the
+    # correctly rounded quotient or a float next to it.
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(size=(5, 7))
+    prob = PottsProblem(PottsConfig(alpha=alpha, gamma=gamma, p=1), f)
+    v, w = scale * rng.normal(size=prob.primal_dim), scale * rng.normal(size=prob.dual_dim)
+    r = tau / alpha
+    assert _within_one_ulp(prob.prox_primal(tau, v), (v + r * f.ravel()) / (1.0 + r))
+    assert _within_one_ulp(prob.prox_dual(sigma, w), w / (1.0 + gamma * sigma))
+
+
+class _DividingPotts(PottsProblem):
+    """Potts with prox maps that divide, as they did before they scaled by
+    reciprocals, and no step plan: the generic step runs them."""
+
+    def step_plan(self, state, out, partner=None):
+        return None
+
+    def prox_primal(self, tau, v, out=None):
+        r = tau / self.config.alpha
+        return np.divide(v + r * self.noisy.ravel(), 1.0 + r, out=out)
+
+    def prox_dual(self, sigma, w, out=None):
+        return np.divide(w, 1.0 + self.config.gamma * sigma, out=out)
+
+
+@BOTH_P
+def test_solve_stays_within_1e12_of_dividing_prox_maps(p):
+    # The reciprocal form moves each prox by at most an ulp; over 2,000
+    # iterations of the 64^2 solve of acceptance tests 05/06 the iterates
+    # stay within 1e-12 relative of an engine whose maps divide.  Not on
+    # every image: the transient of a noisy one amplifies any rounding
+    # change (see ROADMAP, item 20, lever C).
+    f = gen_synthetic(64, 64, 7, n_shapes=1, noise_sigma=0.0)
+    config = PottsConfig(alpha=1.0, gamma=1e-3, p=p)
+    trip, _ = potts_steps(1.0, 1e-3, p)
+    y0 = np.zeros(2 * f.size)
+    options = SolveOptions(max_iters=2000, log_stride=2000)
+    got, _ = solve(PottsProblem(config, f), trip, f.ravel(), y0, options)
+    want, _ = solve(_DividingPotts(config, f), trip, f.ravel(), y0, options)
+    for a, b in ((got.x, want.x), (got.y, want.y)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @BOTH_P
