@@ -269,13 +269,12 @@ def cmd_nash(args: argparse.Namespace) -> int:
                  ("tau", args.tau), ("sigma", args.sigma), ("omega", args.omega)]
     dist_columns: list[np.ndarray] = []
     for n in sizes:
-        config, x_star, y_star = nash.manufacture(n)
+        config, x_star = nash.manufacture(n)[:2]  # y_star is a copy of x_star
         problem = nash.NashProblem(config)
-        x0 = np.zeros(problem.primal_dim)
-        y0 = np.zeros(problem.dual_dim)
-        _, records = solve(problem, triple, x0, y0,
+        _, records = solve(problem, triple, np.zeros(problem.primal_dim),
+                           np.zeros(problem.dual_dim),
                            SolveOptions(max_iters=iters, log_stride=1,
-                                        reference=(x_star, y_star)))
+                                        reference=(x_star, x_star)))
         dist_columns.append(np.array([rec.dist_to_ref for rec in records]))
 
     header = config_header("nash", cfg_items)
@@ -551,8 +550,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, CommandParser]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; exit 2 on invalid input, 1 on infeasible constants
-    or a diverging iteration.
+    """Run one subcommand; exit 2 on invalid input or a run too large for
+    memory, 1 on infeasible constants or a diverging iteration.
 
     A ``--config`` file is spliced in as flags right after the subcommand
     name, so the user's own flags, coming later, override it.
@@ -568,6 +567,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
         print("saddleprox %s: %s" % (args.command, exc), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"  # numpy's error names the array
+        print("saddleprox %s: out of memory: %s" % (args.command, reason), file=sys.stderr)
         return 2
     except InfeasibleConstantsError as exc:
         print("saddleprox %s: infeasible step constants: %s" % (args.command, exc),

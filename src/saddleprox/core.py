@@ -358,14 +358,14 @@ def solve(
     R + max_iters steps instead of max(R, max_iters).
     The loop recycles two sets of (x, y) arrays, with the problem's
     :meth:`~SaddleProblem.step_plan` from each into the other, the
-    second built with the first as its partner, so ``x0``
-    and ``y0`` are copied first.  x_bar is not iteration state, so the
-    loop of a planned problem holds no x_bar array: the x_bar of
-    iteration ``max_iters`` is formed once, in place, from the
-    difference x+ - x that its step norm leaves in the spare's x, with
-    the bits of a lone step.  A problem without a plan gets one x_bar
-    that both sets share, as the generic step's scratch.  The returned
-    state and reference belong to the caller, and hold no plan.
+    second built with the first as its partner, so ``x0`` and ``y0`` are
+    copied first, and then dropped: a temporary start is freed.  x_bar
+    is not iteration state, so the loop of a planned problem holds no
+    x_bar array: the x_bar of iteration ``max_iters`` is formed once, in
+    place, from the difference x+ - x that its step norm leaves in the
+    spare's x, with the bits of a lone step.  A problem without a plan
+    gets one x_bar that both sets share, as the generic step's scratch.
+    The returned state and reference belong to the caller, and hold no plan.
     """
     ref, ref_at = options.reference, None
     if is_int(ref):
@@ -384,6 +384,7 @@ def solve(
     _check_dims(problem, x0, y0)
     spare = PrimalDualState(np.empty(problem.primal_dim), np.empty(problem.dual_dim), None)
     state = PrimalDualState(x0.copy(), y0.copy(), None)
+    del x0, y0
     plan = problem.step_plan(state, spare)
     back = problem.step_plan(spare, state, plan)
     if plan is None:  # the generic step writes x_bar as scratch

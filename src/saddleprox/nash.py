@@ -193,16 +193,15 @@ class _SineCoefficients:
     ``u[side]`` holds the sine coefficients of the two masked controls of
     the plan on that side's input x, and is its scratch once they are
     used; ``u[1 - side]`` takes the coefficients of its new x, which are
-    the partner's input.  ``v`` takes those of the masked duals of a
-    call's input y.  ``last`` is (side, call number) of the planned call
-    that wrote ``u``, or None.
+    the partner's input; each plan's new y holds those of its masked
+    duals.  ``last`` is (side, call number) of the planned call that
+    wrote ``u``, or None.
     """
 
     def __init__(self, n: int):
-        # Six arrays, not one block of six, which kept 1 to 1.5 MB more peak
-        # RSS in a stream of nash-mesh jobs: it changes glibc's heap reuse.
+        # Four arrays, not one block of four, which kept 1 MB more peak RSS
+        # in a stream of nash-mesh jobs: it changes glibc's heap reuse.
         self.u = [[np.empty((n, n)) for _ in range(2)] for _ in range(2)]
-        self.v = [np.empty((n, n)) for _ in range(2)]
         self.last: Optional[tuple[int, int]] = None
 
 
@@ -217,7 +216,9 @@ class _SinePlan:
     on their player's column span.  A call that does not take its
     partner's coefficients of x first transforms x, two more.  The grid
     x_bar is never formed, and ``out.x_bar`` is not touched: the tau
-    update runs in the new x.  A plan with a ``partner`` shares its
+    update runs in the new x, and the coefficients of the masked y in
+    the new y, whose halves the dual gradient reads before it writes
+    them.  A plan with a ``partner`` shares its
     :class:`_SineCoefficients` and takes the other side, so every plan
     of a side runs the same way between the same arrays, and a call
     takes carried coefficients only if the problem's previous planned
@@ -265,7 +266,7 @@ class _SinePlan:
         write_half, z_hat = problem._write_half, (problem._z1_hat, problem._z2_hat)
         x, y, x_new, _, y_new = self.arrays
         (x1, x2), (y1, y2), new_x, new_y = self.halves
-        u, s, v = coef.u[side], coef.u[1 - side], coef.v
+        u, s, v = coef.u[side], coef.u[1 - side], new_y
         calls = problem._planned_calls
         carried = coef.last == (1 - side, calls)
         problem._planned_calls = calls = calls + 1

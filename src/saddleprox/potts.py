@@ -502,8 +502,9 @@ def gen_synthetic(
         if not is_int(value) or value < least:
             raise ConfigurationError("%s must be an integer >= %d, got %r"
                                      % (name, least, value))
-    if not noise_sigma >= 0:  # also rejects NaN
-        raise ConfigurationError("noise_sigma must be >= 0, got %r" % (noise_sigma,))
+    if not 0 <= noise_sigma < math.inf:  # also rejects NaN
+        raise ConfigurationError("noise_sigma must be finite and >= 0, got %r"
+                                 % (noise_sigma,))
     rng = np.random.default_rng(seed)
     img = np.full((n1, n2), rng.uniform(0.1, 0.4))
     ii, jj = np.arange(n1)[:, None], np.arange(n2)[None, :]

@@ -333,6 +333,29 @@ def test_potts_divergence_exits_one_with_one_line(tmp_path, capsys, p, noise_sig
     assert not list(tmp_path.glob("run_*"))
 
 
+def _no_memory(*message):
+    def raise_(*args, **kwargs):
+        raise MemoryError(*message)
+    return raise_
+
+
+@pytest.mark.parametrize("argv, name, message, shown", [
+    (["nash", "--sizes", "300000", "--out"], "saddleprox.nash.manufacture",
+     ("Unable to allocate 671. GiB",), "Unable to allocate 671. GiB"),
+    (["potts", "--synthetic", "200000", "200000", "0", "--out-prefix"],
+     "saddleprox.potts.gen_synthetic", (), "allocation failed")])
+def test_an_allocation_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch, argv,
+                                                       name, message, shown):
+    # The maker of the problem data stands in for numpy's failed allocation,
+    # so no test asks for a huge array.
+    monkeypatch.setattr(name, _no_memory(*message))
+    rc, out, err = run_cli(argv + [str(tmp_path / "run")], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "saddleprox %s: out of memory: %s\n" % (argv[0], shown)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("p, dynamic_range", [
     ("1", "0.1"), ("1", "0.5"), ("1", "0.7"), ("1", "0.725"), ("1", "1e-300"),
     ("inf", "0.1"), ("inf", "0.5"), ("inf", "0.65")])

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -594,6 +595,33 @@ def test_solve_does_not_write_into_its_inputs():
     final, _ = solve(ScalarBilinear(), UNIT, x0, y0, SolveOptions(max_iters=5))
     assert (x0[0], y0[0]) == (1.0, 0.0)
     assert not np.may_share_memory(final.x, x0)
+
+
+class _StartWatch:
+    """A constant schedule that notes, at each call, which of the arrays
+    passed through :meth:`start` are still alive."""
+
+    def __init__(self, triple):
+        self.steps, self.refs, self.alive = triple, [], []
+
+    def start(self, v):
+        self.refs.append(weakref.ref(v))
+        return v
+
+    def triple(self, i):
+        self.alive.append([ref() is not None for ref in self.refs])
+        return self.steps
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller holds a call's arguments until it returns")
+@pytest.mark.parametrize("case", ["potts-p1", "potts-pinf", "nash-7"])
+def test_solve_frees_a_temporary_start_after_its_copies(case):
+    _, prob, triple, x0, y0 = next(c for c in _engine_cases() if c[0] == case)
+    watch = _StartWatch(triple)
+    solve(prob, watch, watch.start(x0.copy()), watch.start(y0.copy()),
+          SolveOptions(max_iters=3))
+    assert watch.alive == [[False, False]] * 3
 
 
 def test_step_rejects_out_sharing_memory():

@@ -447,7 +447,7 @@ def test_solve_builds_two_partner_plans_and_keeps_none(monkeypatch):
     def spy(self, state, out, partner=None):
         plan = build(self, state, out, partner)
         coef = plan.coef
-        refs.append([weakref.ref(o) for o in (plan, coef, *coef.u[0], *coef.u[1], *coef.v)])
+        refs.append([weakref.ref(o) for o in (plan, coef, *coef.u[0], *coef.u[1])])
         # both plans are alive while the second is built
         shared.append((id(plan), partner and id(partner), id(coef), plan.side))
         return plan
@@ -528,7 +528,7 @@ def test_planned_steps_allocate_no_grid_size_array():
 def test_solve_holds_no_x_bar():
     # Traced peak of a 3-iteration solve at n = 63, in primal vectors of
     # 2 n^2 entries: the spare x and y (2), the copies of x0 and y0 (2),
-    # the six n x n coefficient buffers that the two plans share (3), the
+    # the four n x n coefficient buffers that the two plans share (2), the
     # Laplacian's eigenvalues and per-call temporaries.  The eigenvalues'
     # cache is cleared first, so the figure does not depend on the tests
     # run before.  The plans run the tau update in the new x and the
@@ -545,7 +545,7 @@ def test_solve_holds_no_x_bar():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / x0.nbytes <= 8.7
+    assert peak / x0.nbytes <= 7.7
 
 
 def _physical_state(prob, a1, a2):

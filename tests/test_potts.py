@@ -1233,6 +1233,8 @@ def test_gen_synthetic_validation():
         gen_synthetic(4, 4, seed=0, noise_sigma=-0.1)
     with pytest.raises(ConfigurationError):
         gen_synthetic(4, 4, seed=0, noise_sigma=math.nan)
+    with pytest.raises(ConfigurationError):
+        gen_synthetic(4, 4, seed=0, noise_sigma=math.inf)
     for args, kwargs in [((4, 4, 0), dict(n_shapes=2.5)), ((4.0, 4, 0), {}),
                          ((4, 4.5, 0), {}), ((4, "4", 0), {}), ((4, 4, 0.5), {}),
                          ((4, 4, -1), {}), ((True, 4, 0), {})]:

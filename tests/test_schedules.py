@@ -45,7 +45,8 @@ def test_step_triple_is_constant_schedule():
     assert t.triple(10**6) is t
 
 
-@pytest.mark.parametrize("bad", [(0.0, 1, 1), (1, -2, 1), (1, 1, 0.0)])
+@pytest.mark.parametrize("bad", [(0.0, 1, 1), (1, -2, 1), (1, 1, 0.0), (1, 1, math.inf),
+                                 (1, 1, math.nan)])
 def test_step_triple_rejects_nonpositive(bad):
     with pytest.raises(InfeasibleConstantsError):
         StepTriple(*bad)
@@ -312,6 +313,25 @@ def test_potts_steps_schedule_is_admissible():
         assert trip.tau < bound_linear(c)
         report = check_48(c, [trip] * 10)
         assert report.passed
+
+
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_no_admissible_potts_triple_beats_the_linear_rate_cap(p):
+    # check_48's dual-step row needs sigma * lambda_y < 1, and sigma = tau *
+    # gtg / gtf with gtf < gamma, so omega = 1/(1 + 2 gtg tau) > 1/(1 + 2
+    # gamma / lambda_y).  All 576 triples of this grid are admissible; the
+    # smallest omega is 0.998130 against a cap of 0.998004 at p = 1, and
+    # 0.999019 against 0.999001 at p = inf.
+    alpha, gamma, admitted = 1.0, 1e-3, 0
+    for gtg in np.geomspace(1e-4, 0.49, 12):
+        for gtf in np.geomspace(1e-6, 0.999 * gamma, 12):
+            for delta in (0.05, 0.1, 0.5, 0.9):
+                trip, c = potts_steps(alpha, gamma, p, delta=delta, gtg=float(gtg),
+                                      gtf=float(gtf))
+                if check_48(c, [trip] * 3).passed:
+                    admitted += 1
+                    assert trip.omega > 1.0 / (1.0 + 2.0 * gamma / c.lambda_y)
+    assert admitted > 0
 
 
 def test_potts_steps_reject_steps_that_underflow_to_zero():
